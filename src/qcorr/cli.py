@@ -33,7 +33,6 @@ from .correspondence import (
     PauliGrid,
     RandomSample,
     classify_triple,
-    extract_counterpart,
     makhlin_invariants,
     parse_basis_word,
     search_counterparts,
@@ -116,19 +115,17 @@ def _parse_space(text: str, m: int):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"random space must look like random:COUNT:SEED, got {text!r}")
-        return RandomSample(int(parts[1]), int(parts[2]))
+        count, seed = int(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError(f"random space needs a COUNT of at least 1, got {text!r}")
+        return RandomSample(count, seed)
     return parse_basis_word(text, m)
 
 
 def cmd_counterparts(args) -> list:
     tol = _resolve_tol(args)
     action = _build_oracle(args)
-    space = _parse_space(args.bases, action.m)
-    if isinstance(space, tuple):
-        gp = extract_counterpart(action, space, tol)
-        found = [] if gp is None else [(args.bases.upper(), space, gp)]
-    else:
-        found = search_counterparts(action, space, tol)
+    found = search_counterparts(action, _parse_space(args.bases, action.m), tol)
     return [
         {
             "bases": name,

@@ -1,12 +1,17 @@
 """Classical counterparts of quantum oracles under per-qubit computational
 basis choices, and the complete two-qubit classification.
 
-The extraction side conjugates an oracle by a product of single-qubit basis
-changes, one column at a time, and tests whether the result is a generalized
-permutation.  The classification side computes the three local invariants of
-a 4x4 unitary in the magic basis and matches them against the five possible
-counterpart classes, identified by the six cosets of the two-bit reversible
-gates modulo pre/post bit flips.
+The extraction side stacks the dense matrices of k oracles on the same
+qubits, conjugates the whole stack by a product of single-qubit basis
+changes, one 2x2 pass per row or column qubit, and tests every conjugated
+matrix at once for being a generalized permutation.  The chi/eta grid is
+walked in Gray-code order, so each assignment costs two passes over the
+stack.  On larger stacks each assignment is first screened on a few
+product-state columns, which rejects most of those that admit nothing
+before any dense work.  The classification side computes the three local
+invariants of a 4x4 unitary in the magic basis and matches them against the
+five possible counterpart classes, identified by the six cosets of the
+two-bit reversible gates modulo pre/post bit flips.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .matrixcore import (
     NonUnitaryError,
     SizeLimitError,
     apply_single_qubit,
-    detect_from_columns,
+    detect_stack,
     is_unitary,
     random_unitary,
 )
@@ -85,39 +90,6 @@ def basis_word(bases) -> str | None:
     return "".join(letters)
 
 
-def conjugate_column(action: OracleAction, bases, col: int) -> np.ndarray:
-    """One column of the basis-conjugated oracle, without materializing it.
-
-    Builds the product state encoding ``col``, pushes it through the oracle,
-    and rotates the result back into the product basis.
-    """
-    m = action.m
-    if len(bases) != m:
-        raise ValueError(f"{len(bases)} bases given for an oracle on {m} qubits")
-    vec = np.ones(1, dtype=complex)
-    for j, basis in enumerate(bases):
-        bit = (col >> (m - 1 - j)) & 1
-        vec = np.kron(vec, basis.matrix[:, bit])
-    out = action.apply(vec)
-    for j, basis in enumerate(bases):
-        if not basis._is_standard:
-            out = apply_single_qubit(out, basis.matrix.conj().T, j, m)
-    return out
-
-
-def extract_counterpart(action: OracleAction, bases, tol: float = DEFAULT_TOL):
-    """Classical counterpart induced by a basis assignment, or None.
-
-    The counterpart exists iff every conjugated column is a single basis
-    vector up to phase; the result collects the full permutation and its
-    output phases.
-    """
-    if len(bases) != action.m:
-        raise ValueError(f"{len(bases)} bases given for an oracle on {action.m} qubits")
-    columns = (conjugate_column(action, bases, col) for col in range(action.dim))
-    return detect_from_columns(action.dim, columns, tol)
-
-
 class PauliGrid:
     """Search space: every chi/eta assignment, enumerated lexicographically."""
 
@@ -134,26 +106,179 @@ class RandomSample:
     seed: int
 
 
+# Every extraction holds k dense 2^m x 2^m complex matrices, k * 4^m * 16 B,
+# and no space holds more assignments than the largest grid.
 GRID_QUBIT_LIMIT = 13
 
 
+def _grid_assignment(code: int, m: int):
+    bases = tuple(ETA if (code >> (m - 1 - j)) & 1 else CHI for j in range(m))
+    return basis_word(bases), bases
+
+
 def iter_assignments(space, m: int):
-    """Yield (name, assignment) pairs for a search space, in a fixed order."""
+    """(name, assignment) pairs for a search space, in a fixed order.
+
+    A space is a PauliGrid, a RandomSample, or one assignment given as a tuple
+    of bases.  The call itself checks the size limits, before any pair is made.
+    """
+    if m > GRID_QUBIT_LIMIT:
+        raise SizeLimitError(f"extraction on {m} qubits exceeds the {GRID_QUBIT_LIMIT}-qubit limit")
     if isinstance(space, PauliGrid):
-        if m > GRID_QUBIT_LIMIT:
+        return (_grid_assignment(code, m) for code in range(1 << m))
+    if isinstance(space, RandomSample):
+        if space.count < 0:
+            raise ValueError(f"random sample count must be >= 0, got {space.count}")
+        if space.count > 1 << GRID_QUBIT_LIMIT:
             raise SizeLimitError(
-                f"chi/eta grid on {m} qubits exceeds the {GRID_QUBIT_LIMIT}-qubit limit"
+                f"random sample of {space.count} exceeds {1 << GRID_QUBIT_LIMIT} assignments"
             )
-        for code in range(1 << m):
-            bases = tuple(ETA if (code >> (m - 1 - j)) & 1 else CHI for j in range(m))
-            yield basis_word(bases), bases
-    elif isinstance(space, RandomSample):
         rng = np.random.default_rng(space.seed)
-        for idx in range(space.count):
-            bases = tuple(general_basis(random_unitary(2, rng)) for _ in range(m))
-            yield f"random:{idx}", bases
+        return ((f"random:{idx}", tuple(general_basis(random_unitary(2, rng)) for _ in range(m)))
+                for idx in range(space.count))
+    if isinstance(space, tuple) and all(isinstance(b, QubitBasis) for b in space):
+        if len(space) != m:
+            raise ValueError(f"{len(space)} bases given for an oracle on {m} qubits")
+        return iter([(basis_word(space), space)])
+    raise ValueError(f"unknown search space {space!r}")
+
+
+def _dense_stack(actions) -> np.ndarray:
+    """A fresh (k, 2^m, 2^m) stack of the actions' dense matrices."""
+    mats = [action.as_matrix() for action in actions]
+    return mats[0][None] if len(mats) == 1 else np.stack(mats)
+
+
+def _change_basis(stack: np.ndarray, d: np.ndarray, j: int, m: int):
+    """In place: every matrix times D on column qubit j and D† on row qubit j."""
+    apply_single_qubit(stack, d.T, m + j, 2 * m, out=stack)
+    apply_single_qubit(stack, d.conj().T, j, 2 * m, out=stack)
+
+
+def conjugate(actions, bases) -> np.ndarray:
+    """B†UB for the matrix U of every action, as a (k, 2^m, 2^m) stack.
+
+    B is the product of the per-qubit bases; column j of B†UB is the oracle's
+    image of the product state encoding j, read in the same product basis.
+    """
+    m = actions[0].m
+    if len(bases) != m:
+        raise ValueError(f"{len(bases)} bases given for an oracle on {m} qubits")
+    stack = _dense_stack(actions)
+    for j, basis in enumerate(bases):
+        if not basis._is_standard:
+            _change_basis(stack, basis.matrix, j, m)
+    return stack
+
+
+def _columns(actions, bases, c: int) -> np.ndarray:
+    """Columns 0 .. 2^c - 1 of B†UB for every action, as a (k, 2^m, 2^c)
+    array: the oracle's images of the product states that vary only the last
+    c qubits, read back in the product basis, at O(m 2^(m+c)) per action."""
+    m = len(bases)
+    states = np.ones((1, 1), dtype=complex)
+    for j, basis in enumerate(bases):
+        states = np.kron(states, basis.matrix if j >= m - c else basis.matrix[:, :1])
+    cols = np.stack([action.apply(states) for action in actions])
+    for j, basis in enumerate(bases):
+        if not basis._is_standard:
+            apply_single_qubit(cols, basis.matrix.conj().T, j, m + c, out=cols)
+    return cols
+
+
+def _columns_admit(cols: np.ndarray, tol: float) -> bool:
+    """Whether every column of a (k, 2^m, n) array holds exactly one entry of
+    modulus above tol, itself within tol of one, on a row no other takes."""
+    mags = np.abs(cols)
+    big = mags > tol
+    if not (big.sum(axis=1) == 1).all():
+        return False
+    rows = big.argmax(axis=1)
+    if not (np.abs(np.take_along_axis(mags, rows[:, None], axis=1) - 1.0) <= tol).all():
+        return False
+    return not (np.diff(np.sort(rows, axis=1), axis=1) == 0).any()
+
+
+def _screened(actions, bases, tol: float) -> bool:
+    """Whether every B†UB passes on its first column, then on its first
+    2^(m//2) columns: the early exit of a column-by-column test, in two
+    vectorized steps.  Most assignments that admit no counterpart fail here,
+    before any O(m 4^m) conjugation."""
+    return all(_columns_admit(_columns(actions, bases, c), tol) for c in (0, len(bases) // 2))
+
+
+# Stacks up to this many entries are walked whole: a Gray step over them
+# costs less than the column-0 test of one word.
+_SMALL_STACK = 1 << 14
+
+
+def _gray_walk(actions, m: int):
+    """(name, assignment, B†UB stack) per chi/eta word in Gray-code order
+    (Knuth, TAOCP 7.2.1.1).  Each step moves one qubit between chi and eta, by
+    D = b†b′ = Hadamard either way, and overwrites the stack yielded before."""
+    stack = _dense_stack(actions)
+    code = 0
+    for step in range(1 << m):
+        if step:
+            bit = (step & -step).bit_length() - 1
+            code ^= 1 << bit
+            _change_basis(stack, ETA.matrix, m - 1 - bit, m)
+        yield (*_grid_assignment(code, m), stack)
+
+
+def _walk_pays(kept, m: int) -> bool:
+    """Whether a walk of the whole grid, two 2x2 passes per word, takes fewer
+    passes than conjugating each kept assignment from U."""
+    return sum(2 * sum(not basis._is_standard for basis in b) for _, b in kept) > 2 << m
+
+
+def extract_batch(actions, space, tol: float = DEFAULT_TOL):
+    """Assignments of a space under which every action has a counterpart.
+
+    The actions act on the same m qubits, typically one oracle per
+    hypothesis.  Returns (name, assignment, counterparts) triples, one
+    counterpart per action, in the space's order.  A grid of small stacks
+    is walked whole in Gray-code order.  Otherwise every assignment is
+    screened on its first columns, and the ones that pass are conjugated
+    from U directly, or picked out of a grid walk when that is cheaper.
+    """
+    m = actions[0].m
+    if any(action.m != m for action in actions):
+        raise ValueError("all actions must act on the same number of qubits")
+    assignments = iter_assignments(space, m)  # checks the limits before any allocation
+    grid = isinstance(space, PauliGrid)
+    if grid and len(actions) << 2 * m <= _SMALL_STACK:
+        # Column 0 of the walked stack rejects most words before detection.
+        conjugations = ((name, b, stack) for name, b, stack in _gray_walk(actions, m)
+                        if _columns_admit(stack[:, :, :1], tol))
     else:
-        raise ValueError(f"unknown search space {space!r}")
+        # The assignments that pass the screen are conjugated one by one, or
+        # by a walk of the grid when that takes fewer 2x2 passes.
+        kept = [(name, b) for name, b in assignments if _screened(actions, b, tol)]
+        if grid and _walk_pays(kept, m):
+            names = {name for name, _ in kept}
+            conjugations = (hit for hit in _gray_walk(actions, m) if hit[0] in names)
+        else:
+            conjugations = ((name, b, conjugate(actions, b)) for name, b in kept)
+    found = []
+    for name, bases, stack in conjugations:
+        gps = detect_stack(stack, tol)
+        if all(gp is not None for gp in gps):
+            found.append((name, bases, tuple(gps)))
+    if isinstance(space, PauliGrid):
+        found.sort(key=lambda hit: hit[0])  # C < H: lexicographic is code order
+    return found
+
+
+def extract_counterpart(action: OracleAction, bases, tol: float = DEFAULT_TOL):
+    """Classical counterpart induced by a basis assignment, or None.
+
+    The counterpart exists iff every conjugated column is a single basis
+    vector up to phase; the result collects the full permutation and its
+    output phases.
+    """
+    found = extract_batch([action], tuple(bases), tol)
+    return found[0][2][0] if found else None
 
 
 def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
@@ -161,12 +286,7 @@ def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
 
     Returns (name, assignment, counterpart) triples in deterministic order.
     """
-    found = []
-    for name, bases in iter_assignments(space, action.m):
-        gp = extract_counterpart(action, bases, tol)
-        if gp is not None:
-            found.append((name, bases, gp))
-    return found
+    return [(name, bases, gps[0]) for name, bases, gps in extract_batch([action], space, tol)]
 
 
 @dataclass(frozen=True)

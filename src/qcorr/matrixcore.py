@@ -12,7 +12,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -125,15 +125,43 @@ def num_bits(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int) -> np.ndarray:
+# Pairs per block of the 2x2 kernel, and entries per block of the detector:
+# a block and its buffers stay in cache.  The buffers are allocated once per
+# call; allocating them per block would map and fault fresh pages each time.
+_BLOCK = 1 << 14
+
+
+def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Apply a 2x2 matrix to one qubit of an m-qubit statevector.
 
-    ``qubit`` counts from 0 at the most significant bit.
+    ``qubit`` counts from 0 at the most significant bit.  Any leading batch
+    axes of ``state`` are kept, so a (k, 2^a, 2^b) stack of matrices is m =
+    a + b qubits with the rows first.  The result goes to ``out`` (C-ordered,
+    and may be ``state`` itself), by default to a new array.
     """
-    psi = np.asarray(state, dtype=complex).reshape((2,) * m)
-    psi = np.moveaxis(psi, qubit, 0)
-    out = np.tensordot(np.asarray(u2, dtype=complex), psi, axes=([1], [0]))
-    return np.moveaxis(out, 0, qubit).reshape(-1)
+    psi = np.asarray(state, dtype=complex)
+    pairs = psi.reshape(-1, 2, 1 << (m - 1 - qubit))
+    res = np.empty(psi.shape, dtype=complex) if out is None else out
+    dst = res.reshape(pairs.shape)
+    u00, u01, u10, u11 = np.asarray(u2, dtype=complex).ravel().tolist()
+    rows, _, cols = pairs.shape
+    step_r, step_c = max(1, _BLOCK // cols), min(cols, _BLOCK)
+    bufs = np.empty((3, min(rows, step_r), step_c), dtype=complex)
+    for r in range(0, rows, step_r):
+        for c in range(0, cols, step_c):
+            blk = np.s_[r:r + step_r, :, c:c + step_c]
+            a, b = pairs[blk][:, 0], pairs[blk][:, 1]
+            x, y, t = bufs[:, :a.shape[0], :a.shape[1]]
+            np.multiply(a, u00, out=x)
+            np.multiply(b, u01, out=t)
+            x += t
+            np.multiply(a, u10, out=y)
+            np.multiply(b, u11, out=t)
+            y += t
+            dst[blk][:, 0] = x
+            dst[blk][:, 1] = y
+    return res
 
 
 @dataclass(frozen=True)
@@ -147,16 +175,17 @@ class GeneralizedPermutation:
     m: int
     perm: tuple[int, ...]
     phases: tuple[complex, ...]
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         dim = 1 << self.m
         if len(self.perm) != dim or len(self.phases) != dim:
             raise ValueError(f"perm/phases length must be 2**m = {dim}")
         if sorted(self.perm) != list(range(dim)):
             raise ValueError("perm is not a bijection on the m-bit strings")
         mags = np.abs(np.asarray(self.phases))
-        if np.max(np.abs(mags - 1.0)) > DEFAULT_TOL:
-            raise ValueError("phases must all have unit modulus")
+        if np.max(np.abs(mags - 1.0)) > tol:
+            raise ValueError("phases must all have unit modulus within tol")
 
     @property
     def dim(self) -> int:
@@ -164,16 +193,17 @@ class GeneralizedPermutation:
 
     def as_matrix(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, i in enumerate(self.perm):
-            mat[i, j] = self.phases[i]
+        perm = np.asarray(self.perm)
+        mat[perm, np.arange(self.dim)] = np.asarray(self.phases)[perm]
         return mat
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Action on a statevector, without materializing the matrix."""
+        """Action on a statevector, or on each column of a (2^m, n) array of
+        them, without materializing the matrix."""
         state = np.asarray(state, dtype=complex)
         out = np.empty_like(state)
         idx = np.asarray(self.perm)
-        out[idx] = np.asarray(self.phases)[idx] * state
+        out[idx] = np.asarray(self.phases)[idx].reshape((-1,) + (1,) * (state.ndim - 1)) * state
         return out
 
     def bit_map(self, x: int) -> int:
@@ -184,30 +214,37 @@ class GeneralizedPermutation:
         return all(self.perm[self.perm[j]] == j for j in range(self.dim))
 
 
-def detect_from_columns(dim: int, columns, tol: float = DEFAULT_TOL):
-    """Streaming generalized-permutation detection.
+def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
+    """Decompose every matrix of a (k, d, d) stack into permutation + phases.
 
-    Consumes an iterable of column vectors and stops at the first column that
-    is not a single basis vector up to phase.  Returns None when the matrix is
-    not a generalized permutation.
+    A matrix qualifies when each column has exactly one entry of modulus
+    above tol, that entry's modulus is within tol of one, and no two columns
+    share a row.  Returns a GeneralizedPermutation, or None, per matrix.
     """
+    k, dim = stack.shape[0], stack.shape[-1]
     m = num_bits(dim)
-    perm = [-1] * dim
-    phases = [0j] * dim
-    for j, col in enumerate(columns):
-        col = np.asarray(col)
-        big = np.flatnonzero(np.abs(col) > tol)
-        if big.size != 1:
-            return None
-        i = int(big[0])
-        entry = complex(col[i])
-        if abs(abs(entry) - 1.0) > tol:
-            return None
-        perm[j] = i
-        phases[i] = entry
-    if sorted(perm) != list(range(dim)):
-        return None
-    return GeneralizedPermutation(m, tuple(perm), tuple(phases))
+    # The |M| > tol pass runs over blocks of rows, so its buffers stay near
+    # _BLOCK entries instead of growing with the stack.
+    counts = np.zeros((k, dim), dtype=np.intp)
+    rows = np.zeros((k, dim), dtype=np.intp)
+    step = min(dim, max(1, _BLOCK // (k * dim)))
+    mags = np.empty((k, step, dim))
+    big = np.empty((k, step, dim), dtype=bool)
+    for r in range(0, dim, step):
+        n = min(step, dim - r)
+        hit = big[:, :n]
+        np.greater(np.abs(stack[:, r:r + n], out=mags[:, :n]), tol, out=hit)
+        counts += hit.sum(axis=1)
+        np.copyto(rows, hit.argmax(axis=1) + r, where=hit.any(axis=1))
+    ok = (counts == 1).all(axis=1)
+    entries = stack[np.arange(k)[:, None], rows, np.arange(dim)]
+    ok &= (np.abs(np.abs(entries) - 1.0) <= tol).all(axis=1)
+    hits = np.bincount((rows + dim * np.arange(k)[:, None]).ravel(), minlength=k * dim)
+    ok &= (hits.reshape(k, dim) == 1).all(axis=1)
+    phases = np.zeros_like(entries)
+    np.put_along_axis(phases, rows, entries, axis=1)
+    return [GeneralizedPermutation(m, tuple(perm), tuple(ph), tol) if good else None
+            for good, perm, ph in zip(ok.tolist(), rows.tolist(), phases.tolist())]
 
 
 def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):
@@ -215,9 +252,7 @@ def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dim = mat.shape[0]
-    num_bits(dim)
-    return detect_from_columns(dim, (mat[:, j] for j in range(dim)), tol)
+    return detect_stack(mat[None], tol)[0]
 
 
 def cycle_notation(perm) -> str:

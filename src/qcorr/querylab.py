@@ -27,7 +27,7 @@ from .oracleforge import (
     phase_oracle,
     standard_oracle,
 )
-from .correspondence import DEFAULT_TOL, PauliGrid, basis_word, extract_counterpart, iter_assignments
+from .correspondence import DEFAULT_TOL, PauliGrid, basis_word, extract_batch
 
 MAX_HYPOTHESES = 65536
 MAX_QUERY_BITS = 12
@@ -138,16 +138,20 @@ def family_obtilde(problem: ProblemSpec) -> ClassicalOracleFamily:
     return ClassicalOracleFamily("O_Btilde", problem.n, maps)
 
 
+def _extracted_families(problem: ProblemSpec, space, tol: float):
+    """(name, family) per assignment that admits every hypothesis's standard oracle."""
+    oracles = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
+    return [
+        (name, ClassicalOracleFamily(basis_word(bases) or "general", problem.n + 1, maps))
+        for name, bases, maps in extract_batch(oracles, space, tol)
+    ]
+
+
 def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
     """Counterpart family for one basis assignment over the standard oracle,
     or None when extraction fails for any hypothesis."""
-    maps = []
-    for h in problem.hypotheses:
-        gp = extract_counterpart(standard_oracle(hypothesis_function(h)), bases, tol)
-        if gp is None:
-            return None
-        maps.append(gp)
-    return ClassicalOracleFamily(basis_word(bases) or "general", problem.n + 1, tuple(maps))
+    found = _extracted_families(problem, tuple(bases), tol)
+    return found[0][1] if found else None
 
 
 def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracleFamily):
@@ -311,13 +315,8 @@ def speedup_report(problem: ProblemSpec, space=None, tol: float = DEFAULT_TOL) -
     else:
         raise ValueError(f"unknown problem {problem.name!r}")
 
-    entries = []
-    for name, fam in named:
-        entries.append((name, deterministic_query_complexity(problem, fam)))
-    for name, bases in iter_assignments(space, problem.n + 1):
-        fam = family_extracted(problem, bases, tol)
-        if fam is not None:
-            entries.append((name, deterministic_query_complexity(problem, fam)))
+    families = list(named) + _extracted_families(problem, space, tol)
+    entries = [(name, deterministic_query_complexity(problem, fam)) for name, fam in families]
 
     d_standard = entries[0][1]
     finite = [d for _, d in entries if not math.isinf(d)]

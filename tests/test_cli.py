@@ -150,6 +150,27 @@ def test_counterparts_malformed_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_counterparts_random_count_bounds(tmp_path, capsys):
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({"n": 1, "k0": 0, "k": [1]}))
+    args = ["counterparts", "--oracle", "standard", "--bv", str(bv), "--bases"]
+    assert main(args + ["random:-3:1"]) == 2
+    assert main(args + ["random:0:1"]) == 2
+    assert main(args + [f"random:{(1 << 13) + 1}:1"]) == 4
+    assert main(args + ["random:1:1"]) == 0
+    capsys.readouterr()
+
+
+def test_counterparts_qubit_limit_covers_every_space(tmp_path, capsys):
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({"n": 13, "k0": 0, "k": [1] * 13}))
+    args = ["counterparts", "--oracle", "standard", "--bv", str(bv), "--bases"]
+    assert main(args + ["GRID"]) == 4
+    assert main(args + ["H" * 14]) == 4
+    assert main(args + ["random:1:1"]) == 4
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "problem,n,oracle,expected",
     [

@@ -40,7 +40,7 @@ from qcorr.correspondence import (
     basis_word,
     classify_cc,
     classify_triple,
-    conjugate_column,
+    conjugate,
     coset_of,
     extract_counterpart,
     general_basis,
@@ -111,14 +111,14 @@ def test_parse_basis_word():
 
 def test_conjugate_column_examples():
     sz = OracleAction.from_matrix(SIGMA_Z)
-    assert np.allclose(conjugate_column(sz, (CHI,), 0), [1, 0])
-    assert np.allclose(conjugate_column(sz, (ETA,), 0), [0, 1])
+    assert np.allclose(conjugate([sz], (CHI,))[0][:, 0], [1, 0])
+    assert np.allclose(conjugate([sz], (ETA,))[0][:, 0], [0, 1])
     theta, phi = 0.4, 2.2
     phased = OracleAction.from_matrix(sigma_x_phased(theta, phi))
-    col0 = conjugate_column(phased, (CHI,), 0)
+    col0 = conjugate([phased], (CHI,))[0][:, 0]
     assert np.allclose(col0, [0, np.exp(1j * phi)])
     with pytest.raises(ValueError):
-        conjugate_column(sz, (CHI, CHI), 0)
+        conjugate([sz], (CHI, CHI))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -186,6 +186,21 @@ def test_iter_assignments_errors():
         list(iter_assignments(PauliGrid(), 14))
     with pytest.raises(ValueError):
         list(iter_assignments(object(), 2))
+
+
+def test_every_space_is_bounded_before_it_allocates():
+    # a 14-qubit standard oracle would need 4 GiB as a dense matrix; each
+    # call must refuse before building it
+    oracle = standard_oracle(BooleanFunction(13, (0,) * 8192))
+    with pytest.raises(SizeLimitError):
+        extract_counterpart(oracle, (CHI,) * 14)
+    with pytest.raises(SizeLimitError):
+        search_counterparts(oracle, RandomSample(count=1, seed=0))
+    with pytest.raises(SizeLimitError):
+        iter_assignments(RandomSample(count=(1 << 13) + 1, seed=0), 2)
+    with pytest.raises(ValueError):
+        iter_assignments(RandomSample(count=-3, seed=1), 2)
+    assert list(iter_assignments(RandomSample(count=0, seed=1), 2)) == []
 
 
 def test_makhlin_fixed_points():

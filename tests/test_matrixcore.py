@@ -17,6 +17,7 @@ from qcorr.matrixcore import (
     apply_single_qubit,
     cycle_notation,
     detect_generalized_permutation,
+    detect_stack,
     gate,
     identity,
     is_unitary,
@@ -166,6 +167,60 @@ def test_detect_subunit_entry_is_none():
     assert detect_generalized_permutation(mat) is None
 
 
+def test_detect_carries_its_tol_to_the_phase_check():
+    # a looser tol admits a phase of modulus 1 - 1e-6, and the counterpart
+    # it builds accepts that phase under the same tol
+    mat = np.eye(4, dtype=complex)
+    mat[0, 0] = 1 - 1e-6
+    gp = detect_generalized_permutation(mat, tol=1e-3)
+    assert gp.perm == (0, 1, 2, 3)
+    assert gp.phases[0] == 1 - 1e-6
+    assert detect_generalized_permutation(mat) is None
+
+
+def test_detect_stack_decides_each_matrix():
+    stack = np.stack([SWAP, CNOT12 @ np.kron(HADAMARD, np.eye(2)), CZ]).astype(complex)
+    found = detect_stack(stack)
+    assert found[0].perm == (0, 2, 1, 3)
+    assert found[1] is None
+    assert found[2].phases == (1, 1, 1, -1)
+    # two columns on the same row: one big entry per column, not a bijection
+    clash = np.array([[[1, 1], [0, 0]]], dtype=complex)
+    assert detect_stack(clash) == [None]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 5, 16])
+def test_detect_stack_row_blocks_match_one_pass(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(17)
+    dim = 16
+    mats = []
+    for _ in range(6):
+        p = np.zeros((dim, dim), dtype=complex)
+        p[rng.permutation(dim), np.arange(dim)] = np.exp(1j * rng.uniform(0, 7, dim))
+        mats.append(p)
+    mats[1][3, 5] = 0.5  # a second big entry in a column
+    mats[2][:, 9] = mats[2][:, 4]  # two columns on one row
+    mats[3] *= 1 - 1e-3  # every modulus off by more than tol
+    mats[4][rng.integers(0, dim), rng.integers(0, dim)] += 1e-11  # noise below tol
+    stack = np.stack(mats)
+
+    # the whole |M| > tol pass at once, as a plain reference
+    big = np.abs(stack) > 1e-9
+    rows = big.argmax(axis=1)
+    entries = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0]
+    want = [(big[i].sum(axis=0) == 1).all() and sorted(rows[i]) == list(range(dim))
+            and (np.abs(np.abs(entries[i]) - 1) <= 1e-9).all() for i in range(len(mats))]
+    assert want == [True, False, False, False, True, True]
+
+    monkeypatch.setattr("qcorr.matrixcore._BLOCK", len(mats) * dim * rows_per_block)
+    found = detect_stack(stack)
+    assert [gp is not None for gp in found] == want
+    for i, gp in enumerate(found):
+        if gp is not None:
+            assert gp.perm == tuple(rows[i])
+            assert np.array_equal(gp.as_matrix()[rows[i], np.arange(dim)], entries[i])
+
+
 def test_roundtrip_rebuild_and_redetect():
     rng = np.random.default_rng(23)
     for m in (1, 2, 3):
@@ -192,6 +247,8 @@ def test_generalized_permutation_apply_matches_matrix():
     gp = GeneralizedPermutation(2, (2, 0, 3, 1), tuple(np.exp(1j * rng.uniform(0, 7, 4))))
     state = rng.normal(size=4) + 1j * rng.normal(size=4)
     assert np.allclose(gp.apply(state), gp.as_matrix() @ state, atol=1e-12)
+    states = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    assert np.allclose(gp.apply(states), gp.as_matrix() @ states, atol=1e-12)
     assert gp.bit_map(0) == 2
     assert gp.dim == 4
 
@@ -213,6 +270,18 @@ def test_apply_single_qubit():
     # qubit 0 is the most significant index bit
     out = apply_single_qubit(zero2, SIGMA_X, 0, 2)
     assert np.array_equal(out, [0, 0, 1, 0])
+    assert np.array_equal(zero2, [1, 0, 0, 0])
+
+
+def test_apply_single_qubit_on_a_stack_in_place():
+    rng = np.random.default_rng(5)
+    u = random_unitary(2, rng)
+    stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    # column qubit 1 of a 2-qubit matrix is qubit 3 of the 4-qubit stack
+    want = stack @ np.kron(np.eye(2), u.T)
+    got = apply_single_qubit(stack, u, 3, 4, out=stack)
+    assert got is stack
+    assert np.allclose(stack, want, atol=1e-12)
 
 
 def test_cycle_notation():
