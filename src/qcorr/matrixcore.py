@@ -13,6 +13,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,10 +192,20 @@ class GeneralizedPermutation:
     def dim(self) -> int:
         return 1 << self.m
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``perm`` and the phase picked up by each input string, as
+        read-only arrays built on first use.  Not a field, so equality,
+        hashing and repr see only the tuples."""
+        idx = np.asarray(self.perm)
+        gained = np.asarray(self.phases, dtype=complex)[idx]
+        idx.flags.writeable = gained.flags.writeable = False
+        return idx, gained
+
     def as_matrix(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
-        perm = np.asarray(self.perm)
-        mat[perm, np.arange(self.dim)] = np.asarray(self.phases)[perm]
+        idx, gained = self._arrays
+        mat[idx, np.arange(self.dim)] = gained
         return mat
 
     def apply(self, state: np.ndarray) -> np.ndarray:
@@ -202,8 +213,8 @@ class GeneralizedPermutation:
         them, without materializing the matrix."""
         state = np.asarray(state, dtype=complex)
         out = np.empty_like(state)
-        idx = np.asarray(self.perm)
-        out[idx] = np.asarray(self.phases)[idx].reshape((-1,) + (1,) * (state.ndim - 1)) * state
+        idx, gained = self._arrays
+        out[idx] = gained.reshape((-1,) + (1,) * (state.ndim - 1)) * state
         return out
 
     def bit_map(self, x: int) -> int:

@@ -154,13 +154,14 @@ def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
     return found[0][1] if found else None
 
 
-def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracleFamily):
-    """Depth of the best adaptive deterministic decision tree.
+def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
+    """The bitmask engine behind the query count and its witness tree.
 
-    Minimax recursion over hypothesis sets: a set costs 0 when all labels
-    agree, else 1 plus the best worst-case cost over the output partition of
-    some query string.  Returns math.inf when no query sequence can separate
-    the labels.
+    Returns ``(depth, queries, full)``.  Hypothesis i is bit i of a set
+    mask and ``full`` is the set of all hypotheses.  ``queries`` holds one
+    ``(query string, {output: mask})`` per distinct partition of ``full``;
+    a query that does not split ``full`` is dropped.  ``depth(mask)`` is the
+    exact cost of that set, memoized by the mask.
     """
     hyps = problem.hypotheses
     if len(family.maps) != len(hyps):
@@ -170,38 +171,107 @@ def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracle
     if family.m > MAX_QUERY_BITS:
         raise SizeLimitError(f"query width {family.m} exceeds {MAX_QUERY_BITS} bits")
 
-    labels = [h.label for h in hyps]
-    perms = [gp.perm for gp in family.maps]
-    query_strings = range(1 << family.m)
-    memo: dict[tuple[int, ...], float] = {}
+    bits = [1 << i for i in range(len(hyps))]
+    by_label: dict = {}
+    for bit, h in zip(bits, hyps):
+        by_label[h.label] = by_label.get(h.label, 0) | bit
+    label_masks = list(by_label.values())
+    label_of = [by_label[h.label] for h in hyps]
 
-    def depth(ids: tuple[int, ...]):
-        first = labels[ids[0]]
-        if all(labels[i] == first for i in ids[1:]):
+    # Column q of the output table is query string q's answer per hypothesis.
+    queries = []
+    seen = set()
+    for q, column in enumerate(zip(*(gp.perm for gp in family.maps))):
+        parts: dict[int, int] = {}
+        for bit, out in zip(bits, column):
+            parts[out] = parts.get(out, 0) | bit
+        key = frozenset(parts.values())
+        if len(parts) > 1 and key not in seen:
+            seen.add(key)
+            queries.append((q, parts))
+    # A depth-d tree whose queries have at most b outputs has at most b^d
+    # leaves, and a set with L labels needs L label-pure leaves.
+    branching = max((len(parts) for _, parts in queries), default=2)
+    memo: dict[int, float] = {}
+
+    def depth(s: int):
+        low = label_of[(s & -s).bit_length() - 1]
+        if s & low == s:
             return 0
-        cached = memo.get(ids)
+        cached = memo.get(s)
         if cached is not None:
             return cached
+        labels = sum(1 for mask in label_masks if s & mask)
+        bound, leaves = 0, 1
+        while leaves < labels:
+            bound, leaves = bound + 1, leaves * branching
         best = math.inf
-        for q in query_strings:
-            groups: dict[int, list[int]] = {}
-            for i in ids:
-                groups.setdefault(perms[i][q], []).append(i)
-            if len(groups) == 1:
+        tried = set()
+        for _, parts in queries:
+            kids = [kid for kid in (s & mask for mask in parts.values()) if kid]
+            if len(kids) < 2:
                 continue
+            key = frozenset(kids)
+            if key in tried:
+                continue
+            tried.add(key)
+            kids.sort(key=int.bit_count, reverse=True)
             worst = 0
-            for out in sorted(groups):
-                worst = max(worst, depth(tuple(groups[out])))
+            for kid in kids:
+                worst = max(worst, depth(kid))
                 if worst + 1 >= best:
                     break
             else:
                 best = worst + 1
-                if best == 1:
+                if best <= bound:
                     break
-        memo[ids] = best
+        memo[s] = best
         return best
 
-    return depth(tuple(range(len(hyps))))
+    return depth, queries, (1 << len(hyps)) - 1
+
+
+def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracleFamily):
+    """Depth of the best adaptive deterministic decision tree.
+
+    Minimax over hypothesis sets held as int bitmasks: a set costs 0 when
+    all its labels agree, else 1 plus the best worst-case cost over the
+    nonempty parts ``S & mask`` of some query's output partition.  Each
+    query column of the family's output table is turned into its partition
+    once; queries that do not split the full set are dropped and queries
+    with the same partition are merged (for ``O_S``, y=0 and y=1 pair up).
+    At a set, a query whose parts repeat an earlier query's is skipped, the
+    largest part is searched first, and the loop stops once the best depth
+    meets the counting bound ceil(log_b L): with L labels in the set and b
+    the most outputs of any query, a shallower tree has too few leaves.
+    Returns math.inf when no query sequence can separate the labels.
+    """
+    depth, _, full = _minimax(problem, family)
+    return depth(full)
+
+
+def decision_tree(problem: ProblemSpec, family: ClassicalOracleFamily):
+    """An optimal decision tree, or None when the labels cannot be separated.
+
+    A leaf is a label.  An inner node is ``(query, {output: subtree})``:
+    submit the query string and follow the branch of the observed output.
+    At a set of depth d the node asks the first query whose parts all have
+    depth at most d - 1, so the tree's depth is the query count.
+    """
+    depth, queries, full = _minimax(problem, family)
+    labels = [h.label for h in problem.hypotheses]
+
+    def build(s: int):
+        d = depth(s)
+        if d == 0:
+            return labels[(s & -s).bit_length() - 1]
+        for q, parts in queries:
+            kids = {out: s & mask for out, mask in parts.items() if s & mask}
+            if len(kids) > 1 and all(depth(kid) < d for kid in kids.values()):
+                return q, {out: build(kid) for out, kid in kids.items()}
+        raise RuntimeError("no query attains the memoized depth")
+
+    return None if math.isinf(depth(full)) else build(full)
 
 
 def _assert_normalized(state: np.ndarray, tol: float = 1e-9):
@@ -316,7 +386,14 @@ def speedup_report(problem: ProblemSpec, space=None, tol: float = DEFAULT_TOL) -
         raise ValueError(f"unknown problem {problem.name!r}")
 
     families = list(named) + _extracted_families(problem, space, tol)
-    entries = [(name, deterministic_query_complexity(problem, fam)) for name, fam in families]
+    # Families with the same perms (O_S and the all-chi word) share a count.
+    counts: dict[tuple, float] = {}
+    entries = []
+    for name, fam in families:
+        key = tuple(gp.perm for gp in fam.maps)
+        if key not in counts:
+            counts[key] = deterministic_query_complexity(problem, fam)
+        entries.append((name, counts[key]))
 
     d_standard = entries[0][1]
     finite = [d for _, d in entries if not math.isinf(d)]

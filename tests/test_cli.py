@@ -189,6 +189,12 @@ def test_complexity_counts(capsys, problem, n, oracle, expected):
     assert data == {"queries": expected}
 
 
+def test_complexity_bv_at_the_size_limit(capsys):
+    code = main(["complexity", "--problem", "bv", "--n", "6", "--oracle", "OS"])
+    assert code == 0
+    assert capsys.readouterr().out == '{"queries": 7}\n'
+
+
 def test_complexity_extracted_word(capsys):
     code, data = run_cli(
         capsys, ["complexity", "--problem", "bv", "--n", "1", "--oracle", "extracted:CH"]

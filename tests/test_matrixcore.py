@@ -253,6 +253,20 @@ def test_generalized_permutation_apply_matches_matrix():
     assert gp.dim == 4
 
 
+def test_generalized_permutation_cached_arrays_stay_out_of_identity():
+    phases = (1j, -1 + 0j, 1 + 0j, -1j)
+    gp = GeneralizedPermutation(2, (2, 0, 3, 1), phases)
+    before = repr(gp), hash(gp)
+    first = gp.apply(np.eye(4, dtype=complex))
+    assert np.array_equal(gp.apply(np.eye(4, dtype=complex)), first)
+    assert (repr(gp), hash(gp)) == before
+    assert gp == GeneralizedPermutation(2, (2, 0, 3, 1), phases)
+    idx, gained = gp._arrays
+    assert not idx.flags.writeable and not gained.flags.writeable
+    with pytest.raises(Exception):
+        gp.perm = (0, 1, 2, 3)
+
+
 def test_generalized_permutation_involutions():
     swap = GeneralizedPermutation(1, (1, 0), (1, 1))
     assert swap.is_involution()

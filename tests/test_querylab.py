@@ -8,6 +8,7 @@ import pytest
 from qcorr.matrixcore import SizeLimitError
 from qcorr.oracleforge import BooleanFunction, BVInstance, bv_function, classical_OS
 from qcorr.correspondence import RandomSample, parse_basis_word
+from qcorr import querylab
 from qcorr.querylab import (
     ClassicalOracleFamily,
     Hypothesis,
@@ -103,7 +104,7 @@ def test_parity_minimax_counts(n, expected_os, expected_oa):
     assert d_os <= 1 << (n + 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_bv_minimax_counts(n):
     problem = bv_problem(n)
     assert deterministic_query_complexity(problem, family_os(problem)) == n + 1
@@ -233,6 +234,21 @@ def test_speedup_report_parity(n):
     assert report.quantum_queries == 1 << (n - 1)
     assert report.naive_speedup == pytest.approx(2.0)
     assert report.genuine_speedup == pytest.approx(1.0)
+
+
+def test_speedup_report_solves_each_distinct_family_once(monkeypatch):
+    problem = bv_problem(2)
+    want = speedup_report(problem)
+    calls = []
+
+    def counting(problem, family):
+        calls.append(tuple(gp.perm for gp in family.maps))
+        return deterministic_query_complexity(problem, family)
+
+    monkeypatch.setattr(querylab, "deterministic_query_complexity", counting)
+    got = speedup_report(problem)
+    assert got == want
+    assert len(calls) == len(set(calls)) < len(want.entries)
 
 
 def test_speedup_report_monotone_under_more_families():
