@@ -1,21 +1,19 @@
 """Classical counterparts of quantum oracles: basis-dependent correspondence
 extraction, two-qubit counterpart classification, and exact query-complexity
-audits for the parity and hidden-string identification problems."""
+audits for the parity and hidden-string identification problems.
+
+The names imported below are the public API."""
 
 from .matrixcore import (
     DEFAULT_TOL,
     GeneralizedPermutation,
     NonUnitaryError,
     SizeLimitError,
-    adjoint,
     cycle_notation,
     detect_generalized_permutation,
     gate,
-    identity,
     is_unitary,
-    multiply,
     sigma_x_phased,
-    tensor,
 )
 from .oracleforge import (
     BooleanFunction,
@@ -61,83 +59,14 @@ from .querylab import (
     decision_tree,
     deterministic_query_complexity,
     family_extracted,
-    family_oa,
-    family_ob,
-    family_obtilde,
-    family_os,
     hypothesis_function,
     iter_boolean_functions,
     iter_bv_instances,
+    named_family,
     parity_problem,
     run_bv_quantum,
     run_parity_quantum,
     speedup_report,
 )
-
-__all__ = [
-    "DEFAULT_TOL",
-    "GeneralizedPermutation",
-    "NonUnitaryError",
-    "SizeLimitError",
-    "adjoint",
-    "cycle_notation",
-    "detect_generalized_permutation",
-    "gate",
-    "identity",
-    "is_unitary",
-    "multiply",
-    "sigma_x_phased",
-    "tensor",
-    "BooleanFunction",
-    "BVInstance",
-    "OracleAction",
-    "bv_function",
-    "classical_OA",
-    "classical_OB",
-    "classical_OBtilde",
-    "classical_OS",
-    "phase_oracle",
-    "standard_oracle",
-    "CC_CNOT_FAMILY",
-    "CC_EMPTY",
-    "CC_IDENTITY_ONLY",
-    "CC_SWAP_FAMILY",
-    "CC_SWAP_ONLY",
-    "CHI",
-    "ETA",
-    "CosetId",
-    "MakhlinTriple",
-    "PauliGrid",
-    "QubitBasis",
-    "RandomSample",
-    "basis_word",
-    "classify_cc",
-    "classify_triple",
-    "coset_of",
-    "extract_counterpart",
-    "general_basis",
-    "makhlin_invariants",
-    "parse_basis_word",
-    "search_counterparts",
-    "ClassicalOracleFamily",
-    "Hypothesis",
-    "ProblemSpec",
-    "QueryReport",
-    "bv_problem",
-    "decision_tree",
-    "deterministic_query_complexity",
-    "family_extracted",
-    "family_oa",
-    "family_ob",
-    "family_obtilde",
-    "family_os",
-    "hypothesis_function",
-    "iter_boolean_functions",
-    "iter_bv_instances",
-    "parity_problem",
-    "run_bv_quantum",
-    "run_parity_quantum",
-    "speedup_report",
-]
 
 __version__ = "0.1.0"

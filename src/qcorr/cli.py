@@ -4,6 +4,11 @@ speedup.  Every subcommand prints a single JSON document on stdout.
 Exit codes: 0 success, 2 malformed input, 3 non-unitary matrix, 4 size limit
 exceeded.  QCORR_TOL overrides the default tolerance; an explicit --tol flag
 wins over the environment.
+
+The problems (``--problem``) and the named classical oracles (``complexity
+--oracle``) are the keys of ``querylab.PROBLEMS`` and ``querylab.ORACLES``;
+an oracle used on a problem it is not defined on exits 2.  ``extracted:WORD``
+uses the standard oracle's counterpart under that basis word instead.
 """
 
 from __future__ import annotations
@@ -136,35 +141,16 @@ def cmd_counterparts(args) -> list:
     ]
 
 
-def _build_problem(name: str, n: int) -> querylab.ProblemSpec:
-    if name == "parity":
-        return querylab.parity_problem(n)
-    return querylab.bv_problem(n)
-
-
 def cmd_complexity(args) -> dict:
     tol = _resolve_tol(args)
-    problem = _build_problem(args.problem, args.n)
-    oracle = args.oracle
-    if oracle == "OS":
-        fam = querylab.family_os(problem)
-    elif oracle == "OA":
-        fam = querylab.family_oa(problem)
-    elif oracle == "OB":
-        if args.problem != "bv":
-            raise ValueError("OB is only defined for the bv problem")
-        fam = querylab.family_ob(problem)
-    elif oracle == "OBT":
-        if args.problem != "bv":
-            raise ValueError("OBT is only defined for the bv problem")
-        fam = querylab.family_obtilde(problem)
-    elif oracle.startswith("extracted:"):
-        bases = parse_basis_word(oracle.split(":", 1)[1], problem.n + 1)
+    problem = querylab.PROBLEMS[args.problem][0](args.n)
+    if args.oracle.startswith("extracted:"):
+        bases = parse_basis_word(args.oracle.split(":", 1)[1], problem.n + 1)
         fam = querylab.family_extracted(problem, bases, tol)
         if fam is None:
             raise ValueError("extraction fails for some hypothesis under those bases")
     else:
-        raise ValueError(f"unknown oracle {oracle!r}")
+        fam = querylab.named_family(problem, args.oracle)
     depth = querylab.deterministic_query_complexity(problem, fam)
     return {"queries": None if math.isinf(depth) else int(depth)}
 
@@ -196,7 +182,7 @@ def cmd_simulate(args) -> dict:
 
 def cmd_speedup(args) -> dict:
     tol = _resolve_tol(args)
-    problem = _build_problem(args.problem, args.n)
+    problem = querylab.PROBLEMS[args.problem][0](args.n)
     report = querylab.speedup_report(problem, tol=tol)
     return report.as_dict()
 
@@ -226,9 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_counterparts)
 
     p = sub.add_parser("complexity", help="exact deterministic query count")
-    p.add_argument("--problem", required=True, choices=["parity", "bv"])
+    p.add_argument("--problem", required=True, choices=list(querylab.PROBLEMS))
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--oracle", required=True, help="OS, OA, OB, OBT, or extracted:WORD")
+    p.add_argument("--oracle", required=True,
+                   help=", ".join(querylab.ORACLES) + ", or extracted:WORD")
     add_common(p)
     p.set_defaults(func=cmd_complexity)
 
@@ -243,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("speedup", help="full genuine-speed-up report")
-    p.add_argument("--problem", required=True, choices=["parity", "bv"])
+    p.add_argument("--problem", required=True, choices=list(querylab.PROBLEMS))
     p.add_argument("--n", required=True, type=int)
     add_common(p)
     p.set_defaults(func=cmd_speedup)

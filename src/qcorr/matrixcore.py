@@ -3,7 +3,7 @@
 Conventions:
   - All matrices are complex128 ndarrays, row-major, dimension a power of two.
   - Bit/qubit ordering is big-endian: qubit 0 is the *most significant* bit of
-    a basis index, so ``tensor(a, b)`` puts ``a`` on the high-order bits.
+    a basis index, so ``np.kron(a, b)`` puts ``a`` on the high-order bits.
   - A generalized permutation is a unitary with exactly one nonzero,
     unit-modulus entry per row and column.  It factors as ``diag(phases) @ P``
     where ``P`` maps basis index ``j`` to ``perm[j]``; phases are therefore
@@ -46,13 +46,6 @@ MAGIC_Q = _SQRT2_INV * np.array(
 )
 
 
-def identity(m: int = 1) -> np.ndarray:
-    """Identity on m qubits (dimension 2**m)."""
-    if m < 1:
-        raise ValueError(f"need at least one qubit, got m={m}")
-    return np.eye(1 << m, dtype=complex)
-
-
 def sigma_x_phased(theta: float, phi: float) -> np.ndarray:
     """Bit flip with free phases: antidiagonal (e^{i*theta}, e^{i*phi})."""
     return np.array([[0, np.exp(1j * theta)], [np.exp(1j * phi), 0]], dtype=complex)
@@ -80,7 +73,10 @@ def gate(name: str, *args: float) -> np.ndarray:
     """
     key = name.lower()
     if key == "identity":
-        return identity(int(args[0]) if args else 1)
+        m = int(args[0]) if args else 1
+        if m < 1:
+            raise ValueError(f"need at least one qubit, got m={m}")
+        return np.eye(1 << m, dtype=complex)
     if key == "sigma_x_phased":
         return sigma_x_phased(*args)
     try:
@@ -89,34 +85,13 @@ def gate(name: str, *args: float) -> np.ndarray:
         raise ValueError(f"unknown gate {name!r}") from None
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the high-order block index."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("tensor requires square matrices")
-    return np.kron(a, b)
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=complex).conj().T
-
-
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Max-entry norm of A†A − I below tol."""
+    """Max-entry norm of A†A − I at most tol."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     delta = a.conj().T @ a - np.eye(a.shape[0])
-    return bool(np.max(np.abs(delta)) < tol)
+    return bool(np.max(np.abs(delta)) <= tol)
 
 
 def num_bits(dim: int) -> int:
@@ -234,19 +209,23 @@ def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     """
     k, dim = stack.shape[0], stack.shape[-1]
     m = num_bits(dim)
-    # The |M| > tol pass runs over blocks of rows, so its buffers stay near
-    # _BLOCK entries instead of growing with the stack.
+    # The |M| > tol pass runs over blocks of whole matrices, or of row strips
+    # of one matrix that alone exceeds _BLOCK, so its buffers stay near
+    # _BLOCK entries and its reductions run down whole columns where they fit.
     counts = np.zeros((k, dim), dtype=np.intp)
     rows = np.zeros((k, dim), dtype=np.intp)
-    step = min(dim, max(1, _BLOCK // (k * dim)))
-    mags = np.empty((k, step, dim))
-    big = np.empty((k, step, dim), dtype=bool)
-    for r in range(0, dim, step):
-        n = min(step, dim - r)
-        hit = big[:, :n]
-        np.greater(np.abs(stack[:, r:r + n], out=mags[:, :n]), tol, out=hit)
-        counts += hit.sum(axis=1)
-        np.copyto(rows, hit.argmax(axis=1) + r, where=hit.any(axis=1))
+    per = min(k, max(1, _BLOCK // (dim * dim)))
+    step = min(dim, max(1, _BLOCK // dim))
+    mags = np.empty((per, step, dim))
+    big = np.empty((per, step, dim), dtype=bool)
+    for i in range(0, k, per):
+        j = min(k, i + per)
+        for r in range(0, dim, step):
+            n = min(step, dim - r)
+            hit = big[:j - i, :n]
+            np.greater(np.abs(stack[i:j, r:r + n], out=mags[:j - i, :n]), tol, out=hit)
+            counts[i:j] += hit.sum(axis=1)
+            np.copyto(rows[i:j], hit.argmax(axis=1) + r, where=hit.any(axis=1))
     ok = (counts == 1).all(axis=1)
     entries = stack[np.arange(k)[:, None], rows, np.arange(dim)]
     ok &= (np.abs(np.abs(entries) - 1.0) <= tol).all(axis=1)

@@ -10,6 +10,7 @@ counterparts are invisible to a classical user and are ignored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,24 +119,36 @@ class ClassicalOracleFamily:
             raise ValueError("all family members must act on the same bit count")
 
 
-def family_os(problem: ProblemSpec) -> ClassicalOracleFamily:
-    maps = tuple(classical_OS(hypothesis_function(h)) for h in problem.hypotheses)
-    return ClassicalOracleFamily("O_S", problem.n + 1, maps)
+# CLI name -> (family name, classical map of one hypothesis, the problems the
+# oracle is defined on).  O_B and O_Btilde shift by the hidden string.
+ORACLES = {
+    "OS": ("O_S", lambda h: classical_OS(hypothesis_function(h)), ("parity", "bv")),
+    "OA": ("O_A", lambda h: classical_OA(hypothesis_function(h)), ("parity", "bv")),
+    "OB": ("O_B", lambda h: classical_OB(h.instance), ("bv",)),
+    "OBT": ("O_Btilde", lambda h: classical_OBtilde(h.instance), ("bv",)),
+}
+
+# Problem name -> (its constructor from n, the quantum run on one instance,
+# the named oracles a speed-up report shows).  The quantum runs look the
+# algorithm up in this module's globals at call time, so a patched
+# run_bv_quantum or run_parity_quantum (a profiler's span, a test's counter)
+# is the one called.
+PROBLEMS = {
+    "parity": (parity_problem, lambda f: run_parity_quantum(f), ("OS", "OA")),
+    "bv": (bv_problem, lambda inst: run_bv_quantum(inst), ("OS", "OB")),
+}
 
 
-def family_oa(problem: ProblemSpec) -> ClassicalOracleFamily:
-    maps = tuple(classical_OA(hypothesis_function(h)) for h in problem.hypotheses)
-    return ClassicalOracleFamily("O_A", problem.n + 1, maps)
-
-
-def family_ob(problem: ProblemSpec) -> ClassicalOracleFamily:
-    maps = tuple(classical_OB(h.instance) for h in problem.hypotheses)
-    return ClassicalOracleFamily("O_B", problem.n + 1, maps)
-
-
-def family_obtilde(problem: ProblemSpec) -> ClassicalOracleFamily:
-    maps = tuple(classical_OBtilde(h.instance) for h in problem.hypotheses)
-    return ClassicalOracleFamily("O_Btilde", problem.n, maps)
+def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
+    """The named classical oracle ``oracle`` (a key of ORACLES) of every
+    hypothesis, as one family."""
+    if oracle not in ORACLES:
+        raise ValueError(f"unknown oracle {oracle!r}")
+    name, build, domain = ORACLES[oracle]
+    if problem.name not in domain:
+        raise ValueError(f"{oracle} is only defined for the {' and '.join(domain)} problem")
+    maps = tuple(build(h) for h in problem.hypotheses)
+    return ClassicalOracleFamily(name, maps[0].m, maps)
 
 
 def _extracted_families(problem: ProblemSpec, space, tol: float):
@@ -247,7 +260,10 @@ def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracle
     Returns math.inf when no query sequence can separate the labels.
     """
     depth, _, full = _minimax(problem, family)
-    return depth(full)
+    try:
+        return depth(full)
+    except RecursionError:
+        raise _too_deep(problem) from None
 
 
 def decision_tree(problem: ProblemSpec, family: ClassicalOracleFamily):
@@ -271,7 +287,20 @@ def decision_tree(problem: ProblemSpec, family: ClassicalOracleFamily):
                 return q, {out: build(kid) for out, kid in kids.items()}
         raise RuntimeError("no query attains the memoized depth")
 
-    return None if math.isinf(depth(full)) else build(full)
+    try:
+        return None if math.isinf(depth(full)) else build(full)
+    except RecursionError:
+        raise _too_deep(problem) from None
+
+
+def _too_deep(problem: ProblemSpec) -> SizeLimitError:
+    # The search recurses once per level of nested hypothesis sets, so a
+    # family whose queries peel off one hypothesis at a time nests as deep
+    # as the hypothesis count.
+    return SizeLimitError(
+        f"minimax search over {len(problem.hypotheses)} hypotheses nests deeper "
+        f"than Python's recursion limit ({sys.getrecursionlimit()})"
+    )
 
 
 def _assert_normalized(state: np.ndarray, tol: float = 1e-9):
@@ -375,17 +404,12 @@ def speedup_report(problem: ProblemSpec, space=None, tol: float = DEFAULT_TOL) -
     enter the genuine-speed-up minimum.
     """
     space = PauliGrid() if space is None else space
-    first = problem.hypotheses[0]
-    if problem.name == "parity":
-        _, quantum = run_parity_quantum(first.instance)
-        named = (("O_S", family_os(problem)), ("O_A", family_oa(problem)))
-    elif problem.name == "bv":
-        _, quantum = run_bv_quantum(first.instance)
-        named = (("O_S", family_os(problem)), ("O_B", family_ob(problem)))
-    else:
+    if problem.name not in PROBLEMS:
         raise ValueError(f"unknown problem {problem.name!r}")
-
-    families = list(named) + _extracted_families(problem, space, tol)
+    _, run_quantum, shown = PROBLEMS[problem.name]
+    _, quantum = run_quantum(problem.hypotheses[0].instance)
+    families = [(ORACLES[oracle][0], named_family(problem, oracle)) for oracle in shown]
+    families += _extracted_families(problem, space, tol)
     # Families with the same perms (O_S and the all-chi word) share a count.
     counts: dict[tuple, float] = {}
     entries = []

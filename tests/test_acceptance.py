@@ -15,10 +15,7 @@ from qcorr.matrixcore import (
     apply_single_qubit,
     detect_generalized_permutation,
     gate,
-    identity,
-    multiply,
     random_unitary,
-    tensor,
 )
 from qcorr.oracleforge import (
     BooleanFunction,
@@ -42,9 +39,7 @@ from qcorr.correspondence import (
 from qcorr.querylab import (
     bv_problem,
     deterministic_query_complexity,
-    family_oa,
-    family_ob,
-    family_os,
+    named_family,
     parity_problem,
     run_bv_quantum,
     run_parity_quantum,
@@ -100,11 +95,11 @@ def test_criterion_1_two_qubit_classes():
             assert abs(t.beta - eb) < 1e-9, name
             assert abs(t.gamma - eg) < 1e-9, name
             assert classify_cc(mat) == expected_cc, name
-        t = makhlin_invariants(identity(2))
+        t = makhlin_invariants(np.eye(4, dtype=complex))
         assert abs(t.alpha - 1.0) < 1e-9
         assert abs(t.beta) < 1e-9
         assert abs(t.gamma - 3.0) < 1e-9
-        assert classify_cc(identity(2)) == CC_IDENTITY_ONLY
+        assert classify_cc(np.eye(4, dtype=complex)) == CC_IDENTITY_ONLY
 
 
 def test_criterion_2_sampling_soundness():
@@ -126,8 +121,8 @@ def test_criterion_3_parity_counts():
         expected = {(1, "O_S"): 2, (1, "O_A"): 1, (2, "O_S"): 4, (2, "O_A"): 2}
         for n in (1, 2):
             problem = parity_problem(n)
-            d_os = deterministic_query_complexity(problem, family_os(problem))
-            d_oa = deterministic_query_complexity(problem, family_oa(problem))
+            d_os = deterministic_query_complexity(problem, named_family(problem, "OS"))
+            d_oa = deterministic_query_complexity(problem, named_family(problem, "OA"))
             assert d_os == expected[(n, "O_S")]
             assert d_oa == expected[(n, "O_A")]
         for n in (1, 2, 3):
@@ -141,8 +136,8 @@ def test_criterion_4_hidden_string_counts():
     with criterion(4, "hidden-string query counts"):
         for n in (1, 2, 3):
             problem = bv_problem(n)
-            assert deterministic_query_complexity(problem, family_os(problem)) == n + 1
-            assert deterministic_query_complexity(problem, family_ob(problem)) == 1
+            assert deterministic_query_complexity(problem, named_family(problem, "OS")) == n + 1
+            assert deterministic_query_complexity(problem, named_family(problem, "OB")) == 1
         for n in range(1, 6):
             for inst in all_instances(n):
                 assert run_bv_quantum(inst) == (inst.k, 1)
@@ -204,9 +199,9 @@ def test_criterion_7_property_suites():
         for _ in range(1000):
             u = random_unitary(4, rng)
             base = makhlin_invariants(u)
-            left = tensor(random_unitary(2, rng), random_unitary(2, rng))
-            right = tensor(random_unitary(2, rng), random_unitary(2, rng))
-            t = makhlin_invariants(multiply(multiply(left, u), right))
+            left = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            right = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            t = makhlin_invariants(left @ u @ right)
             assert abs(t.alpha - base.alpha) < 1e-8
             assert abs(t.beta - base.beta) < 1e-8
             assert abs(t.gamma - base.gamma) < 1e-8

@@ -62,3 +62,22 @@ def test_engine_kernel_is_the_traced_function():
     # identity, so the extraction engine's 2x2 passes count as
     # matrixcore.apply_single_qubit calls only while it calls that object.
     assert correspondence.apply_single_qubit is matrixcore.apply_single_qubit
+
+
+@pytest.mark.parametrize("make, run", [
+    (querylab.bv_problem, "run_bv_quantum"),
+    (querylab.parity_problem, "run_parity_quantum"),
+])
+def test_speedup_report_calls_the_patched_quantum_run(monkeypatch, make, run):
+    # The tracer patches module attributes, so the report must look the
+    # quantum run up in querylab's globals when it runs, not hold the function.
+    calls = []
+    original = getattr(querylab, run)
+
+    def counting(instance):
+        calls.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(querylab, run, counting)
+    querylab.speedup_report(make(1))
+    assert len(calls) == 1

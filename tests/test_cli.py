@@ -179,6 +179,7 @@ def test_counterparts_qubit_limit_covers_every_space(tmp_path, capsys):
         ("bv", "3", "OS", 4),
         ("bv", "3", "OB", 1),
         ("bv", "3", "OBT", 1),
+        ("bv", "3", "OA", None),
     ],
 )
 def test_complexity_counts(capsys, problem, n, oracle, expected):

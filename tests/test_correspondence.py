@@ -9,10 +9,8 @@ from qcorr.matrixcore import (
     NonUnitaryError,
     SIGMA_Z,
     SizeLimitError,
-    identity,
     random_unitary,
     sigma_x_phased,
-    tensor,
 )
 from qcorr.oracleforge import (
     BooleanFunction,
@@ -166,14 +164,14 @@ def test_search_hadamard_is_empty():
 
 
 def test_search_identity_every_assignment():
-    action = OracleAction.from_matrix(identity(2))
+    action = OracleAction.from_matrix(np.eye(4, dtype=complex))
     found = search_counterparts(action, PauliGrid())
     assert [name for name, _, _ in found] == ["CC", "CH", "HC", "HH"]
     assert all(gp.perm == (0, 1, 2, 3) for _, _, gp in found)
 
 
 def test_random_sample_space_deterministic():
-    action = OracleAction.from_matrix(identity(2))
+    action = OracleAction.from_matrix(np.eye(4, dtype=complex))
     space = RandomSample(count=4, seed=17)
     first = search_counterparts(action, space)
     second = search_counterparts(action, space)
@@ -206,7 +204,7 @@ def test_every_space_is_bounded_before_it_allocates():
 def test_makhlin_fixed_points():
     t = makhlin_invariants(perm_matrix(REP_PERMS[CosetId.CNOT12]))
     assert (t.alpha, t.beta, t.gamma) == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
-    t = makhlin_invariants(identity(2))
+    t = makhlin_invariants(np.eye(4, dtype=complex))
     assert (t.alpha, t.beta, t.gamma) == pytest.approx((1.0, 0.0, 3.0), abs=1e-9)
     t = makhlin_invariants(perm_matrix(REP_PERMS[CosetId.SWAP]))
     assert (t.alpha, t.beta, t.gamma) == pytest.approx((-1.0, 0.0, -3.0), abs=1e-9)
@@ -238,8 +236,8 @@ def test_makhlin_local_invariance_smoke():
     for _ in range(50):
         u = random_unitary(4, rng)
         base = makhlin_invariants(u)
-        dressed = tensor(random_unitary(2, rng), random_unitary(2, rng)) @ u
-        dressed = dressed @ tensor(random_unitary(2, rng), random_unitary(2, rng))
+        dressed = np.kron(random_unitary(2, rng), random_unitary(2, rng)) @ u
+        dressed = dressed @ np.kron(random_unitary(2, rng), random_unitary(2, rng))
         t = makhlin_invariants(dressed)
         assert t.alpha == pytest.approx(base.alpha, abs=1e-8)
         assert t.beta == pytest.approx(base.beta, abs=1e-8)
@@ -259,7 +257,7 @@ def test_makhlin_errors():
 
 def test_classify_examples():
     assert classify_cc(perm_matrix(REP_PERMS[CosetId.CNOT12])) == CC_CNOT_FAMILY
-    assert classify_cc(identity(2)) == CC_IDENTITY_ONLY
+    assert classify_cc(np.eye(4, dtype=complex)) == CC_IDENTITY_ONLY
     assert classify_cc(perm_matrix(REP_PERMS[CosetId.SWAP])) == CC_SWAP_ONLY
     assert classify_cc(ISWAP) == CC_SWAP_FAMILY
     t = makhlin_invariants(SQRT_SWAP)

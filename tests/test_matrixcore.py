@@ -13,21 +13,17 @@ from qcorr.matrixcore import (
     SIGMA_Z,
     SWAP,
     GeneralizedPermutation,
-    adjoint,
     apply_single_qubit,
     cycle_notation,
     detect_generalized_permutation,
     detect_stack,
     gate,
-    identity,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
-    multiply,
     num_bits,
     random_unitary,
     sigma_x_phased,
-    tensor,
 )
 
 ALL_GATE_NAMES = [
@@ -73,7 +69,7 @@ def test_gate_parametrized_and_errors():
     with pytest.raises(ValueError):
         gate("toffoli")
     with pytest.raises(ValueError):
-        identity(0)
+        gate("identity", 0)
 
 
 @pytest.mark.parametrize("name", ALL_GATE_NAMES)
@@ -82,7 +78,7 @@ def test_all_gates_unitary(name):
 
 
 def test_parametrized_gates_unitary():
-    assert is_unitary(identity(2), 1e-12)
+    assert is_unitary(gate("identity", 2), 1e-12)
     assert is_unitary(sigma_x_phased(0.7, 1.9), 1e-12)
 
 
@@ -92,29 +88,33 @@ def test_is_unitary_rejects():
     assert not is_unitary(2 * np.eye(2))
 
 
+def test_is_unitary_admits_a_deviation_equal_to_tol():
+    # tol bounds the deviation inclusively, as in the detector
+    a = np.diag([1, 1 + 1e-10]).astype(complex)
+    deviation = np.max(np.abs(a.conj().T @ a - np.eye(2)))
+    assert is_unitary(a, deviation)
+    assert not is_unitary(a, deviation / 2)
+
+
 def test_tensor_examples():
-    assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.array_equal(tensor(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
+    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(np.kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
     # first factor owns the high-order index bit
-    col0 = tensor(SIGMA_X, np.eye(2))[:, 0]
+    col0 = np.kron(SIGMA_X, np.eye(2))[:, 0]
     assert np.array_equal(col0, np.array([0, 0, 1, 0]))
 
 
 def test_tensor_associative_and_errors():
     # entry products stay exactly representable for these factors
     for a, b, c in [(SIGMA_X, CZ, SWAP), (HADAMARD, SIGMA_Z, CNOT12)]:
-        assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-    with pytest.raises(ValueError):
-        tensor(np.ones((2, 3)), np.eye(2))
+        assert np.array_equal(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)))
 
 
 def test_multiply_adjoint():
-    assert np.array_equal(multiply(SIGMA_X, SIGMA_X), np.eye(2))
+    assert np.array_equal(SIGMA_X @ SIGMA_X, np.eye(2))
     rng = np.random.default_rng(5)
     u = random_unitary(8, rng)
-    assert np.max(np.abs(multiply(adjoint(u), u) - np.eye(8))) < 1e-12
-    with pytest.raises(ValueError):
-        multiply(np.eye(2), np.eye(4))
+    assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12
 
 
 def test_num_bits():
@@ -189,36 +189,57 @@ def test_detect_stack_decides_each_matrix():
     assert detect_stack(clash) == [None]
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 2, 5, 16])
-def test_detect_stack_row_blocks_match_one_pass(monkeypatch, rows_per_block):
-    rng = np.random.default_rng(17)
-    dim = 16
+def planted_stack(rng, k, dim):
+    """k generalized permutations with random phases; from each six, the
+    second to fourth are spoiled and the fifth carries noise below tol."""
     mats = []
-    for _ in range(6):
+    for i in range(k):
         p = np.zeros((dim, dim), dtype=complex)
         p[rng.permutation(dim), np.arange(dim)] = np.exp(1j * rng.uniform(0, 7, dim))
+        if i % 6 == 1:
+            p[3, 5] = 0.5  # a second big entry in a column
+        elif i % 6 == 2:
+            p[:, 9] = p[:, 4]  # two columns on one row
+        elif i % 6 == 3:
+            p *= 1 - 1e-3  # every modulus off by more than tol
+        elif i % 6 == 4:
+            p[rng.integers(0, dim), rng.integers(0, dim)] += 1e-11  # noise below tol
         mats.append(p)
-    mats[1][3, 5] = 0.5  # a second big entry in a column
-    mats[2][:, 9] = mats[2][:, 4]  # two columns on one row
-    mats[3] *= 1 - 1e-3  # every modulus off by more than tol
-    mats[4][rng.integers(0, dim), rng.integers(0, dim)] += 1e-11  # noise below tol
-    stack = np.stack(mats)
+    return np.stack(mats)
 
-    # the whole |M| > tol pass at once, as a plain reference
+
+def assert_detect_stack_matches_one_pass(stack):
+    """detect_stack against the whole |M| > tol pass at once, as a plain
+    reference; returns which matrices qualify."""
     big = np.abs(stack) > 1e-9
     rows = big.argmax(axis=1)
     entries = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0]
-    want = [(big[i].sum(axis=0) == 1).all() and sorted(rows[i]) == list(range(dim))
-            and (np.abs(np.abs(entries[i]) - 1) <= 1e-9).all() for i in range(len(mats))]
-    assert want == [True, False, False, False, True, True]
-
-    monkeypatch.setattr("qcorr.matrixcore._BLOCK", len(mats) * dim * rows_per_block)
+    dim = stack.shape[-1]
+    want = [bool((big[i].sum(axis=0) == 1).all()) and sorted(rows[i]) == list(range(dim))
+            and bool((np.abs(np.abs(entries[i]) - 1) <= 1e-9).all()) for i in range(len(stack))]
     found = detect_stack(stack)
     assert [gp is not None for gp in found] == want
     for i, gp in enumerate(found):
         if gp is not None:
             assert gp.perm == tuple(rows[i])
             assert np.array_equal(gp.as_matrix()[rows[i], np.arange(dim)], entries[i])
+    return want
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 5, 16])
+def test_detect_stack_row_blocks_match_one_pass(monkeypatch, rows_per_block):
+    stack = planted_stack(np.random.default_rng(17), 6, 16)
+    monkeypatch.setattr("qcorr.matrixcore._BLOCK", len(stack) * 16 * rows_per_block)
+    assert assert_detect_stack_matches_one_pass(stack) == [True, False, False, False, True, True]
+
+
+@pytest.mark.parametrize("k, m", [(260, 6), (3, 8)])
+def test_detect_stack_past_one_row_per_block(k, m):
+    # at the default block size: one row of each of 260 matrices of 6 qubits
+    # already fills a block, and one 8-qubit matrix alone exceeds it
+    stack = planted_stack(np.random.default_rng([k, m]), k, 1 << m)
+    want = assert_detect_stack_matches_one_pass(stack)
+    assert want == [i % 6 in (0, 4, 5) for i in range(k)]
 
 
 def test_roundtrip_rebuild_and_redetect():

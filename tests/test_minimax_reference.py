@@ -17,15 +17,13 @@ from qcorr.matrixcore import GeneralizedPermutation
 from qcorr.querylab import (
     ClassicalOracleFamily,
     Hypothesis,
+    ORACLES,
     ProblemSpec,
     _extracted_families,
     bv_problem,
     decision_tree,
     deterministic_query_complexity,
-    family_oa,
-    family_ob,
-    family_obtilde,
-    family_os,
+    named_family,
     parity_problem,
 )
 
@@ -107,17 +105,20 @@ def relabelled(problem, family, rng):
             ClassicalOracleFamily(family.name, family.m, maps))
 
 
-NAMED = [("bv", n, f) for n in (1, 2, 3, 4) for f in (family_os, family_ob, family_obtilde)]
-NAMED += [("parity", n, f) for n in (1, 2) for f in (family_os, family_oa)]
+NAMED = [("bv", n, o) for n in (1, 2, 3, 4) for o in ("OS", "OB", "OBT")]
+NAMED += [("parity", n, o) for n in (1, 2) for o in ("OS", "OA")]
 PROBLEMS = {"bv": bv_problem, "parity": parity_problem}
 
 
-@pytest.mark.parametrize(
-    "name,n,make_family", NAMED, ids=[f"{p}{n}-{f.__name__}" for p, n, f in NAMED]
-)
-def test_named_families(name, n, make_family):
+def named_ids(cases):
+    """``bv2-family_obtilde`` for the O_Btilde family of bv n=2."""
+    return [f"{p}{n}-family_{ORACLES[o][0].replace('_', '').lower()}" for p, n, o in cases]
+
+
+@pytest.mark.parametrize("name,n,oracle", NAMED, ids=named_ids(NAMED))
+def test_named_families(name, n, oracle):
     problem = PROBLEMS[name](n)
-    family = make_family(problem)
+    family = named_family(problem, oracle)
     want = reference_complexity(problem, family)
     assert deterministic_query_complexity(problem, family) == want
     rng = np.random.default_rng([n, len(NAMED)])
@@ -194,16 +195,14 @@ def test_random_families():
     assert all(count >= 10 for count in seen.values()), seen
 
 
-CERTIFIED = [("bv", n, f) for n in (1, 2, 3, 4, 5) for f in (family_os, family_ob, family_obtilde)]
-CERTIFIED += [("parity", n, f) for n in (1, 2) for f in (family_os, family_oa)]
+CERTIFIED = [("bv", n, o) for n in (1, 2, 3, 4, 5) for o in ("OS", "OB", "OBT")]
+CERTIFIED += [("parity", n, o) for n in (1, 2) for o in ("OS", "OA")]
 
 
-@pytest.mark.parametrize(
-    "name,n,make_family", CERTIFIED, ids=[f"{p}{n}-{f.__name__}" for p, n, f in CERTIFIED]
-)
-def test_named_family_trees(name, n, make_family):
+@pytest.mark.parametrize("name,n,oracle", CERTIFIED, ids=named_ids(CERTIFIED))
+def test_named_family_trees(name, n, oracle):
     problem = PROBLEMS[name](n)
-    family = make_family(problem)
+    family = named_family(problem, oracle)
     count = deterministic_query_complexity(problem, family)
     check_tree(problem, family, decision_tree(problem, family), count)
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qcorr.matrixcore import SizeLimitError
+from qcorr.matrixcore import GeneralizedPermutation, SizeLimitError
 from qcorr.oracleforge import BooleanFunction, BVInstance, bv_function, classical_OS
 from qcorr.correspondence import RandomSample, parse_basis_word
 from qcorr import querylab
@@ -14,15 +14,13 @@ from qcorr.querylab import (
     Hypothesis,
     ProblemSpec,
     bv_problem,
+    decision_tree,
     deterministic_query_complexity,
     family_extracted,
-    family_oa,
-    family_ob,
-    family_obtilde,
-    family_os,
     hypothesis_function,
     iter_boolean_functions,
     iter_bv_instances,
+    named_family,
     parity_problem,
     run_bv_quantum,
     run_parity_quantum,
@@ -76,10 +74,14 @@ def test_hypothesis_function():
 
 def test_family_constructors():
     problem = bv_problem(1)
-    assert family_os(problem).m == 2
-    assert family_oa(problem).m == 2
-    assert family_ob(problem).m == 2
-    assert family_obtilde(problem).m == 1
+    assert named_family(problem, "OS").m == 2
+    assert named_family(problem, "OA").m == 2
+    assert named_family(problem, "OB").m == 2
+    assert named_family(problem, "OBT").m == 1
+    assert [named_family(problem, o).name for o in ("OS", "OA", "OB", "OBT")] == [
+        "O_S", "O_A", "O_B", "O_Btilde"]
+    with pytest.raises(ValueError, match="unknown oracle 'OC'"):
+        named_family(problem, "OC")
     with pytest.raises(ValueError):
         ClassicalOracleFamily(
             "bad",
@@ -91,14 +93,21 @@ def test_family_constructors():
         )
 
 
+def test_named_family_domain():
+    # the shift oracles need a hidden string
+    for oracle in ("OB", "OBT"):
+        with pytest.raises(ValueError, match=f"{oracle} is only defined for the bv problem"):
+            named_family(parity_problem(1), oracle)
+
+
 PARITY_COUNTS = [(1, 2, 1), (2, 4, 2)]
 
 
 @pytest.mark.parametrize("n,expected_os,expected_oa", PARITY_COUNTS)
 def test_parity_minimax_counts(n, expected_os, expected_oa):
     problem = parity_problem(n)
-    d_os = deterministic_query_complexity(problem, family_os(problem))
-    d_oa = deterministic_query_complexity(problem, family_oa(problem))
+    d_os = deterministic_query_complexity(problem, named_family(problem, "OS"))
+    d_oa = deterministic_query_complexity(problem, named_family(problem, "OA"))
     assert d_os == expected_os
     assert d_oa == expected_oa
     assert d_os <= 1 << (n + 1)
@@ -107,9 +116,9 @@ def test_parity_minimax_counts(n, expected_os, expected_oa):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_bv_minimax_counts(n):
     problem = bv_problem(n)
-    assert deterministic_query_complexity(problem, family_os(problem)) == n + 1
-    assert deterministic_query_complexity(problem, family_ob(problem)) == 1
-    assert deterministic_query_complexity(problem, family_obtilde(problem)) == 1
+    assert deterministic_query_complexity(problem, named_family(problem, "OS")) == n + 1
+    assert deterministic_query_complexity(problem, named_family(problem, "OB")) == 1
+    assert deterministic_query_complexity(problem, named_family(problem, "OBT")) == 1
 
 
 @pytest.mark.parametrize(
@@ -120,7 +129,7 @@ def test_extracted_family_matches_oa_count(n, word):
     fam = family_extracted(problem, parse_basis_word(word))
     assert fam is not None
     d_extracted = deterministic_query_complexity(problem, fam)
-    d_oa = deterministic_query_complexity(problem, family_oa(problem))
+    d_oa = deterministic_query_complexity(problem, named_family(problem, "OA"))
     assert d_extracted == d_oa
 
 
@@ -143,14 +152,14 @@ def test_minimax_zero_when_labels_agree():
     functions = [BooleanFunction(1, (0, 0)), BooleanFunction(1, (1, 1))]
     hyps = tuple(Hypothesis(i, f, f.parity()) for i, f in enumerate(functions))
     problem = ProblemSpec("parity", 1, hyps)
-    assert deterministic_query_complexity(problem, family_os(problem)) == 0
+    assert deterministic_query_complexity(problem, named_family(problem, "OS")) == 0
 
 
 def test_minimax_family_size_mismatch():
     problem = parity_problem(1)
     other = parity_problem(2)
     with pytest.raises(ValueError):
-        deterministic_query_complexity(problem, family_os(other))
+        deterministic_query_complexity(problem, named_family(other, "OS"))
 
 
 def test_minimax_width_limit():
@@ -158,7 +167,7 @@ def test_minimax_width_limit():
     hyps = tuple(Hypothesis(i, f, f.parity()) for i, f in enumerate(functions))
     problem = ProblemSpec("parity", 12, hyps)
     with pytest.raises(SizeLimitError):
-        deterministic_query_complexity(problem, family_os(problem))
+        deterministic_query_complexity(problem, named_family(problem, "OS"))
 
 
 def test_minimax_hypothesis_limit():
@@ -170,6 +179,24 @@ def test_minimax_hypothesis_limit():
     family = ClassicalOracleFamily("O_S", 2, (gp,) * count)
     with pytest.raises(SizeLimitError):
         deterministic_query_complexity(problem, family)
+
+
+def test_minimax_too_deep_is_a_size_limit():
+    # hypothesis i swaps strings 2i and 2i+1, so each query peels one
+    # hypothesis off the rest and the search nests 1000 sets deep
+    m, count = 11, 1000
+    ones = (1 + 0j,) * (1 << m)
+    maps = []
+    for i in range(count):
+        perm = list(range(1 << m))
+        perm[2 * i], perm[2 * i + 1] = perm[2 * i + 1], perm[2 * i]
+        maps.append(GeneralizedPermutation(m, tuple(perm), ones))
+    hyps = tuple(Hypothesis(i, None, i) for i in range(count))
+    problem = ProblemSpec("peel", m, hyps)
+    family = ClassicalOracleFamily("peel", m, tuple(maps))
+    for solve in (deterministic_query_complexity, decision_tree):
+        with pytest.raises(SizeLimitError, match="recursion limit"):
+            solve(problem, family)
 
 
 def test_bv_quantum_examples():
