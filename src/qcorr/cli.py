@@ -14,6 +14,7 @@ uses the standard oracle's counterpart under that basis word instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -156,6 +157,7 @@ def cmd_complexity(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    tol = _resolve_tol(args)
     if args.algorithm == "bv":
         if args.k is None:
             raise ValueError("bv simulation needs --k")
@@ -164,7 +166,7 @@ def cmd_simulate(args) -> dict:
         if n != len(k):
             raise ValueError(f"--n {n} does not match --k length {len(k)}")
         inst = BVInstance(n, args.k0, k)
-        recovered, queries = querylab.run_bv_quantum(inst)
+        recovered, queries = querylab.run_bv_quantum(inst, tol=tol)
         return {"k": "".join(str(b) for b in recovered), "queries": queries}
     if args.function:
         f = BooleanFunction.from_json(_load_json_file(args.function))
@@ -176,7 +178,7 @@ def cmd_simulate(args) -> dict:
         f = BooleanFunction(size.bit_length() - 1, truth)
     else:
         raise ValueError("parity simulation needs --function or --truth")
-    parity, queries = querylab.run_parity_quantum(f)
+    parity, queries = querylab.run_parity_quantum(f, tol=tol)
     return {"parity": parity, "queries": queries}
 
 
@@ -187,7 +189,9 @@ def cmd_speedup(args) -> dict:
     return report.as_dict()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Classical counterparts of quantum oracles and query-complexity audits",

@@ -169,28 +169,29 @@ class GeneralizedPermutation:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``perm`` and the phase picked up by each input string, as
-        read-only arrays built on first use.  Not a field, so equality,
-        hashing and repr see only the tuples."""
-        idx = np.asarray(self.perm)
-        gained = np.asarray(self.phases, dtype=complex)[idx]
-        idx.flags.writeable = gained.flags.writeable = False
-        return idx, gained
+        """The inverse of ``perm`` and ``phases``, as read-only arrays built
+        on first use.  Not a field, so equality, hashing and repr see only
+        the tuples."""
+        inv = np.empty(self.dim, dtype=np.intp)
+        inv[np.asarray(self.perm)] = np.arange(self.dim)
+        phases = np.asarray(self.phases, dtype=complex)
+        inv.flags.writeable = phases.flags.writeable = False
+        return inv, phases
 
     def as_matrix(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
-        idx, gained = self._arrays
-        mat[idx, np.arange(self.dim)] = gained
+        inv, phases = self._arrays
+        mat[np.arange(self.dim), inv] = phases
         return mat
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Action on a statevector, or on each column of a (2^m, n) array of
-        them, without materializing the matrix."""
-        state = np.asarray(state, dtype=complex)
-        out = np.empty_like(state)
-        idx, gained = self._arrays
-        out[idx] = gained.reshape((-1,) + (1,) * (state.ndim - 1)) * state
-        return out
+        them, without materializing the matrix.  Output string i gathers
+        input string inv[i], which is faster than scattering inputs."""
+        inv, phases = self._arrays
+        out = np.take(np.asarray(state, dtype=complex), inv, axis=0)
+        # Phase first: the operand order fixes the rounding of the product.
+        return np.multiply(phases.reshape((-1,) + (1,) * (out.ndim - 1)), out, out=out)
 
     def bit_map(self, x: int) -> int:
         """Phase-free classical action on an input string."""

@@ -157,8 +157,10 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
     """|x> |-> (-1)^(x.k) |x> on n qubits; k0 only shifts the global phase
     and is dropped."""
     dim = 1 << inst.n
-    k_int = inst.k_int
-    phases = tuple(complex(1 - 2 * _dot_parity(x, k_int)) for x in range(dim))
+    # bitwise_count returns uint8: the signs are taken in floats, where
+    # 1 - 2 * 1 is -1 and not 255.
+    parity = np.bitwise_count(np.arange(dim) & inst.k_int) & 1
+    phases = tuple((1.0 - 2.0 * parity).astype(complex).tolist())
     gp = GeneralizedPermutation(inst.n, tuple(range(dim)), phases)
     return OracleAction.from_permutation(gp)
 

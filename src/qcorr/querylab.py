@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import HADAMARD, SizeLimitError, apply_single_qubit
+from .matrixcore import _BLOCK, HADAMARD, SizeLimitError, apply_single_qubit
 from .oracleforge import (
     BooleanFunction,
     BVInstance,
@@ -50,6 +50,10 @@ class ProblemSpec:
     name: str
     n: int
     hypotheses: tuple[Hypothesis, ...]
+
+    def __post_init__(self):
+        if not self.hypotheses:
+            raise ValueError("a problem needs at least one hypothesis")
 
     def labels(self) -> list:
         return [h.label for h in self.hypotheses]
@@ -303,13 +307,15 @@ def _too_deep(problem: ProblemSpec) -> SizeLimitError:
     )
 
 
-def _assert_normalized(state: np.ndarray, tol: float = 1e-9):
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > tol:
-        raise RuntimeError(f"statevector norm drifted to {norm}")
+def _assert_normalized(states: np.ndarray, tol: float = DEFAULT_TOL):
+    """Each statevector, or each column of a (2^m, B) array of them, has unit norm."""
+    norms = np.atleast_1d(np.sqrt(np.vecdot(states, states, axis=0).real))
+    drift = np.abs(norms - 1.0)
+    if np.any(drift > tol):
+        raise RuntimeError(f"statevector norm drifted to {float(norms[np.argmax(drift)])}")
 
 
-def run_bv_quantum(inst: BVInstance):
+def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     """One-query identification of k: H on all qubits, the phase oracle,
     H again; the final state is exactly the basis state for k."""
     if inst.n > 16:
@@ -318,54 +324,59 @@ def run_bv_quantum(inst: BVInstance):
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     for j in range(n):
-        state = apply_single_qubit(state, HADAMARD, j, n)
+        apply_single_qubit(state, HADAMARD, j, n, out=state)
     state = phase_oracle(inst).apply(state)
-    _assert_normalized(state)
+    _assert_normalized(state, tol)
     for j in range(n):
-        state = apply_single_qubit(state, HADAMARD, j, n)
-    _assert_normalized(state)
+        apply_single_qubit(state, HADAMARD, j, n, out=state)
+    _assert_normalized(state, tol)
     idx = int(np.argmax(np.abs(state)))
-    if abs(abs(state[idx]) - 1.0) > 1e-9:
+    if abs(abs(state[idx]) - 1.0) > tol:
         raise RuntimeError("final state is not a computational basis state")
     k = tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
     return k, 1
 
 
-def run_parity_quantum(f: BooleanFunction):
+def run_parity_quantum(f: BooleanFunction, tol: float = DEFAULT_TOL):
     """Parity in 2**(n-1) queries: one kickback step per setting of the
     trailing n-1 input bits.
 
     Each step places the first input qubit in the Hadamard-basis 0 state and
     the query qubit in the Hadamard-basis 1 state, queries the standard
     oracle once, and reads the first qubit back in the Hadamard basis; the
-    outcome is deterministically f(0, rest) XOR f(1, rest).
+    outcome is deterministically f(0, rest) XOR f(1, rest).  The steps run
+    in blocks of 2^b input states, one per column of a (2^m, 2^b) array, so
+    a block is one state on m + b qubits whose qubit 0 is the first input
+    qubit; 2^b is the largest power of two with 2^(m+b) <= _BLOCK, at least 1.
     """
     if f.n > 12:
         raise SizeLimitError(f"parity simulation limited to n <= 12 (got n={f.n})")
     n = f.n
     m = n + 1
     oracle = standard_oracle(f)
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
-    minus = np.array([1, -1], dtype=complex) / np.sqrt(2.0)
-    total = 0
     settings = 1 << (n - 1)
-    for rest in range(settings):
-        vec = plus
-        for j in range(1, n):
-            bit = (rest >> (n - 1 - j)) & 1
-            e = np.zeros(2, dtype=complex)
-            e[bit] = 1.0
-            vec = np.kron(vec, e)
-        vec = np.kron(vec, minus)
-        out = oracle.apply(vec)
-        _assert_normalized(out)
-        out = apply_single_qubit(out, HADAMARD, 0, m)
-        _assert_normalized(out)
-        p_one = float(np.sum(np.abs(out[1 << n:]) ** 2))
-        if min(p_one, 1.0 - p_one) > 1e-9:
+    b = min(n - 1, max(0, _BLOCK.bit_length() - 1 - m))
+    cols = np.arange(1 << b)
+    total = queries = 0
+    for start in range(0, settings, 1 << b):
+        # |+>|rest>|->: entries +-1/2 at first bit 0 or 1 and query bit 0 or 1.
+        states = np.zeros((1 << m, 1 << b), dtype=complex)
+        base = (start + cols) << 1
+        for first in (0, 1 << n):
+            states[base | first, cols] = 0.5
+            states[base | first | 1, cols] = -0.5
+        out = oracle.apply(states)
+        queries += out.shape[1]
+        _assert_normalized(out, tol)
+        apply_single_qubit(out, HADAMARD, 0, m + b, out=out)
+        _assert_normalized(out, tol)
+        p_one = np.vecdot(out[1 << n:], out[1 << n:], axis=0).real
+        if np.any(np.minimum(p_one, 1.0 - p_one) > tol):
             raise RuntimeError("kickback readout is not deterministic")
-        total ^= int(p_one > 0.5)
-    return total, settings
+        total ^= int(np.count_nonzero(p_one > 0.5)) & 1
+    if queries != settings:
+        raise RuntimeError(f"made {queries} kickback queries, expected {settings}")
+    return total, queries
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from qcorr.cli import main
+from qcorr import querylab
+from qcorr.cli import build_parser, main
 
 CNOT12 = [
     [1, 0, 0, 0],
@@ -286,6 +287,46 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QCORR_TOL", "abc")
     assert main(["classify", "--matrix", path]) == 2
     capsys.readouterr()
+
+
+def test_simulate_reads_the_tolerance(tmp_path, capsys, monkeypatch):
+    seen = []
+    for run in ("run_bv_quantum", "run_parity_quantum"):
+        original = getattr(querylab, run)
+        monkeypatch.setattr(querylab, run, lambda inst, tol, _run=original:
+                            seen.append(tol) or _run(inst, tol=tol))
+    bv = ["simulate", "--algorithm", "bv", "--k", "1011"]
+    parity = ["simulate", "--algorithm", "parity", "--truth", "0110"]
+    assert run_cli(capsys, bv) == (0, {"k": "1011", "queries": 1})
+    assert run_cli(capsys, parity) == (0, {"parity": 0, "queries": 2})
+    assert run_cli(capsys, bv + ["--tol", "1e-6"])[0] == 0
+    monkeypatch.setenv("QCORR_TOL", "1e-5")
+    assert run_cli(capsys, parity)[0] == 0
+    assert seen == [1e-9, 1e-9, 1e-6, 1e-5]
+    monkeypatch.setenv("QCORR_TOL", "abc")
+    for argv in (bv, parity):
+        assert main(argv) == 2
+        assert "QCORR_TOL is not a number" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_survives_errors(tmp_path, capsys):
+    path = write_matrix(tmp_path / "m.json", CNOT12)
+    calls = [
+        ["classify", "--matrix", path],
+        ["simulate", "--algorithm", "bv", "--k", "0110", "--k0", "1"],
+    ]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr()))
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
+    assert "--matrix" in capsys.readouterr().err
+    parser = build_parser()
+    assert [(main(argv), capsys.readouterr()) for argv in calls] == alone
+    assert build_parser() is parser
 
 
 def test_pretty_output(tmp_path, capsys):

@@ -155,6 +155,18 @@ def test_minimax_zero_when_labels_agree():
     assert deterministic_query_complexity(problem, named_family(problem, "OS")) == 0
 
 
+@pytest.mark.parametrize("consume", [
+    lambda p: named_family(p, "OS"),
+    lambda p: speedup_report(p),
+    lambda p: deterministic_query_complexity(p, ClassicalOracleFamily("O_S", 2, ())),
+], ids=["named_family", "speedup_report", "deterministic_query_complexity"])
+def test_problem_without_hypotheses_is_a_value_error(consume):
+    # Each consumer used to fail with IndexError on an empty hypothesis
+    # tuple; the spec now refuses it when it is built.
+    with pytest.raises(ValueError, match="at least one hypothesis"):
+        consume(ProblemSpec("bv", 1, ()))
+
+
 def test_minimax_family_size_mismatch():
     problem = parity_problem(1)
     other = parity_problem(2)

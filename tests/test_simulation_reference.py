@@ -1,0 +1,245 @@
+"""Differential tests: the vectorised statevector simulations against the
+simple per-entry and per-query code they replaced.
+
+The reference functions below are the earlier implementations, kept here
+only as the reference: the phase oracle built one ``_dot_parity`` call per
+basis state, ``GeneralizedPermutation.apply`` scattering each input to its
+output, Bernstein-Vazirani with a fresh state per Hadamard, and parity with
+one ``np.kron``-built input state and one oracle call per kickback query.
+"""
+
+import numpy as np
+import pytest
+
+from qcorr import querylab
+from qcorr.matrixcore import HADAMARD, GeneralizedPermutation, apply_single_qubit
+from qcorr.oracleforge import BooleanFunction, BVInstance, phase_oracle, standard_oracle
+
+
+def _dot_parity(a, b):
+    return bin(a & b).count("1") & 1
+
+
+def reference_phase_oracle(inst):
+    dim = 1 << inst.n
+    k_int = inst.k_int
+    phases = tuple(complex(1 - 2 * _dot_parity(x, k_int)) for x in range(dim))
+    return GeneralizedPermutation(inst.n, tuple(range(dim)), phases)
+
+
+def reference_apply(gp, state):
+    state = np.asarray(state, dtype=complex)
+    out = np.empty_like(state)
+    idx = np.asarray(gp.perm)
+    gained = np.asarray(gp.phases, dtype=complex)[idx]
+    out[idx] = gained.reshape((-1,) + (1,) * (state.ndim - 1)) * state
+    return out
+
+
+def _reference_assert_normalized(state, tol=1e-9):
+    norm = float(np.linalg.norm(state))
+    if abs(norm - 1.0) > tol:
+        raise RuntimeError(f"statevector norm drifted to {norm}")
+
+
+def reference_run_bv(inst):
+    n = inst.n
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    for j in range(n):
+        state = apply_single_qubit(state, HADAMARD, j, n)
+    state = reference_apply(reference_phase_oracle(inst), state)
+    _reference_assert_normalized(state)
+    for j in range(n):
+        state = apply_single_qubit(state, HADAMARD, j, n)
+    _reference_assert_normalized(state)
+    idx = int(np.argmax(np.abs(state)))
+    if abs(abs(state[idx]) - 1.0) > 1e-9:
+        raise RuntimeError("final state is not a computational basis state")
+    return tuple((idx >> (n - 1 - j)) & 1 for j in range(n)), 1
+
+
+def reference_run_parity(f):
+    n = f.n
+    m = n + 1
+    oracle = standard_oracle(f).permutation
+    plus = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
+    minus = np.array([1, -1], dtype=complex) / np.sqrt(2.0)
+    total = 0
+    settings = 1 << (n - 1)
+    for rest in range(settings):
+        vec = plus
+        for j in range(1, n):
+            bit = (rest >> (n - 1 - j)) & 1
+            e = np.zeros(2, dtype=complex)
+            e[bit] = 1.0
+            vec = np.kron(vec, e)
+        vec = np.kron(vec, minus)
+        out = reference_apply(oracle, vec)
+        _reference_assert_normalized(out)
+        out = apply_single_qubit(out, HADAMARD, 0, m)
+        _reference_assert_normalized(out)
+        p_one = float(np.sum(np.abs(out[1 << n:]) ** 2))
+        if min(p_one, 1.0 - p_one) > 1e-9:
+            raise RuntimeError("kickback readout is not deterministic")
+        total ^= int(p_one > 0.5)
+    return total, settings
+
+
+def random_function(n, rng):
+    return BooleanFunction(n, tuple(int(b) for b in rng.integers(0, 2, 1 << n)))
+
+
+def random_bv(n, rng):
+    return BVInstance(n, int(rng.integers(2)), tuple(int(b) for b in rng.integers(0, 2, n)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_parity_matches_reference(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(3 if n <= 8 else 1):
+        f = random_function(n, rng)
+        got = querylab.run_parity_quantum(f)
+        assert got == reference_run_parity(f)
+        # Plain ints, as the CLI's JSON output needs.
+        assert [type(v) for v in got] == [int, int]
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 48, 64, 1000])
+def test_parity_matches_reference_in_several_blocks(monkeypatch, block):
+    # Shrinking the block splits even small runs into several blocks of 1,
+    # 2, 4, ... columns.  A block size that is not a power of two still
+    # gives power-of-two columns, which divide the 2^(n-1) queries.
+    monkeypatch.setattr(querylab, "_BLOCK", block)
+    oracles = record_oracles(monkeypatch)
+    rng = np.random.default_rng(block)
+    for n in range(1, 8):
+        for _ in range(4):
+            f = random_function(n, rng)
+            assert querylab.run_parity_quantum(f) == reference_run_parity(f)
+            widths = oracles[-1].widths
+            assert sum(widths) == 1 << (n - 1) and len(set(widths)) == 1
+            assert widths[0] & (widths[0] - 1) == 0
+    assert len(oracles[-1].widths) > 1
+
+
+def test_parity_exhaustive_in_single_columns(monkeypatch):
+    monkeypatch.setattr(querylab, "_BLOCK", 1)
+    for n in (1, 2, 3):
+        for code in range(1 << (1 << n)):
+            truth = tuple((code >> i) & 1 for i in range(1 << n))
+            f = BooleanFunction(n, truth)
+            assert querylab.run_parity_quantum(f) == (sum(truth) & 1, 1 << (n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_phase_oracle_matches_reference(n):
+    rng = np.random.default_rng(2000 + n)
+    insts = [random_bv(n, rng) for _ in range(3)]
+    insts += [BVInstance(n, 0, (0,) * n), BVInstance(n, 1, (1,) * n)]
+    for inst in insts:
+        got, want = phase_oracle(inst).permutation, reference_phase_oracle(inst)
+        assert got.phases == want.phases and got.perm == want.perm
+        assert [type(p) for p in got.phases[:4]] == [complex] * min(4, 1 << n)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_bv_matches_reference(n):
+    rng = np.random.default_rng(3000 + n)
+    for _ in range(2):
+        inst = random_bv(n, rng)
+        assert querylab.run_bv_quantum(inst) == reference_run_bv(inst) == (inst.k, 1)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_apply_matches_scatter_reference(m):
+    rng = np.random.default_rng(4000 + m)
+    dim = 1 << m
+    for _ in range(3):
+        gp = GeneralizedPermutation(m, tuple(int(x) for x in rng.permutation(dim)),
+                                    tuple(np.exp(1j * rng.uniform(0, 7, dim))))
+        for shape in ((dim,), (dim, 1), (dim, 5)):
+            state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.array_equal(gp.apply(state), reference_apply(gp, state))
+        assert np.array_equal(gp.as_matrix(), reference_apply(gp, np.eye(dim)))
+
+
+class FaultyOracle:
+    """An oracle that acts like ``action`` except on the input states that
+    have support on basis state ``row``, whose outputs ``fault`` replaces.
+    Records the number of states (columns) of each call."""
+
+    def __init__(self, action, row=0, fault=lambda cols: cols):
+        self.action, self.row, self.fault = action, row, fault
+        self.widths = []
+
+    def apply(self, states):
+        states = np.asarray(states)
+        self.widths.append(states.shape[1] if states.ndim == 2 else 1)
+        out = self.action.apply(states)
+        hit = states[self.row] != 0
+        out[..., hit] = self.fault(out[..., hit])
+        return out
+
+
+def record_oracles(monkeypatch, row=0, fault=lambda cols: cols):
+    """Make querylab.standard_oracle return FaultyOracles; returns the list
+    of oracles built."""
+    built = []
+    standard = querylab.standard_oracle
+
+    def build(f):
+        built.append(FaultyOracle(standard(f), row, fault))
+        return built[-1]
+
+    monkeypatch.setattr(querylab, "standard_oracle", build)
+    return built
+
+
+def drift_norm(cols):
+    return cols * (1 + 1e-6)
+
+
+def mix_readout(cols):
+    # Keep only the half with the first qubit at 0, renormalized: the norm
+    # holds, and the Hadamard readout of that qubit is a fair coin.
+    half = cols.shape[0] // 2
+    out = np.zeros_like(cols)
+    out[:half] = cols[:half] * np.sqrt(2.0)
+    return out
+
+
+@pytest.mark.parametrize("fault, message", [
+    (drift_norm, "norm drifted"),
+    (mix_readout, "not deterministic"),
+])
+def test_parity_checks_fire_in_the_last_block_only(monkeypatch, fault, message):
+    n = 5
+    f = random_function(n, np.random.default_rng(5))
+    settings = 1 << (n - 1)
+    monkeypatch.setattr(querylab, "_BLOCK", 2 << (n + 1))
+    # Input |+>|rest>|->, rest = settings - 1, is the only one with support
+    # on (rest << 1): the last column of the last of 8 blocks.
+    oracles = record_oracles(monkeypatch, (settings - 1) << 1, fault)
+    with pytest.raises(RuntimeError, match=message):
+        querylab.run_parity_quantum(f)
+    assert oracles[-1].widths == [2] * 8
+
+
+def test_parity_tolerance_reaches_the_checks(monkeypatch):
+    f = random_function(4, np.random.default_rng(6))
+    record_oracles(monkeypatch, 0, drift_norm)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        querylab.run_parity_quantum(f)
+    assert querylab.run_parity_quantum(f, tol=1e-3) == (f.parity(), 8)
+
+
+def test_bv_tolerance_reaches_the_checks(monkeypatch):
+    inst = BVInstance(6, 1, (1, 0, 1, 1, 0, 1))
+    phase = querylab.phase_oracle
+    monkeypatch.setattr(querylab, "phase_oracle",
+                        lambda i: FaultyOracle(phase(i), 0, drift_norm))
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        querylab.run_bv_quantum(inst)
+    assert querylab.run_bv_quantum(inst, tol=1e-3) == (inst.k, 1)
