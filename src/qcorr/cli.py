@@ -3,7 +3,7 @@ speedup.  Every subcommand prints a single JSON document on stdout.
 
 Exit codes: 0 success, 2 malformed input, 3 non-unitary matrix, 4 size limit
 exceeded.  QCORR_TOL overrides the default tolerance; an explicit --tol flag
-wins over the environment.
+wins over the environment.  A negative or NaN tolerance exits 2.
 
 The problems (``--problem``) and the named classical oracles (``complexity
 --oracle``) are the keys of ``querylab.PROBLEMS`` and ``querylab.ORACLES``;
@@ -49,15 +49,20 @@ _COSET_ORDER = list(CosetId)
 
 
 def _resolve_tol(args) -> float:
+    """--tol, else QCORR_TOL, else the default; a negative or NaN value is
+    malformed input."""
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get("QCORR_TOL")
-    if env is not None:
+        tol, source = args.tol, "--tol"
+    elif (env := os.environ.get("QCORR_TOL")) is not None:
         try:
-            return float(env)
+            tol, source = float(env), "QCORR_TOL"
         except ValueError:
             raise ValueError(f"QCORR_TOL is not a number: {env!r}") from None
-    return DEFAULT_TOL
+    else:
+        return DEFAULT_TOL
+    if not tol >= 0.0:
+        raise ValueError(f"{source} must be a number >= 0, got {tol!r}")
+    return tol
 
 
 def _load_json_file(path: str) -> dict:

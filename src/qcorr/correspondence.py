@@ -1,17 +1,34 @@
 """Classical counterparts of quantum oracles under per-qubit computational
 basis choices, and the complete two-qubit classification.
 
-The extraction side stacks the dense matrices of k oracles on the same
-qubits, conjugates the whole stack by a product of single-qubit basis
-changes, one 2x2 pass per row or column qubit, and tests every conjugated
-matrix at once for being a generalized permutation.  The chi/eta grid is
-walked in Gray-code order, so each assignment costs two passes over the
-stack.  On larger stacks each assignment is first screened on a few
-product-state columns, which rejects most of those that admit nothing
-before any dense work.  The classification side computes the three local
-invariants of a 4x4 unitary in the magic basis and matches them against the
-five possible counterpart classes, identified by the six cosets of the
-two-bit reversible gates modulo pre/post bit flips.
+Extraction has two engines, and each backend of ``OracleAction`` maps to
+one of them.
+
+A generalized permutation G = diag(phases) P on a chi/eta grid or a single
+chi/eta word goes to the table engine.  With S the eta qubits of a word and
+psi(x) the phase G puts on input x, H^S G H^S is again a generalized
+permutation exactly when P is affine over GF(2) on each S-fibre (the inputs
+that differ only on S) and maps it onto an output fibre, and psi is a
+character there times a constant: the affine-character criterion of
+Walsh-Hadamard analysis (O'Donnell, *Analysis of Boolean Functions*, 2014),
+which matches the affine/quadratic form of Clifford maps (Dehaene and
+De Moor, PRA 68, 042318, 2003).  The engine reduces the criterion to
+bit-flip tables built once per batch in O(k m^2 2^m) for k oracles on m
+qubits, decides every word of the grid at once from them, and builds each
+admitted word's counterpart in closed form in O(k 2^m).  No dense matrix is
+made.
+
+Matrix-backed actions, random product bases and other non-chi/eta words go
+to the dense engine.  It screens each assignment on a few product-state
+columns, which rejects most of those that admit nothing, then conjugates
+the stacked dense matrices of the k oracles by the product of single-qubit
+basis changes, one 2x2 pass per row or column qubit, and tests every
+conjugated matrix at once for being a generalized permutation.
+
+The classification side computes the three local invariants of a 4x4
+unitary in the magic basis and matches them against the five possible
+counterpart classes, identified by the six cosets of the two-bit reversible
+gates modulo pre/post bit flips.
 """
 
 from __future__ import annotations
@@ -23,13 +40,16 @@ from itertools import permutations
 import numpy as np
 
 from .matrixcore import (
+    _BLOCK,
     DEFAULT_TOL,
     MAGIC_Q,
+    GeneralizedPermutation,
     NonUnitaryError,
     SizeLimitError,
     apply_single_qubit,
     detect_stack,
     is_unitary,
+    num_bits,
     random_unitary,
 )
 from .oracleforge import OracleAction
@@ -106,8 +126,10 @@ class RandomSample:
     seed: int
 
 
-# Every extraction holds k dense 2^m x 2^m complex matrices, k * 4^m * 16 B,
-# and no space holds more assignments than the largest grid.
+# A permutation oracle's extraction holds a few (k, 2^m) tables, but it
+# returns every admitted counterpart as tuples of 2^m entries, and a chi/eta
+# grid can admit thousands of words: the output bounds this limit.  No space
+# holds more assignments than the largest grid.
 GRID_QUBIT_LIMIT = 13
 
 
@@ -143,18 +165,6 @@ def iter_assignments(space, m: int):
     raise ValueError(f"unknown search space {space!r}")
 
 
-def _dense_stack(actions) -> np.ndarray:
-    """A fresh (k, 2^m, 2^m) stack of the actions' dense matrices."""
-    mats = [action.as_matrix() for action in actions]
-    return mats[0][None] if len(mats) == 1 else np.stack(mats)
-
-
-def _change_basis(stack: np.ndarray, d: np.ndarray, j: int, m: int):
-    """In place: every matrix times D on column qubit j and D† on row qubit j."""
-    apply_single_qubit(stack, d.T, m + j, 2 * m, out=stack)
-    apply_single_qubit(stack, d.conj().T, j, 2 * m, out=stack)
-
-
 def conjugate(actions, bases) -> np.ndarray:
     """B†UB for the matrix U of every action, as a (k, 2^m, 2^m) stack.
 
@@ -164,10 +174,13 @@ def conjugate(actions, bases) -> np.ndarray:
     m = actions[0].m
     if len(bases) != m:
         raise ValueError(f"{len(bases)} bases given for an oracle on {m} qubits")
-    stack = _dense_stack(actions)
+    mats = [action.as_matrix() for action in actions]
+    stack = mats[0][None] if len(mats) == 1 else np.stack(mats)
     for j, basis in enumerate(bases):
         if not basis._is_standard:
-            _change_basis(stack, basis.matrix, j, m)
+            # every matrix times D on column qubit j and D† on row qubit j
+            apply_single_qubit(stack, basis.matrix.T, m + j, 2 * m, out=stack)
+            apply_single_qubit(stack, basis.matrix.conj().T, j, 2 * m, out=stack)
     return stack
 
 
@@ -207,29 +220,104 @@ def _screened(actions, bases, tol: float) -> bool:
     return all(_columns_admit(_columns(actions, bases, c), tol) for c in (0, len(bases) // 2))
 
 
-# Stacks up to this many entries are walked whole: a Gray step over them
-# costs less than the column-0 test of one word.
-_SMALL_STACK = 1 << 14
+def _by_bit(a: np.ndarray, b: int) -> np.ndarray:
+    """A (n, 2^m) array as a (n, 2^(m-1-b), 2, 2^b) view: axis 2 is bit b of
+    the index, so reversing it pairs every x with x ^ 2^b."""
+    return a.reshape(a.shape[0], -1, 2, 1 << b)
 
 
-def _gray_walk(actions, m: int):
-    """(name, assignment, B†UB stack) per chi/eta word in Gray-code order
-    (Knuth, TAOCP 7.2.1.1).  Each step moves one qubit between chi and eta, by
-    D = b†b′ = Hadamard either way, and overwrites the stack yielded before."""
-    stack = _dense_stack(actions)
-    code = 0
-    for step in range(1 << m):
-        if step:
-            bit = (step & -step).bit_length() - 1
-            code ^= 1 << bit
-            _change_basis(stack, ETA.matrix, m - 1 - bit, m)
-        yield (*_grid_assignment(code, m), stack)
+class _FlipTables:
+    """Bit-flip tables of k generalized permutations G = diag(phases) P on
+    the same m bits, each table one array over the k hypotheses.
 
+    Bit b of an index is qubit m - 1 - b, so the eta qubits of a chi/eta word
+    form the mask s whose grid code is the word.  With psi(x) the phase G
+    puts on input x and e_b = 2^b, the tables are, per bit b:
 
-def _walk_pays(kept, m: int) -> bool:
-    """Whether a walk of the whole grid, two 2x2 passes per word, takes fewer
-    passes than conjugating each kept assignment from U."""
-    return sum(2 * sum(not basis._is_standard for basis in b) for _, b in kept) > 2 << m
+    - D_b(x) = P(x) ^ P(x ^ e_b), and ``reach[b]``, its OR over every x and
+      hypothesis;
+    - T_b(x): psi(x ^ e_b) / psi(x) is within tol of -1;
+    - ``signed[b]``: every such ratio is within tol of +1 or -1;
+    - ``flat[i, j]``: D_i and T_i are unchanged when bit j of x flips, a
+      second difference of P and of psi, so symmetric in i and j;
+    - ``back``, bit b of B(w) = parity(D_b(x) & w) ^ T_b(x) with x = P⁻¹(w).
+    """
+
+    def __init__(self, perms, tol: float):
+        self.inv = np.stack([gp._arrays[0] for gp in perms])
+        k, dim = self.inv.shape
+        self.m = m = num_bits(dim)
+        self.tol = tol
+        self.rows = rows = np.arange(k)[:, None]
+        self.p = np.empty_like(self.inv)
+        self.p[rows, self.inv] = np.arange(dim)
+        self.psi = np.stack([gp._arrays[1] for gp in perms])[rows, self.p]
+        # Every entry of a counterpart is some psi(x) or -psi(x), so each must
+        # pass the dense detector's test: modulus above tol and within tol of 1.
+        mags = np.abs(self.psi)
+        self.unit = bool(((mags > tol) & (np.abs(mags - 1.0) <= tol)).all())
+        diff = np.empty((m, k, dim), dtype=self.p.dtype)
+        minus = np.empty((m, k, dim), dtype=bool)
+        self.signed = np.empty(m, dtype=bool)
+        for b in range(m):
+            pb, sb, tb = _by_bit(self.p, b), _by_bit(self.psi, b), _by_bit(minus[b], b)
+            np.bitwise_xor(pb, pb[:, :, ::-1], out=_by_bit(diff[b], b))
+            ratio = sb[:, :, ::-1] / sb
+            np.less_equal(np.abs(ratio + 1.0), tol, out=tb)
+            self.signed[b] = (tb | (np.abs(ratio - 1.0) <= tol)).all()
+        self.reach = np.bitwise_or.reduce(diff.reshape(m, -1), axis=1)
+        self.flat = np.empty((m, m), dtype=bool)
+        for j in range(m):
+            d, t = _by_bit(diff.reshape(m * k, dim), j), _by_bit(minus.reshape(m * k, dim), j)
+            still = (d == d[:, :, ::-1]) & (t == t[:, :, ::-1])
+            self.flat[:, j] = still.reshape(m, -1).all(axis=1)
+        at_inv = np.s_[:, rows, self.inv]
+        bits = (np.bitwise_count(diff[at_inv] & np.arange(dim)) & 1).astype(bool) ^ minus[at_inv]
+        self.back = np.bitwise_or.reduce(bits.astype(self.p.dtype) << np.arange(m)[:, None, None],
+                                         axis=0)
+
+    def admitted(self, words: np.ndarray) -> np.ndarray:
+        """The eta masks among ``words`` under which every G has a
+        counterpart: every phase passes the detector's test and, for all
+        i, j in s, reach[i] ⊆ s, the ratios of bit i are ±1, and flipping
+        bit j leaves D_i and T_i unchanged."""
+        ok = np.full(words.shape, self.unit)
+        for i in range(self.m):
+            inside = (words & self.reach[i]) == self.reach[i]
+            ok &= ((words >> i) & 1 == 0) | (inside & self.signed[i])
+            for j in range(i):
+                if not self.flat[i, j]:
+                    pair = (1 << i) | (1 << j)
+                    ok &= (words & pair) != pair
+        return words[ok]
+
+    def counterparts(self, words: np.ndarray):
+        """Per eta mask s of ``words``, the tuple of the k counterparts Q of
+        H^S G H^S, in closed form: with x0 = P⁻¹(w) & ~s, Q⁻¹(w) is
+        x0 | (B(w) & s) and the phase of output w is
+        psi(x0) (-1)^parity(P(x0) & s & w).  Built in blocks of about
+        ``_BLOCK`` entries.  The tuples share one object per distinct entry
+        value, so a grid of thousands of counterparts holds pointers, not
+        2^m fresh numbers each."""
+        k, dim = self.inv.shape
+        w = np.arange(dim)
+        values, at = np.unique(self.psi, return_inverse=True)
+        at = at.reshape(k, dim)
+        ints = list(range(dim))
+        phases = values.tolist() + (-values).tolist()
+        per = max(1, _BLOCK // (k * dim))
+        for start in range(0, len(words), per):
+            s = words[start:start + per, None, None]
+            x0 = self.inv & ~s
+            qinv = x0 | (self.back & s)
+            odd = np.bitwise_count(self.p[self.rows, x0] & s & w) & 1
+            phase_at = at[self.rows, x0] + odd.astype(at.dtype) * len(values)
+            perm = np.empty_like(qinv)
+            np.put_along_axis(perm, qinv, np.broadcast_to(w, qinv.shape), axis=-1)
+            for perms, ats in zip(perm.tolist(), phase_at.tolist()):
+                yield tuple(GeneralizedPermutation(self.m, tuple(map(ints.__getitem__, pr)),
+                                                   tuple(map(phases.__getitem__, ph)), self.tol)
+                            for pr, ph in zip(perms, ats))
 
 
 def extract_batch(actions, space, tol: float = DEFAULT_TOL):
@@ -237,36 +325,33 @@ def extract_batch(actions, space, tol: float = DEFAULT_TOL):
 
     The actions act on the same m qubits, typically one oracle per
     hypothesis.  Returns (name, assignment, counterparts) triples, one
-    counterpart per action, in the space's order.  A grid of small stacks
-    is walked whole in Gray-code order.  Otherwise every assignment is
-    screened on its first columns, and the ones that pass are conjugated
-    from U directly, or picked out of a grid walk when that is cheaper.
+    counterpart per action, in the space's order.  Permutation-backed
+    actions on a grid or a chi/eta word are decided and built from their
+    bit-flip tables.  Otherwise every assignment is screened on its first
+    columns, and the ones that pass are conjugated and detected whole.
     """
     m = actions[0].m
     if any(action.m != m for action in actions):
         raise ValueError("all actions must act on the same number of qubits")
     assignments = iter_assignments(space, m)  # checks the limits before any allocation
-    grid = isinstance(space, PauliGrid)
-    if grid and len(actions) << 2 * m <= _SMALL_STACK:
-        # Column 0 of the walked stack rejects most words before detection.
-        conjugations = ((name, b, stack) for name, b, stack in _gray_walk(actions, m)
-                        if _columns_admit(stack[:, :, :1], tol))
-    else:
-        # The assignments that pass the screen are conjugated one by one, or
-        # by a walk of the grid when that takes fewer 2x2 passes.
-        kept = [(name, b) for name, b in assignments if _screened(actions, b, tol)]
-        if grid and _walk_pays(kept, m):
-            names = {name for name, _ in kept}
-            conjugations = (hit for hit in _gray_walk(actions, m) if hit[0] in names)
-        else:
-            conjugations = ((name, b, conjugate(actions, b)) for name, b in kept)
-    found = []
-    for name, bases, stack in conjugations:
-        gps = detect_stack(stack, tol)
-        if all(gp is not None for gp in gps):
-            found.append((name, bases, tuple(gps)))
+    perms = [action.permutation for action in actions]
     if isinstance(space, PauliGrid):
-        found.sort(key=lambda hit: hit[0])  # C < H: lexicographic is code order
+        words = np.arange(1 << m)
+    elif isinstance(space, tuple) and all(b is CHI or b is ETA for b in space):
+        words = np.array([sum(1 << (m - 1 - j) for j, b in enumerate(space) if b is ETA)])
+    else:
+        words = None
+    if words is not None and all(gp is not None for gp in perms):
+        tables = _FlipTables(perms, tol)
+        hits = tables.admitted(words)
+        return [(*_grid_assignment(code, m), gps)
+                for code, gps in zip(hits.tolist(), tables.counterparts(hits))]
+    found = []
+    for name, bases in assignments:
+        if _screened(actions, bases, tol):
+            gps = detect_stack(conjugate(actions, bases), tol)
+            if all(gp is not None for gp in gps):
+                found.append((name, bases, tuple(gps)))
     return found
 
 

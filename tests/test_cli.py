@@ -309,6 +309,34 @@ def test_simulate_reads_the_tolerance(tmp_path, capsys, monkeypatch):
         assert "QCORR_TOL is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-5", "-1", "-1e-12", "nan", "NaN", "-inf"])
+def test_negative_or_nan_tolerance_exits_2(tmp_path, capsys, monkeypatch, value):
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({"n": 2, "k0": 0, "k": [1, 1]}))
+    matrix = write_matrix(tmp_path / "m.json", CNOT12)
+    runs = [
+        ["simulate", "--algorithm", "bv", "--k", "101"],
+        ["simulate", "--algorithm", "parity", "--truth", "0110"],
+        ["counterparts", "--oracle", "standard", "--bv", str(bv), "--bases", "GRID"],
+        ["counterparts", "--oracle", "phase", "--bv", str(bv), "--bases", "HC"],
+        ["classify", "--matrix", matrix],
+        ["complexity", "--problem", "bv", "--n", "2", "--oracle", "extracted:HHH"],
+        ["speedup", "--problem", "parity", "--n", "1"],
+    ]
+    for argv in runs:
+        assert main(argv + [f"--tol={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must be a number >= 0, got {float(value)!r}\n"
+    monkeypatch.setenv("QCORR_TOL", value)
+    for argv in runs:
+        assert main(argv) == 2
+        assert "QCORR_TOL must be a number >= 0" in capsys.readouterr().err
+        # a valid flag wins over a bad environment
+        assert main(argv + ["--tol", "1e-9"]) == 0
+        capsys.readouterr()
+
+
 def test_parser_is_built_once_and_survives_errors(tmp_path, capsys):
     path = write_matrix(tmp_path / "m.json", CNOT12)
     calls = [
