@@ -3,7 +3,8 @@ speedup.  Every subcommand prints a single JSON document on stdout.
 
 Exit codes: 0 success, 2 malformed input, 3 non-unitary matrix, 4 size limit
 exceeded.  QCORR_TOL overrides the default tolerance; an explicit --tol flag
-wins over the environment.  A negative or NaN tolerance exits 2.
+wins over the environment.  A negative or NaN tolerance exits 2, as does a
+``simulate`` tolerance too tight for the simulation's own checks.
 
 The problems (``--problem``) and the named classical oracles (``complexity
 --oracle``) are the keys of ``querylab.PROBLEMS`` and ``querylab.ORACLES``;
@@ -161,6 +162,15 @@ def cmd_complexity(args) -> dict:
     return {"queries": None if math.isinf(depth) else int(depth)}
 
 
+def _checked_run(run, instance, tol: float):
+    """The quantum run's result; its checks hold at the default tolerance, so
+    one that fails means a tolerance too tight to meet: malformed input."""
+    try:
+        return run(instance, tol=tol)
+    except RuntimeError as exc:
+        raise ValueError(f"simulation check failed at tolerance {tol!r}: {exc}") from None
+
+
 def cmd_simulate(args) -> dict:
     tol = _resolve_tol(args)
     if args.algorithm == "bv":
@@ -171,7 +181,7 @@ def cmd_simulate(args) -> dict:
         if n != len(k):
             raise ValueError(f"--n {n} does not match --k length {len(k)}")
         inst = BVInstance(n, args.k0, k)
-        recovered, queries = querylab.run_bv_quantum(inst, tol=tol)
+        recovered, queries = _checked_run(querylab.run_bv_quantum, inst, tol)
         return {"k": "".join(str(b) for b in recovered), "queries": queries}
     if args.function:
         f = BooleanFunction.from_json(_load_json_file(args.function))
@@ -183,7 +193,7 @@ def cmd_simulate(args) -> dict:
         f = BooleanFunction(size.bit_length() - 1, truth)
     else:
         raise ValueError("parity simulation needs --function or --truth")
-    parity, queries = querylab.run_parity_quantum(f, tol=tol)
+    parity, queries = _checked_run(querylab.run_parity_quantum, f, tol)
     return {"parity": parity, "queries": queries}
 
 

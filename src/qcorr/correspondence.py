@@ -59,10 +59,11 @@ class QubitBasis:
     """Orthonormal pair of single-qubit states used as the 0/1 encoding.
 
     ``matrix`` holds the pair as columns.  ``label`` is 'C' for the standard
-    pair, 'H' for the Hadamard-rotated pair, '?' for anything else.
+    pair, 'H' for the Hadamard-rotated pair, '?' for anything else.  Only
+    ``CHI`` itself skips its 2x2 passes, not another identity matrix.
     """
 
-    __slots__ = ("label", "matrix", "_is_standard")
+    __slots__ = ("label", "matrix")
 
     def __init__(self, label: str, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -72,7 +73,6 @@ class QubitBasis:
             raise ValueError("basis columns must be orthonormal within 1e-12")
         self.label = label
         self.matrix = matrix
-        self._is_standard = bool(np.allclose(matrix, np.eye(2), atol=1e-15))
 
     def __repr__(self):
         return f"QubitBasis({self.label!r})"
@@ -177,7 +177,7 @@ def conjugate(actions, bases) -> np.ndarray:
     mats = [action.as_matrix() for action in actions]
     stack = mats[0][None] if len(mats) == 1 else np.stack(mats)
     for j, basis in enumerate(bases):
-        if not basis._is_standard:
+        if basis is not CHI:
             # every matrix times D on column qubit j and D† on row qubit j
             apply_single_qubit(stack, basis.matrix.T, m + j, 2 * m, out=stack)
             apply_single_qubit(stack, basis.matrix.conj().T, j, 2 * m, out=stack)
@@ -194,7 +194,7 @@ def _columns(actions, bases, c: int) -> np.ndarray:
         states = np.kron(states, basis.matrix if j >= m - c else basis.matrix[:, :1])
     cols = np.stack([action.apply(states) for action in actions])
     for j, basis in enumerate(bases):
-        if not basis._is_standard:
+        if basis is not CHI:
             apply_single_qubit(cols, basis.matrix.conj().T, j, m + c, out=cols)
     return cols
 

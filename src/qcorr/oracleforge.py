@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import GeneralizedPermutation
+from .matrixcore import DEFAULT_TOL, GeneralizedPermutation, num_bits
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class OracleAction:
         elif permutation.m != m:
             raise ValueError(f"permutation is on {permutation.m} bits, expected {m}")
 
-    def _check_norm_preservation(self, tol: float = 1e-9):
+    def _check_norm_preservation(self, tol: float = DEFAULT_TOL):
         rng = np.random.default_rng(0xC0FFEE)
         for _ in range(3):
             v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
@@ -128,10 +128,7 @@ class OracleAction:
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "OracleAction":
         mat = np.asarray(mat, dtype=complex)
-        dim = mat.shape[0]
-        if dim < 2 or dim & (dim - 1):
-            raise ValueError("matrix dimension must be a power of two >= 2")
-        return cls(dim.bit_length() - 1, matrix=mat)
+        return cls(num_bits(mat.shape[0]), matrix=mat)
 
     @property
     def dim(self) -> int:

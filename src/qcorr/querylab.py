@@ -172,13 +172,13 @@ def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
 
 
 def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
-    """The bitmask engine behind the query count and its witness tree.
+    """The bitmask search behind the query count and its witness tree.
 
-    Returns ``(depth, queries, full)``.  Hypothesis i is bit i of a set
-    mask and ``full`` is the set of all hypotheses.  ``queries`` holds one
-    ``(query string, {output: mask})`` per distinct partition of ``full``;
-    a query that does not split ``full`` is dropped.  ``depth(mask)`` is the
-    exact cost of that set, memoized by the mask.
+    Returns ``(count, choices)``.  Hypothesis i is bit i of a set mask and
+    ``count`` is the exact cost of the full set.  Each set the search solves
+    is memoized by its mask, and ``choices`` maps it to the first
+    ``(query string, {output: mask})`` in query order that attains its cost
+    (None if none does).  A search too deep to recurse raises SizeLimitError.
     """
     hyps = problem.hypotheses
     if len(family.maps) != len(hyps):
@@ -210,6 +210,7 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     # leaves, and a set with L labels needs L label-pure leaves.
     branching = max((len(parts) for _, parts in queries), default=2)
     memo: dict[int, float] = {}
+    choices: dict[int, tuple | None] = {}
 
     def depth(s: int):
         low = label_of[(s & -s).bit_length() - 1]
@@ -222,9 +223,9 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
         bound, leaves = 0, 1
         while leaves < labels:
             bound, leaves = bound + 1, leaves * branching
-        best = math.inf
+        best, pick = math.inf, None
         tried = set()
-        for _, parts in queries:
+        for q, parts in queries:
             kids = [kid for kid in (s & mask for mask in parts.values()) if kid]
             if len(kids) < 2:
                 continue
@@ -239,13 +240,21 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
                 if worst + 1 >= best:
                     break
             else:
-                best = worst + 1
+                best, pick = worst + 1, (q, parts)
                 if best <= bound:
                     break
-        memo[s] = best
+        memo[s], choices[s] = best, pick
         return best
 
-    return depth, queries, (1 << len(hyps)) - 1
+    try:
+        return depth((1 << len(hyps)) - 1), choices
+    except RecursionError:
+        # One frame per level of nested sets: a family whose queries peel off
+        # one hypothesis at a time nests as deep as the hypothesis count.
+        raise SizeLimitError(
+            f"minimax search over {len(hyps)} hypotheses nests deeper "
+            f"than Python's recursion limit ({sys.getrecursionlimit()})"
+        ) from None
 
 
 def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracleFamily):
@@ -263,11 +272,7 @@ def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracle
     the most outputs of any query, a shallower tree has too few leaves.
     Returns math.inf when no query sequence can separate the labels.
     """
-    depth, _, full = _minimax(problem, family)
-    try:
-        return depth(full)
-    except RecursionError:
-        raise _too_deep(problem) from None
+    return _minimax(problem, family)[0]
 
 
 def decision_tree(problem: ProblemSpec, family: ClassicalOracleFamily):
@@ -275,36 +280,20 @@ def decision_tree(problem: ProblemSpec, family: ClassicalOracleFamily):
 
     A leaf is a label.  An inner node is ``(query, {output: subtree})``:
     submit the query string and follow the branch of the observed output.
-    At a set of depth d the node asks the first query whose parts all have
-    depth at most d - 1, so the tree's depth is the query count.
+    The tree replays the choices of the count's search, with no search of
+    its own: at a set of depth d it asks the first query whose parts all
+    have depth at most d - 1, so the tree's depth is the query count.
     """
-    depth, queries, full = _minimax(problem, family)
+    count, choices = _minimax(problem, family)
     labels = [h.label for h in problem.hypotheses]
 
     def build(s: int):
-        d = depth(s)
-        if d == 0:
+        if s not in choices:  # a label-pure set
             return labels[(s & -s).bit_length() - 1]
-        for q, parts in queries:
-            kids = {out: s & mask for out, mask in parts.items() if s & mask}
-            if len(kids) > 1 and all(depth(kid) < d for kid in kids.values()):
-                return q, {out: build(kid) for out, kid in kids.items()}
-        raise RuntimeError("no query attains the memoized depth")
+        q, parts = choices[s]
+        return q, {out: build(s & mask) for out, mask in parts.items() if s & mask}
 
-    try:
-        return None if math.isinf(depth(full)) else build(full)
-    except RecursionError:
-        raise _too_deep(problem) from None
-
-
-def _too_deep(problem: ProblemSpec) -> SizeLimitError:
-    # The search recurses once per level of nested hypothesis sets, so a
-    # family whose queries peel off one hypothesis at a time nests as deep
-    # as the hypothesis count.
-    return SizeLimitError(
-        f"minimax search over {len(problem.hypotheses)} hypotheses nests deeper "
-        f"than Python's recursion limit ({sys.getrecursionlimit()})"
-    )
+    return None if math.isinf(count) else build((1 << len(labels)) - 1)
 
 
 def _assert_normalized(states: np.ndarray, tol: float = DEFAULT_TOL):

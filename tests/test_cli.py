@@ -337,6 +337,30 @@ def test_negative_or_nan_tolerance_exits_2(tmp_path, capsys, monkeypatch, value)
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["simulate", "--algorithm", "bv", "--k", "101"], '{"k": "101", "queries": 1}\n'),
+    (["simulate", "--algorithm", "parity", "--truth", "0110"], '{"parity": 0, "queries": 2}\n'),
+], ids=["bv", "parity"])
+def test_simulate_tolerance_below_its_checks_exits_2(capsys, monkeypatch, argv, want):
+    # A norm is rounded to within a few ulps of 1, so a tolerance of 0 (or
+    # 1e-300) fails the run's own check: malformed input, not a crash.
+    def refused(run, value):
+        assert main(run) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: simulation check failed at tolerance {float(value)!r}: ")
+        assert captured.err.count("\n") == 1
+
+    for value in ("0", "1e-300"):
+        refused(argv + ["--tol", value], value)
+    monkeypatch.setenv("QCORR_TOL", "0")
+    refused(argv, "0")
+    monkeypatch.delenv("QCORR_TOL")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (want, "")
+
+
 def test_parser_is_built_once_and_survives_errors(tmp_path, capsys):
     path = write_matrix(tmp_path / "m.json", CNOT12)
     calls = [

@@ -62,7 +62,7 @@ def reference_column(action, bases, col):
         vec = np.kron(vec, basis.matrix[:, bit])
     out = action.apply(vec)
     for j, basis in enumerate(bases):
-        if not basis._is_standard:
+        if basis is not CHI:
             out = reference_apply_single_qubit(out, basis.matrix.conj().T, j, m)
     return out
 
@@ -433,3 +433,45 @@ def test_other_spaces_of_permutation_oracles_take_the_dense_engine(monkeypatch):
     for (_, _, gps), (_, hit) in zip(found, want):
         for gp in gps:
             assert_same_hit(gp, hit)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_chi_is_known_by_identity(m, monkeypatch):
+    """The engines skip a qubit's 2x2 passes exactly when its basis is CHI.
+    The identity matrix wrapped as a general basis gets its passes, and
+    changes no bit of the result."""
+    rng = np.random.default_rng([m, 29])
+    passes = []
+    kernel = correspondence.apply_single_qubit
+
+    def counted(state, u2, qubit, width, out=None):
+        passes.append(qubit % m)
+        return kernel(state, u2, qubit, width, out=out)
+
+    monkeypatch.setattr(correspondence, "apply_single_qubit", counted)
+    same = general_basis(np.eye(2))
+    perm = permutation_action(rng, m, "random", "random")
+    matrix = OracleAction.from_matrix(random_unitary(1 << m, rng))
+    words = [(CHI,) * m] + [tuple(ETA if bit else CHI for bit in rng.integers(0, 2, m))
+                            for _ in range(4)]
+
+    def run(actions, bases):
+        """conjugate and _columns under ``bases``, each with the qubits
+        its passes touched."""
+        results = []
+        for call, args in [(correspondence.conjugate, ())] + [
+                (correspondence._columns, (c,)) for c in (0, m // 2)]:
+            passes.clear()
+            results.append((call(actions, bases, *args), sorted(passes)))
+        return results
+
+    for actions in ([perm], [matrix], [perm, matrix]):
+        for word in words:
+            twin = tuple(same if b is CHI else b for b in word)
+            rotated = [j for j, b in enumerate(word) if b is not CHI]
+            got, want = run(actions, word), run(actions, twin)
+            assert [touched for _, touched in got] == [sorted(2 * rotated), rotated, rotated]
+            assert [touched for _, touched in want] == [sorted(2 * list(range(m))),
+                                                        list(range(m)), list(range(m))]
+            for (a, _), (b, _) in zip(got, want):
+                assert np.array_equal(a, b)

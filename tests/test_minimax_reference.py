@@ -1,5 +1,6 @@
 """Differential tests: the bitmask minimax engine against the tuple-keyed
-recursion it replaced, and an independent check of its witness trees.
+recursion it replaced, and an independent check of its witness trees, which
+must also be the trees of the rule in ``reference_tree``.
 
 The reference below is the earlier implementation, kept here and nowhere
 else: hypothesis sets are sorted id tuples, every query string is tried at
@@ -28,9 +29,17 @@ from qcorr.querylab import (
 )
 
 
-def reference_complexity(problem, family):
-    hyps = problem.hypotheses
-    labels = [h.label for h in hyps]
+def groups_of(perms, ids, q):
+    """The ids of a set grouped by the output of query string q."""
+    groups = {}
+    for i in ids:
+        groups.setdefault(perms[i][q], []).append(i)
+    return {out: tuple(group) for out, group in groups.items()}
+
+
+def reference_depths(problem, family):
+    """The exact cost of a set of hypothesis ids (a sorted tuple)."""
+    labels = problem.labels()
     perms = [gp.perm for gp in family.maps]
     query_strings = range(1 << family.m)
     memo = {}
@@ -44,14 +53,12 @@ def reference_complexity(problem, family):
             return cached
         best = math.inf
         for q in query_strings:
-            groups = {}
-            for i in ids:
-                groups.setdefault(perms[i][q], []).append(i)
+            groups = groups_of(perms, ids, q)
             if len(groups) == 1:
                 continue
             worst = 0
             for out in sorted(groups):
-                worst = max(worst, depth(tuple(groups[out])))
+                worst = max(worst, depth(groups[out]))
                 if worst + 1 >= best:
                     break
             else:
@@ -61,7 +68,33 @@ def reference_complexity(problem, family):
         memo[ids] = best
         return best
 
-    return depth(tuple(range(len(hyps))))
+    return depth
+
+
+def reference_complexity(problem, family):
+    return reference_depths(problem, family)(tuple(range(len(problem.hypotheses))))
+
+
+def reference_tree(problem, family):
+    """The witness tree by the rule the count's search must record: at a set
+    of depth d, ask the smallest query string that splits the set into at
+    least two groups, all of depth below d, and branch on its outputs."""
+    depth = reference_depths(problem, family)
+    labels = problem.labels()
+    perms = [gp.perm for gp in family.maps]
+
+    def build(ids):
+        d = depth(ids)
+        if d == 0:
+            return labels[ids[0]]
+        for q in range(1 << family.m):
+            groups = groups_of(perms, ids, q)
+            if len(groups) > 1 and all(depth(group) < d for group in groups.values()):
+                return q, {out: build(group) for out, group in groups.items()}
+        raise AssertionError(f"no query attains depth {d}")
+
+    full = tuple(range(len(labels)))
+    return None if math.isinf(depth(full)) else build(full)
 
 
 def check_tree(problem, family, tree, count):
@@ -183,7 +216,9 @@ def test_random_families():
         want = reference_complexity(problem, family)
         got = deterministic_query_complexity(problem, family)
         assert got == want
-        check_tree(problem, family, decision_tree(problem, family), got)
+        tree = decision_tree(problem, family)
+        check_tree(problem, family, tree, got)
+        assert tree == reference_tree(problem, family)
         if math.isinf(want):
             seen["inf"] += 1
         if len(problem.hypotheses) == 1:
@@ -210,7 +245,20 @@ def test_named_family_trees(name, n, oracle):
 @pytest.mark.parametrize("name,n", EXTRACTED, ids=[f"{p}{n}" for p, n in EXTRACTED])
 def test_extracted_family_trees(name, n):
     problem, families = extracted(name, n)
-    for _, family in families:
+    for word, family in families:
         count = deterministic_query_complexity(problem, family)
-        check_tree(problem, family, decision_tree(problem, family), count)
+        tree = decision_tree(problem, family)
+        check_tree(problem, family, tree, count)
+        assert tree == reference_tree(problem, family), word
+
+
+TREES = [("bv", n, o) for n in (1, 2, 3) for o in ("OS", "OA", "OB", "OBT")]
+TREES += [("parity", n, o) for n in (1, 2) for o in ("OS", "OA")]
+
+
+@pytest.mark.parametrize("name,n,oracle", TREES, ids=named_ids(TREES))
+def test_named_trees_follow_the_reference_rule(name, n, oracle):
+    problem = PROBLEMS[name](n)
+    family = named_family(problem, oracle)
+    assert decision_tree(problem, family) == reference_tree(problem, family)
 
