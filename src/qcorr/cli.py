@@ -21,6 +21,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .matrixcore import (
     DEFAULT_TOL,
     NonUnitaryError,
@@ -141,8 +143,8 @@ def cmd_counterparts(args) -> list:
     return [
         {
             "bases": name,
-            "perm": cycle_notation(gp.perm),
-            "phases_present": bool(any(abs(p - 1.0) > tol for p in gp.phases)),
+            "perm": cycle_notation(gp._perm.tolist()),
+            "phases_present": bool((np.abs(gp._phases - 1.0) > tol).any()),
         }
         for name, _, gp in found
     ]

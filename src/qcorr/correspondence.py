@@ -69,7 +69,7 @@ class QubitBasis:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError("basis matrix must be 2x2")
-        if np.max(np.abs(matrix.conj().T @ matrix - np.eye(2))) > 1e-12:
+        if not np.max(np.abs(matrix.conj().T @ matrix - np.eye(2))) <= 1e-12:
             raise ValueError("basis columns must be orthonormal within 1e-12")
         self.label = label
         self.matrix = matrix
@@ -127,7 +127,7 @@ class RandomSample:
 
 
 # A permutation oracle's extraction holds a few (k, 2^m) tables, but it
-# returns every admitted counterpart as tuples of 2^m entries, and a chi/eta
+# returns every admitted counterpart as arrays of 2^m entries, and a chi/eta
 # grid can admit thousands of words: the output bounds this limit.  No space
 # holds more assignments than the largest grid.
 GRID_QUBIT_LIMIT = 13
@@ -244,14 +244,14 @@ class _FlipTables:
     """
 
     def __init__(self, perms, tol: float):
-        self.inv = np.stack([gp._arrays[0] for gp in perms])
-        k, dim = self.inv.shape
+        self.p = np.stack([gp._perm for gp in perms])
+        k, dim = self.p.shape
         self.m = m = num_bits(dim)
         self.tol = tol
         self.rows = rows = np.arange(k)[:, None]
-        self.p = np.empty_like(self.inv)
-        self.p[rows, self.inv] = np.arange(dim)
-        self.psi = np.stack([gp._arrays[1] for gp in perms])[rows, self.p]
+        self.inv = np.empty_like(self.p)
+        self.inv[rows, self.p] = np.arange(dim)
+        self.psi = np.stack([gp._phases for gp in perms])[rows, self.p]
         # Every entry of a counterpart is some psi(x) or -psi(x), so each must
         # pass the dense detector's test: modulus above tol and within tol of 1.
         mags = np.abs(self.psi)
@@ -295,29 +295,24 @@ class _FlipTables:
         """Per eta mask s of ``words``, the tuple of the k counterparts Q of
         H^S G H^S, in closed form: with x0 = P⁻¹(w) & ~s, Q⁻¹(w) is
         x0 | (B(w) & s) and the phase of output w is
-        psi(x0) (-1)^parity(P(x0) & s & w).  Built in blocks of about
-        ``_BLOCK`` entries.  The tuples share one object per distinct entry
-        value, so a grid of thousands of counterparts holds pointers, not
-        2^m fresh numbers each."""
+        psi(x0) (-1)^parity(P(x0) & s & w).  Built, and checked, in blocks
+        of about ``_BLOCK`` entries."""
         k, dim = self.inv.shape
         w = np.arange(dim)
-        values, at = np.unique(self.psi, return_inverse=True)
-        at = at.reshape(k, dim)
-        ints = list(range(dim))
-        phases = values.tolist() + (-values).tolist()
         per = max(1, _BLOCK // (k * dim))
         for start in range(0, len(words), per):
             s = words[start:start + per, None, None]
             x0 = self.inv & ~s
             qinv = x0 | (self.back & s)
-            odd = np.bitwise_count(self.p[self.rows, x0] & s & w) & 1
-            phase_at = at[self.rows, x0] + odd.astype(at.dtype) * len(values)
+            odd = (np.bitwise_count(self.p[self.rows, x0] & s & w) & 1).astype(bool)
+            phases = self.psi[self.rows, x0]
+            np.negative(phases, out=phases, where=odd)
             perm = np.empty_like(qinv)
             np.put_along_axis(perm, qinv, np.broadcast_to(w, qinv.shape), axis=-1)
-            for perms, ats in zip(perm.tolist(), phase_at.tolist()):
-                yield tuple(GeneralizedPermutation(self.m, tuple(map(ints.__getitem__, pr)),
-                                                   tuple(map(phases.__getitem__, ph)), self.tol)
-                            for pr, ph in zip(perms, ats))
+            gps = GeneralizedPermutation.batch(self.m, perm.reshape(-1, dim),
+                                               phases.reshape(-1, dim), self.tol)
+            for i in range(0, len(gps), k):
+                yield tuple(gps[i:i + k])
 
 
 def extract_batch(actions, space, tol: float = DEFAULT_TOL):

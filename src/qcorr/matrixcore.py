@@ -12,8 +12,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -140,43 +139,121 @@ def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
     return res
 
 
-@dataclass(frozen=True)
+def _checked_tables(m: int, perms, phases, tol: float):
+    """Read-only copies of the perms and phases of one map, shape (2^m,), or
+    of k maps, shape (k, 2^m), once every row is checked: its perm is a
+    bijection on 0 .. 2^m - 1 and each of its phases has modulus within tol
+    of one, which NaN fails."""
+    dim = 1 << m
+    perms = np.array(perms)
+    phases = np.array(phases, dtype=complex)
+    if perms.shape[-1:] != (dim,) or perms.ndim > 2 or phases.shape != perms.shape:
+        raise ValueError(f"perm/phases length must be 2**m = {dim}")
+    if perms.dtype.kind not in "iu":
+        raise ValueError(f"perm entries must be integers, not {perms.dtype}")
+    perms = perms.astype(np.intp, copy=False)
+    if perms.size:
+        # Read as unsigned, a negative entry is too large as well.  Once all
+        # lie in 0 .. dim - 1, row r counts its entries in bins r*dim ..
+        # r*dim + dim - 1, and every bin is hit exactly when every row is a
+        # bijection.
+        size = perms.size
+        flat = perms if perms.ndim == 1 else perms + np.arange(0, size, dim)[:, None]
+        if not (perms.view(np.uintp).max() < dim
+                and np.count_nonzero(np.bincount(flat.ravel(), minlength=size)) == size):
+            raise ValueError("perm is not a bijection on the m-bit strings")
+        if not np.abs(np.abs(phases) - 1.0).max() <= tol:
+            raise ValueError("phases must all have unit modulus within tol")
+    perms.flags.writeable = phases.flags.writeable = False
+    return perms, phases
+
+
 class GeneralizedPermutation:
     """Permutation of m-bit strings with a unit-modulus phase per output string.
 
     The matrix form is ``diag(phases) @ P`` with ``P[perm[j], j] = 1``, i.e.
     basis state ``j`` maps to ``phases[perm[j]] * |perm[j]>``.
+
+    A map is stored as two read-only arrays of 2^m entries, copied from the
+    input and checked once.  ``perm`` and ``phases`` are tuples of Python
+    ints and complexes, built from them on first access; equality, hashing
+    and repr mean what they would on those tuples.  ``batch`` checks and
+    builds k maps from (k, 2^m) tables in one pass.  Instances are immutable.
     """
 
-    m: int
-    perm: tuple[int, ...]
-    phases: tuple[complex, ...]
-    tol: InitVar[float] = DEFAULT_TOL
+    # The last three are caches, each set on first use.
+    __slots__ = ("m", "_perm", "_phases", "_inv", "_perm_tuple", "_phases_tuple")
 
-    def __post_init__(self, tol):
-        dim = 1 << self.m
-        if len(self.perm) != dim or len(self.phases) != dim:
-            raise ValueError(f"perm/phases length must be 2**m = {dim}")
-        if sorted(self.perm) != list(range(dim)):
-            raise ValueError("perm is not a bijection on the m-bit strings")
-        mags = np.abs(np.asarray(self.phases))
-        if np.max(np.abs(mags - 1.0)) > tol:
-            raise ValueError("phases must all have unit modulus within tol")
+    def __init__(self, m: int, perm, phases, tol: float = DEFAULT_TOL):
+        self._fill(m, *_checked_tables(m, perm, phases, tol))
+
+    @classmethod
+    def batch(cls, m: int, perms, phases, tol: float = DEFAULT_TOL) -> list:
+        """The k maps whose perms and phases are the rows of two (k, 2^m)
+        tables, all checked in one pass; a ValueError if any row fails."""
+        perms, phases = _checked_tables(m, perms, phases, tol)
+        return [_unchecked(m, perm, ph) for perm, ph in zip(perms, phases)]
+
+    def _fill(self, m, perm, phases):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_perm", perm)
+        object.__setattr__(self, "_phases", phases)
+
+    def _cache(self, name, value):
+        object.__setattr__(self, name, value)
+        return value
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _unchecked, (self.m, self._perm, self._phases)
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        try:
+            return self._perm_tuple
+        except AttributeError:
+            return self._cache("_perm_tuple", tuple(self._perm.tolist()))
+
+    @property
+    def phases(self) -> tuple[complex, ...]:
+        try:
+            return self._phases_tuple
+        except AttributeError:
+            return self._cache("_phases_tuple", tuple(self._phases.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m == other.m and np.array_equal(self._perm, other._perm)
+                and np.array_equal(self._phases, other._phases))
+
+    def __hash__(self):
+        return hash((self.m, self.perm, self.phases))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(m={self.m!r}, perm={self.perm!r}, "
+                f"phases={self.phases!r})")
 
     @property
     def dim(self) -> int:
         return 1 << self.m
 
-    @cached_property
+    @property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The inverse of ``perm`` and ``phases``, as read-only arrays built
-        on first use.  Not a field, so equality, hashing and repr see only
-        the tuples."""
-        inv = np.empty(self.dim, dtype=np.intp)
-        inv[np.asarray(self.perm)] = np.arange(self.dim)
-        phases = np.asarray(self.phases, dtype=complex)
-        inv.flags.writeable = phases.flags.writeable = False
-        return inv, phases
+        """The inverse of ``perm``, built on first use, and the phases, as
+        read-only arrays."""
+        try:
+            return self._inv, self._phases
+        except AttributeError:
+            inv = np.empty(self.dim, dtype=np.intp)
+            inv[self._perm] = np.arange(self.dim)
+            inv.flags.writeable = False
+            return self._cache("_inv", inv), self._phases
 
     def as_matrix(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -198,7 +275,15 @@ class GeneralizedPermutation:
         return self.perm[x]
 
     def is_involution(self) -> bool:
-        return all(self.perm[self.perm[j]] == j for j in range(self.dim))
+        return np.array_equal(self._perm[self._perm], np.arange(self.dim))
+
+
+def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray) -> GeneralizedPermutation:
+    """A map from arrays already checked, as ``batch`` and unpickling have."""
+    gp = object.__new__(GeneralizedPermutation)
+    perm.flags.writeable = phases.flags.writeable = False
+    gp._fill(m, perm, phases)
+    return gp
 
 
 def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
@@ -234,8 +319,8 @@ def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     ok &= (hits.reshape(k, dim) == 1).all(axis=1)
     phases = np.zeros_like(entries)
     np.put_along_axis(phases, rows, entries, axis=1)
-    return [GeneralizedPermutation(m, tuple(perm), tuple(ph), tol) if good else None
-            for good, perm, ph in zip(ok.tolist(), rows.tolist(), phases.tolist())]
+    gps = iter(GeneralizedPermutation.batch(m, rows[ok], phases[ok], tol))
+    return [next(gps) if good else None for good in ok.tolist()]
 
 
 def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):

@@ -118,7 +118,7 @@ class OracleAction:
         for _ in range(3):
             v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
             v /= np.linalg.norm(v)
-            if abs(np.linalg.norm(self._matrix @ v) - 1.0) > tol:
+            if not abs(np.linalg.norm(self._matrix @ v) - 1.0) <= tol:
                 raise ValueError("matrix action does not preserve state norm")
 
     @classmethod
@@ -157,20 +157,15 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
     # bitwise_count returns uint8: the signs are taken in floats, where
     # 1 - 2 * 1 is -1 and not 255.
     parity = np.bitwise_count(np.arange(dim) & inst.k_int) & 1
-    phases = tuple((1.0 - 2.0 * parity).astype(complex).tolist())
-    gp = GeneralizedPermutation(inst.n, tuple(range(dim)), phases)
+    gp = GeneralizedPermutation(inst.n, np.arange(dim), 1.0 - 2.0 * parity)
     return OracleAction.from_permutation(gp)
-
-
-def _all_ones(dim: int) -> tuple[complex, ...]:
-    return (1 + 0j,) * dim
 
 
 def classical_OS(f: BooleanFunction) -> GeneralizedPermutation:
     """Standard classical oracle: (x, y) |-> (x, y XOR f(x))."""
     m = f.n + 1
-    perm = tuple((x << 1) | (y ^ f(x)) for x in range(1 << f.n) for y in (0, 1))
-    return GeneralizedPermutation(m, perm, _all_ones(1 << m))
+    xy = np.arange(1 << m)
+    return GeneralizedPermutation(m, xy ^ np.asarray(f.truth)[xy >> 1], np.ones(1 << m))
 
 
 def classical_OA(f: BooleanFunction) -> GeneralizedPermutation:
@@ -178,27 +173,20 @@ def classical_OA(f: BooleanFunction) -> GeneralizedPermutation:
     c = f(0, rest) XOR f(1, rest), independent of y."""
     m = f.n + 1
     top = 1 << (f.n - 1)
-    perm = []
-    for x in range(1 << f.n):
-        rest = x & (top - 1)
-        c = f(rest) ^ f(rest | top)
-        out_x = x ^ (c << (f.n - 1))
-        for y in (0, 1):
-            perm.append((out_x << 1) | y)
-    return GeneralizedPermutation(m, tuple(perm), _all_ones(1 << m))
+    truth = np.asarray(f.truth)
+    xy = np.arange(1 << m)
+    rest = (xy >> 1) & (top - 1)
+    c = truth[rest] ^ truth[rest | top]
+    return GeneralizedPermutation(m, xy ^ (c << f.n), np.ones(1 << m))
 
 
 def classical_OB(inst: BVInstance) -> GeneralizedPermutation:
     """Shift oracle: (x, y) |-> (x XOR k, y) on n+1 bits."""
     m = inst.n + 1
-    k_int = inst.k_int
-    perm = tuple(((x ^ k_int) << 1) | y for x in range(1 << inst.n) for y in (0, 1))
-    return GeneralizedPermutation(m, perm, _all_ones(1 << m))
+    return GeneralizedPermutation(m, np.arange(1 << m) ^ (inst.k_int << 1), np.ones(1 << m))
 
 
 def classical_OBtilde(inst: BVInstance) -> GeneralizedPermutation:
     """Query-bit-free shift oracle: x |-> x XOR k on n bits."""
     dim = 1 << inst.n
-    k_int = inst.k_int
-    perm = tuple(x ^ k_int for x in range(dim))
-    return GeneralizedPermutation(inst.n, perm, _all_ones(dim))
+    return GeneralizedPermutation(inst.n, np.arange(dim) ^ inst.k_int, np.ones(dim))

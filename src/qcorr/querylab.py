@@ -20,6 +20,7 @@ from .oracleforge import (
     BooleanFunction,
     BVInstance,
     GeneralizedPermutation,
+    OracleAction,
     bv_function,
     classical_OA,
     classical_OB,
@@ -155,9 +156,11 @@ def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
     return ClassicalOracleFamily(name, maps[0].m, maps)
 
 
-def _extracted_families(problem: ProblemSpec, space, tol: float):
-    """(name, family) per assignment that admits every hypothesis's standard oracle."""
-    oracles = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
+def _extracted_families(problem: ProblemSpec, space, tol: float, oracles=None):
+    """(name, family) per assignment that admits every hypothesis's standard
+    oracle; ``oracles`` are those oracles, if the caller has built them."""
+    if oracles is None:
+        oracles = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
     return [
         (name, ClassicalOracleFamily(basis_word(bases) or "general", problem.n + 1, maps))
         for name, bases, maps in extract_batch(oracles, space, tol)
@@ -198,7 +201,7 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     # Column q of the output table is query string q's answer per hypothesis.
     queries = []
     seen = set()
-    for q, column in enumerate(zip(*(gp.perm for gp in family.maps))):
+    for q, column in enumerate(zip(*[gp._perm.tolist() for gp in family.maps])):
         parts: dict[int, int] = {}
         for bit, out in zip(bits, column):
             parts[out] = parts.get(out, 0) | bit
@@ -408,13 +411,16 @@ def speedup_report(problem: ProblemSpec, space=None, tol: float = DEFAULT_TOL) -
         raise ValueError(f"unknown problem {problem.name!r}")
     _, run_quantum, shown = PROBLEMS[problem.name]
     _, quantum = run_quantum(problem.hypotheses[0].instance)
-    families = [(ORACLES[oracle][0], named_family(problem, oracle)) for oracle in shown]
-    families += _extracted_families(problem, space, tol)
+    named = {oracle: named_family(problem, oracle) for oracle in shown}
+    families = [(ORACLES[oracle][0], fam) for oracle, fam in named.items()]
+    # The O_S maps are the standard oracles' permutations.
+    standard = [OracleAction.from_permutation(gp) for gp in named["OS"].maps]
+    families += _extracted_families(problem, space, tol, standard)
     # Families with the same perms (O_S and the all-chi word) share a count.
-    counts: dict[tuple, float] = {}
+    counts: dict[bytes, float] = {}
     entries = []
     for name, fam in families:
-        key = tuple(gp.perm for gp in fam.maps)
+        key = np.stack([gp._perm for gp in fam.maps]).tobytes()
         if key not in counts:
             counts[key] = deterministic_query_complexity(problem, fam)
         entries.append((name, counts[key]))

@@ -96,6 +96,11 @@ def test_qubit_basis_pairs():
         QubitBasis("C", np.eye(3))
 
 
+def test_qubit_basis_rejects_nan():
+    with pytest.raises(ValueError, match="orthonormal"):
+        general_basis(np.array([[np.nan, 0], [0, 1]]))
+
+
 def test_parse_basis_word():
     word = parse_basis_word("HcCh")
     assert [b.label for b in word] == ["H", "C", "C", "H"]

@@ -1,6 +1,9 @@
 """Unit tests for the dense matrix layer: named gates, tensor products,
 generalized-permutation detection, and the JSON matrix format."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,117 @@ def test_generalized_permutation_validation():
         GeneralizedPermutation(1, (0, 1, 2), (1, 1, 1))
     with pytest.raises(ValueError):
         GeneralizedPermutation(1, (0, 1), (1, 0.5))
+
+
+def random_tables(rng, m, k):
+    dim = 1 << m
+    perms = np.stack([rng.permutation(dim) for _ in range(k)])
+    return perms, np.exp(1j * rng.uniform(0, 2 * np.pi, (k, dim)))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_batch_equals_one_map_at_a_time(m):
+    rng = np.random.default_rng(700 + m)
+    for k in range(1, 6):
+        perms, phases = random_tables(rng, m, k)
+        got = GeneralizedPermutation.batch(m, perms, phases)
+        want = [GeneralizedPermutation(m, tuple(p.tolist()), tuple(ph.tolist()))
+                for p, ph in zip(perms, phases)]
+        assert got == want
+        assert [(g.perm, g.phases) for g in got] == [(w.perm, w.phases) for w in want]
+
+
+def _spoiled(rng, m, k, how):
+    """A (k, 2^m) table with row 1 spoiled as ``how`` says, or all rows
+    valid for "none"."""
+    dim = 1 << m
+    perms, phases = random_tables(rng, m, k)
+    if how == "duplicate":
+        perms[1, 0] = perms[1, 1]
+    elif how == "negative":
+        perms[1] -= 1
+    elif how == "too large":
+        perms[1] += 1
+    elif how == "wrong length":
+        return perms[:, :-1], phases[:, :-1]
+    elif how == "off modulus":
+        phases[1, dim - 1] *= 1 + 1e-6
+    elif how == "nan phase":
+        phases[1, 0] = complex(np.nan, 0.0)
+    elif how == "float perm":
+        return perms.astype(float), phases
+    elif how == "bool perm":
+        return perms.astype(bool), phases
+    return perms, phases
+
+
+@pytest.mark.parametrize("how", ["none", "duplicate", "negative", "too large", "wrong length",
+                                 "off modulus", "nan phase", "float perm", "bool perm"])
+def test_batch_rejects_exactly_when_some_row_is_rejected(how):
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 5):
+        perms, phases = _spoiled(rng, m, 3, how)
+        single = []
+        for p, ph in zip(perms, phases):
+            try:
+                GeneralizedPermutation(m, p, ph)
+                single.append(True)
+            except ValueError:
+                single.append(False)
+        try:
+            GeneralizedPermutation.batch(m, perms, phases)
+            batched = True
+        except ValueError:
+            batched = False
+        assert batched == all(single)
+        assert batched == (how == "none")
+
+
+def test_generalized_permutation_rejects_nan_and_non_integer_perms():
+    with pytest.raises(ValueError, match="unit modulus"):
+        GeneralizedPermutation(1, (0, 1), (1, np.nan))
+    with pytest.raises(ValueError, match="integers"):
+        GeneralizedPermutation(1, (0.0, 1.0), (1, 1))
+    with pytest.raises(ValueError, match="integers"):
+        GeneralizedPermutation(1, (False, True), (1, 1))
+    with pytest.raises(ValueError, match="bijection"):
+        GeneralizedPermutation(1, (0, 1 << 40), (1, 1))
+
+
+def test_generalized_permutation_pickles_and_copies():
+    perms, phases = random_tables(np.random.default_rng(43), 3, 2)
+    for gp in [GeneralizedPermutation(3, perms[0], phases[0]),
+               *GeneralizedPermutation.batch(3, perms, phases)]:
+        gp.apply(np.eye(8))  # fills the cached inverse
+        for twin in (pickle.loads(pickle.dumps(gp)), copy.copy(gp), copy.deepcopy(gp)):
+            assert twin == gp and hash(twin) == hash(gp) and repr(twin) == repr(gp)
+            inv, gained = twin._arrays
+            assert not inv.flags.writeable and not gained.flags.writeable
+            assert np.array_equal(twin.apply(np.eye(8)), gp.apply(np.eye(8)))
+
+
+def test_generalized_permutation_copies_its_input():
+    perms, phases = random_tables(np.random.default_rng(47), 3, 2)
+    single = GeneralizedPermutation(3, perms[0], phases[0])
+    batch = GeneralizedPermutation.batch(3, perms, phases)
+    before = [(gp.perm, gp.phases) for gp in [single, *batch]]
+    perms[:] = perms[:, ::-1]
+    phases *= -1
+    assert [(gp.perm, gp.phases) for gp in [single, *batch]] == before
+    for gp in [single, *batch]:
+        assert not gp._perm.flags.writeable and not gp._phases.flags.writeable
+        with pytest.raises(ValueError):
+            gp._perm[0] = 0
+
+
+def test_generalized_permutation_from_tuples_or_arrays_is_the_same_map():
+    perm, phases = (2, 0, 3, 1), (1j, -1 + 0j, 1 + 0j, -1j)
+    built = [GeneralizedPermutation(2, perm, phases),
+             GeneralizedPermutation(2, np.array(perm, dtype=np.int32), np.array(phases)),
+             GeneralizedPermutation.batch(2, np.array([perm]), np.array([phases]))[0]]
+    for gp in built[1:]:
+        assert gp == built[0] and hash(gp) == hash(built[0]) and repr(gp) == repr(built[0])
+        assert type(gp.perm[0]) is int and type(gp.phases[0]) is complex
 
 
 def test_generalized_permutation_apply_matches_matrix():

@@ -190,6 +190,13 @@ def test_oracle_action_matrix_checks():
         OracleAction(3, permutation=gp)
 
 
+def test_oracle_action_rejects_a_nan_entry():
+    mat = np.eye(4, dtype=complex)
+    mat[2, 1] = np.nan
+    with pytest.raises(ValueError, match="norm"):
+        OracleAction.from_matrix(mat)
+
+
 def test_oracle_action_linearity():
     rng = np.random.default_rng(9)
     from qcorr.matrixcore import random_unitary
