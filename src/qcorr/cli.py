@@ -29,6 +29,7 @@ from .matrixcore import (
     SizeLimitError,
     cycle_notation,
     matrix_from_json,
+    num_bits,
 )
 from .oracleforge import (
     BooleanFunction,
@@ -189,10 +190,11 @@ def cmd_simulate(args) -> dict:
         f = BooleanFunction.from_json(_load_json_file(args.function))
     elif args.truth:
         truth = _parse_bits(args.truth, "--truth")
-        size = len(truth)
-        if size < 2 or size & (size - 1):
-            raise ValueError("--truth length must be a power of two >= 2")
-        f = BooleanFunction(size.bit_length() - 1, truth)
+        try:
+            n = num_bits(len(truth))
+        except ValueError as exc:
+            raise ValueError(f"--truth length: {exc}") from None
+        f = BooleanFunction(n, truth)
     else:
         raise ValueError("parity simulation needs --function or --truth")
     parity, queries = _checked_run(querylab.run_parity_quantum, f, tol)

@@ -19,11 +19,14 @@ admitted word's counterpart in closed form in O(k 2^m).  No dense matrix is
 made.
 
 Matrix-backed actions, random product bases and other non-chi/eta words go
-to the dense engine.  It screens each assignment on a few product-state
-columns, which rejects most of those that admit nothing, then conjugates
-the stacked dense matrices of the k oracles by the product of single-qubit
-basis changes, one 2x2 pass per row or column qubit, and tests every
-conjugated matrix at once for being a generalized permutation.
+to the dense engine.  It screens all the assignments of a space at once on
+a few product-state columns, in blocks of assignments: one oracle
+application per block, then one 2x2 pass per qubit with each assignment's
+own basis change.  That rejects most of those that admit nothing.  It then
+conjugates, per assignment that passes, the stacked dense matrices of the k
+oracles by the product of single-qubit basis changes, one 2x2 pass per row
+or column qubit, and tests every conjugated matrix at once for being a
+generalized permutation.
 
 The classification side computes the three local invariants of a 4x4
 unitary in the magic basis and matches them against the five possible
@@ -50,9 +53,21 @@ from .matrixcore import (
     detect_stack,
     is_unitary,
     num_bits,
-    random_unitary,
 )
 from .oracleforge import OracleAction
+
+
+# How far from the identity B†B may be, in its largest entry, for a basis
+# matrix B: both for a QubitBasis and for the bases of a random sample.
+BASIS_TOL = 1e-12
+
+
+def _check_orthonormal(mats: np.ndarray) -> None:
+    """Raise unless every 2x2 matrix of a (..., 2, 2) array has orthonormal
+    columns within BASIS_TOL, which NaN fails."""
+    err = np.abs(np.swapaxes(mats, -1, -2).conj() @ mats - np.eye(2))
+    if err.size and not err.max() <= BASIS_TOL:
+        raise ValueError(f"basis columns must be orthonormal within {BASIS_TOL}")
 
 
 class QubitBasis:
@@ -69,8 +84,7 @@ class QubitBasis:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError("basis matrix must be 2x2")
-        if not np.max(np.abs(matrix.conj().T @ matrix - np.eye(2))) <= 1e-12:
-            raise ValueError("basis columns must be orthonormal within 1e-12")
+        _check_orthonormal(matrix)
         self.label = label
         self.matrix = matrix
 
@@ -138,16 +152,13 @@ def _grid_assignment(code: int, m: int):
     return basis_word(bases), bases
 
 
-def iter_assignments(space, m: int):
-    """(name, assignment) pairs for a search space, in a fixed order.
-
-    A space is a PauliGrid, a RandomSample, or one assignment given as a tuple
-    of bases.  The call itself checks the size limits, before any pair is made.
-    """
+def _check_space(space, m: int) -> None:
+    """Raise unless ``space`` is a search space whose assignments on m qubits
+    lie within the size limits.  Extraction calls it before any allocation."""
     if m > GRID_QUBIT_LIMIT:
         raise SizeLimitError(f"extraction on {m} qubits exceeds the {GRID_QUBIT_LIMIT}-qubit limit")
     if isinstance(space, PauliGrid):
-        return (_grid_assignment(code, m) for code in range(1 << m))
+        return
     if isinstance(space, RandomSample):
         if space.count < 0:
             raise ValueError(f"random sample count must be >= 0, got {space.count}")
@@ -155,14 +166,54 @@ def iter_assignments(space, m: int):
             raise SizeLimitError(
                 f"random sample of {space.count} exceeds {1 << GRID_QUBIT_LIMIT} assignments"
             )
-        rng = np.random.default_rng(space.seed)
-        return ((f"random:{idx}", tuple(general_basis(random_unitary(2, rng)) for _ in range(m)))
-                for idx in range(space.count))
+        return
     if isinstance(space, tuple) and all(isinstance(b, QubitBasis) for b in space):
         if len(space) != m:
             raise ValueError(f"{len(space)} bases given for an oracle on {m} qubits")
-        return iter([(basis_word(space), space)])
+        return
     raise ValueError(f"unknown search space {space!r}")
+
+
+def _sample_bases(space: RandomSample, m: int) -> np.ndarray:
+    """The bases of a random sample as one checked (count, m, 2, 2) array.
+    Entry [i, j] equals, bit for bit, draw i * m + j of
+    ``random_unitary(2, rng)`` from ``default_rng(seed)``: the normals come
+    in the same order, and a stacked QR equals one QR per matrix."""
+    gauss = np.random.default_rng(space.seed).normal(size=(space.count, m, 2, 2, 2))
+    q, r = np.linalg.qr(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mats = q * (d / np.abs(d))[..., None, :]
+    _check_orthonormal(mats)
+    return mats
+
+
+def _assignments(space, m: int):
+    """A checked space as (bases, chi, at): the basis matrices of its A
+    assignments as one (A, m, 2, 2) array, an (A, m) mask of the qubits
+    whose basis is CHI, and ``at(i)``, the name and QubitBasis tuple of
+    assignment i.  A random sample is drawn here, once per call; only ``at``
+    wraps its draws in QubitBasis objects."""
+    if isinstance(space, PauliGrid):
+        eta = ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(bool)
+        return (np.where(eta[..., None, None], ETA.matrix, CHI.matrix), ~eta,
+                lambda i: _grid_assignment(i, m))
+    if isinstance(space, RandomSample):
+        mats = _sample_bases(space, m)
+        return (mats, np.zeros(mats.shape[:2], dtype=bool),
+                lambda i: (f"random:{i}", tuple(map(general_basis, mats[i].copy()))))
+    return (np.array([b.matrix for b in space])[None], np.array([[b is CHI for b in space]]),
+            lambda i: (basis_word(space), space))
+
+
+def iter_assignments(space, m: int):
+    """(name, assignment) pairs for a space, in a fixed order.
+
+    A space is a PauliGrid, a RandomSample, or one assignment given as a tuple
+    of bases.  The call itself checks the size limits, before any pair is made.
+    """
+    _check_space(space, m)
+    bases, _, at = _assignments(space, m)
+    return map(at, range(len(bases)))
 
 
 def conjugate(actions, bases) -> np.ndarray:
@@ -184,40 +235,58 @@ def conjugate(actions, bases) -> np.ndarray:
     return stack
 
 
-def _columns(actions, bases, c: int) -> np.ndarray:
-    """Columns 0 .. 2^c - 1 of B†UB for every action, as a (k, 2^m, 2^c)
-    array: the oracle's images of the product states that vary only the last
-    c qubits, read back in the product basis, at O(m 2^(m+c)) per action."""
-    m = len(bases)
-    states = np.ones((1, 1), dtype=complex)
-    for j, basis in enumerate(bases):
-        states = np.kron(states, basis.matrix if j >= m - c else basis.matrix[:, :1])
-    cols = np.stack([action.apply(states) for action in actions])
-    for j, basis in enumerate(bases):
-        if basis is not CHI:
-            apply_single_qubit(cols, basis.matrix.conj().T, j, m + c, out=cols)
+def _columns(actions, bases: np.ndarray, chi: np.ndarray, c: int) -> np.ndarray:
+    """Columns 0 .. 2^c - 1 of B†UB for every action U and every assignment B
+    of a block, given as (A, m, 2, 2) basis matrices and an (A, m) CHI mask,
+    as a (k, 2^m, 2^c, A) array: the oracle's images of the product states
+    that vary only the last c qubits, read back in each assignment's own
+    product basis, at O(m 2^(m+c)) per action and assignment.  All A * 2^c
+    states go through each oracle at once, and a qubit gets no 2x2 pass
+    where its basis is CHI in every assignment of the block."""
+    a, m = chi.shape
+    states = np.ones((1, 1, a), dtype=complex)
+    for j in range(m):
+        # the block's states of qubit j, as (2, w, A), times the states so far
+        mats = (bases[:, j] if j >= m - c else bases[:, j, :, :1]).transpose(1, 2, 0)
+        states = (states[:, None, :, None] * mats[None, :, None]).reshape(2 * len(states), -1, a)
+    flat = states.reshape(1 << m, -1)
+    cols = np.stack([action.apply(flat) for action in actions]).reshape(
+        len(actions), 1 << m, 1 << c, a)
+    back = bases.conj().swapaxes(-1, -2)
+    for j in range(m):
+        if not chi[:, j].all():
+            apply_single_qubit(cols, back[:, j], j, m + c, out=cols)
     return cols
 
 
-def _columns_admit(cols: np.ndarray, tol: float) -> bool:
-    """Whether every column of a (k, 2^m, n) array holds exactly one entry of
-    modulus above tol, itself within tol of one, on a row no other takes."""
+def _columns_admit(cols: np.ndarray, tol: float) -> np.ndarray:
+    """Per assignment of a (k, 2^m, n, A) array of columns, whether every
+    column holds exactly one entry of modulus above tol, itself within tol
+    of one, on a row no other column of its action takes."""
     mags = np.abs(cols)
     big = mags > tol
-    if not (big.sum(axis=1) == 1).all():
-        return False
     rows = big.argmax(axis=1)
-    if not (np.abs(np.take_along_axis(mags, rows[:, None], axis=1) - 1.0) <= tol).all():
-        return False
-    return not (np.diff(np.sort(rows, axis=1), axis=1) == 0).any()
+    unit = np.abs(np.take_along_axis(mags, rows[:, None], axis=1)[:, 0] - 1.0) <= tol
+    ok = ((big.sum(axis=1) == 1) & unit).all(axis=(0, 1))
+    return ok & ~(np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=(0, 1))
 
 
-def _screened(actions, bases, tol: float) -> bool:
-    """Whether every B†UB passes on its first column, then on its first
-    2^(m//2) columns: the early exit of a column-by-column test, in two
-    vectorized steps.  Most assignments that admit no counterpart fail here,
-    before any O(m 4^m) conjugation."""
-    return all(_columns_admit(_columns(actions, bases, c), tol) for c in (0, len(bases) // 2))
+def _screen(actions, bases: np.ndarray, chi: np.ndarray, tol: float) -> np.ndarray:
+    """Which of A assignments, given as (A, m, 2, 2) basis matrices and an
+    (A, m) CHI mask, have every B†UB pass on its first column, then on its
+    first 2^(m//2) columns: the early exit of a column-by-column test, in
+    two vectorized steps over blocks of about ``_BLOCK`` entries per action.
+    Most assignments that admit no counterpart fail here, before any
+    O(m 4^m) conjugation."""
+    m = chi.shape[1]
+    keep = np.ones(len(chi), dtype=bool)
+    for c in (0, m // 2):
+        todo = np.flatnonzero(keep)
+        per = max(1, _BLOCK >> (m + c))
+        for start in range(0, len(todo), per):
+            blk = todo[start:start + per]
+            keep[blk] = _columns_admit(_columns(actions, bases[blk], chi[blk], c), tol)
+    return keep
 
 
 def _by_bit(a: np.ndarray, b: int) -> np.ndarray:
@@ -322,13 +391,14 @@ def extract_batch(actions, space, tol: float = DEFAULT_TOL):
     hypothesis.  Returns (name, assignment, counterparts) triples, one
     counterpart per action, in the space's order.  Permutation-backed
     actions on a grid or a chi/eta word are decided and built from their
-    bit-flip tables.  Otherwise every assignment is screened on its first
-    columns, and the ones that pass are conjugated and detected whole.
+    bit-flip tables.  Otherwise all the assignments are screened at once on
+    their first columns, and the ones that pass are conjugated and detected
+    whole.
     """
     m = actions[0].m
     if any(action.m != m for action in actions):
         raise ValueError("all actions must act on the same number of qubits")
-    assignments = iter_assignments(space, m)  # checks the limits before any allocation
+    _check_space(space, m)  # before any allocation
     perms = [action.permutation for action in actions]
     if isinstance(space, PauliGrid):
         words = np.arange(1 << m)
@@ -341,12 +411,13 @@ def extract_batch(actions, space, tol: float = DEFAULT_TOL):
         hits = tables.admitted(words)
         return [(*_grid_assignment(code, m), gps)
                 for code, gps in zip(hits.tolist(), tables.counterparts(hits))]
+    bases, chi, at = _assignments(space, m)
     found = []
-    for name, bases in assignments:
-        if _screened(actions, bases, tol):
-            gps = detect_stack(conjugate(actions, bases), tol)
-            if all(gp is not None for gp in gps):
-                found.append((name, bases, tuple(gps)))
+    for i in np.flatnonzero(_screen(actions, bases, chi, tol)).tolist():
+        name, assignment = at(i)
+        gps = detect_stack(conjugate(actions, assignment), tol)
+        if all(gp is not None for gp in gps):
+            found.append((name, assignment, tuple(gps)))
     return found
 
 

@@ -112,22 +112,32 @@ def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
 
     ``qubit`` counts from 0 at the most significant bit.  Any leading batch
     axes of ``state`` are kept, so a (k, 2^a, 2^b) stack of matrices is m =
-    a + b qubits with the rows first.  The result goes to ``out`` (C-ordered,
-    and may be ``state`` itself), by default to a new array.
+    a + b qubits with the rows first.  ``u2`` may also be an (n, 2, 2) stack:
+    then ``state`` ends in one more axis, of length n, after its m qubits,
+    and matrix i acts on the states at index i of that axis.  The result
+    goes to ``out`` (C-ordered, and may be ``state`` itself), by default to a
+    new array.
     """
     psi = np.asarray(state, dtype=complex)
-    pairs = psi.reshape(-1, 2, 1 << (m - 1 - qubit))
+    u = np.asarray(u2, dtype=complex).reshape(-1, 4)
+    pairs = psi.reshape(-1, 2, 1 << (m - 1 - qubit), len(u))
     res = np.empty(psi.shape, dtype=complex) if out is None else out
     dst = res.reshape(pairs.shape)
-    u00, u01, u10, u11 = np.asarray(u2, dtype=complex).ravel().tolist()
-    rows, _, cols = pairs.shape
-    step_r, step_c = max(1, _BLOCK // cols), min(cols, _BLOCK)
-    bufs = np.empty((3, min(rows, step_r), step_c), dtype=complex)
+    rows, _, cols, n = pairs.shape
+    step_c = min(cols, max(1, _BLOCK // n))
+    step_r = max(1, _BLOCK // (step_c * n))
+    # One matrix gives Python scalars, which take numpy's fastest loops.  A
+    # stack gives each coefficient as a contiguous (step_c, n) tile, so the
+    # inner loop runs along a whole block row; an (n,) operand would cut it
+    # to n entries.
+    coef = u[0].tolist() if n == 1 else np.repeat(u.T[:, None], step_c, axis=1)
+    bufs = np.empty((3, min(rows, step_r), step_c, n), dtype=complex)
     for r in range(0, rows, step_r):
         for c in range(0, cols, step_c):
             blk = np.s_[r:r + step_r, :, c:c + step_c]
             a, b = pairs[blk][:, 0], pairs[blk][:, 1]
             x, y, t = bufs[:, :a.shape[0], :a.shape[1]]
+            u00, u01, u10, u11 = coef if n == 1 else coef[:, :a.shape[1]]
             np.multiply(a, u00, out=x)
             np.multiply(b, u01, out=t)
             x += t

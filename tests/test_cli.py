@@ -252,6 +252,14 @@ def test_simulate_parity_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("truth", ["0", "011", "011010"])
+def test_simulate_truth_length_must_be_a_power_of_two(capsys, truth):
+    assert main(["simulate", "--algorithm", "parity", "--truth", truth]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --truth length") and len(err.splitlines()) == 1
+
+
 def test_speedup_bv(capsys):
     code, data = run_cli(capsys, ["speedup", "--problem", "bv", "--n", "2"])
     assert code == 0

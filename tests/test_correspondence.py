@@ -101,6 +101,22 @@ def test_qubit_basis_rejects_nan():
         general_basis(np.array([[np.nan, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("spoil", [lambda q: q * np.nan, lambda q: q * (1 + 1e-9)],
+                         ids=["nan", "skewed"])
+def test_nan_or_skewed_bases_are_rejected_on_both_routes(monkeypatch, spoil):
+    # one basis wrapped by hand
+    with pytest.raises(ValueError, match="orthonormal within 1e-12"):
+        general_basis(spoil(ETA.matrix))
+    # the bases of a random sample, drawn in one batch: a QR whose unitary
+    # factor comes back spoiled must stop the extraction
+    oracle = OracleAction.from_matrix(np.eye(4, dtype=complex))
+    assert len(search_counterparts(oracle, RandomSample(count=3, seed=2))) == 3
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda z: (spoil(qr(z)[0]), qr(z)[1]))
+    with pytest.raises(ValueError, match="orthonormal within 1e-12"):
+        search_counterparts(oracle, RandomSample(count=3, seed=2))
+
+
 def test_parse_basis_word():
     word = parse_basis_word("HcCh")
     assert [b.label for b in word] == ["H", "C", "C", "H"]

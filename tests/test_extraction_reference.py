@@ -7,7 +7,9 @@ detection streams the columns, stopping at the first one that is not a
 single basis vector up to phase.  The table engine is also pinned against
 the dense engine on the same oracles, given as matrices.  Every case must
 give the same admitted names in the same order, the same perms, and phases
-within 1e-12.
+within 1e-12.  The dense engine's batched column screen is pinned against
+the per-assignment screen it replaced, built here from the same streamed
+columns, and its drawn bases against one ``random_unitary`` call per qubit.
 """
 
 import numpy as np
@@ -90,6 +92,30 @@ def reference_detect(dim, columns, tol=DEFAULT_TOL):
 def reference_extract(action, bases, tol=DEFAULT_TOL):
     columns = (reference_column(action, bases, col) for col in range(action.dim))
     return reference_detect(action.dim, columns, tol)
+
+
+def reference_columns_admit(cols, tol):
+    """Whether every column of a (k, 2^m, n) array holds exactly one entry of
+    modulus above tol, itself within tol of one, on a row no other takes."""
+    mags = np.abs(cols)
+    big = mags > tol
+    if not (big.sum(axis=1) == 1).all():
+        return False
+    rows = big.argmax(axis=1)
+    if not (np.abs(np.take_along_axis(mags, rows[:, None], axis=1) - 1.0) <= tol).all():
+        return False
+    return not (np.diff(np.sort(rows, axis=1), axis=1) == 0).any()
+
+
+def reference_screened(actions, bases, tol=DEFAULT_TOL):
+    """The per-assignment screen: every B†UB passes on its first column,
+    then on its first 2^(m//2) columns."""
+    for c in (0, len(bases) // 2):
+        cols = np.array([[reference_column(action, bases, col) for col in range(1 << c)]
+                         for action in actions])
+        if not reference_columns_admit(cols.transpose(0, 2, 1), tol):
+            return False
+    return True
 
 
 def reference_grid(m):
@@ -456,13 +482,14 @@ def test_chi_is_known_by_identity(m, monkeypatch):
                             for _ in range(4)]
 
     def run(actions, bases):
-        """conjugate and _columns under ``bases``, each with the qubits
-        its passes touched."""
+        """conjugate and the screen's columns under ``bases``, each with the
+        qubits its passes touched."""
+        mats, chi, _ = correspondence._assignments(bases, m)
         results = []
-        for call, args in [(correspondence.conjugate, ())] + [
-                (correspondence._columns, (c,)) for c in (0, m // 2)]:
+        for call, args in [(correspondence.conjugate, (actions, bases))] + [
+                (correspondence._columns, (actions, mats, chi, c)) for c in (0, m // 2)]:
             passes.clear()
-            results.append((call(actions, bases, *args), sorted(passes)))
+            results.append((call(*args), sorted(passes)))
         return results
 
     for actions in ([perm], [matrix], [perm, matrix]):
@@ -475,3 +502,138 @@ def test_chi_is_known_by_identity(m, monkeypatch):
                                                         list(range(m)), list(range(m))]
             for (a, _), (b, _) in zip(got, want):
                 assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("count, seed, m", [
+    (0, 1, 3), (1, 0, 1), (5, 7, 2), (16, 3, 6), (9, 11, 13), (300, 5, 4)])
+def test_sample_bases_are_the_per_qubit_draws(count, seed, m):
+    got = correspondence._sample_bases(RandomSample(count, seed), m)
+    rng = np.random.default_rng(seed)
+    want = np.array([[random_unitary(2, rng) for _ in range(m)] for _ in range(count)])
+    assert got.shape == (count, m, 2, 2)
+    assert np.array_equal(got, want.reshape(count, m, 2, 2))
+    pairs = list(iter_assignments(RandomSample(count, seed), m))
+    assert [name for name, _ in pairs] == [f"random:{i}" for i in range(count)]
+    for (_, bases), mats in zip(pairs, got):
+        assert all(b.label == "?" and np.array_equal(b.matrix, mat) for b, mat in zip(bases, mats))
+
+
+def test_a_sample_is_drawn_once_per_extraction(monkeypatch):
+    calls = []
+    draw = correspondence._sample_bases
+
+    def counted(space, m):
+        calls.append(space)
+        return draw(space, m)
+
+    monkeypatch.setattr(correspondence, "_sample_bases", counted)
+    rng = np.random.default_rng(31)
+    space = RandomSample(12, 4)
+    target = list(iter_assignments(space, 3))[5][1]
+    calls.clear()
+    found = extract_batch([OracleAction.from_matrix(dressed(rng, 3, target))], space)
+    assert [name for name, _, _ in found] == ["random:5"] and len(calls) == 1
+
+
+def first_column_only(rng, m, bases):
+    """B (1 + V) B† for a random unitary V on the other 2^m - 1 basis
+    states: under ``bases`` its first column is a basis vector and no other
+    is, so it passes the screen's first step and fails its second."""
+    dim = 1 << m
+    p = np.zeros((dim, dim), dtype=complex)
+    p[0, 0] = 1.0
+    p[1:, 1:] = random_unitary(dim - 1, rng)
+    b = np.ones((1, 1), dtype=complex)
+    for basis in bases:
+        b = np.kron(b, basis.matrix)
+    return b @ p @ b.conj().T
+
+
+def as_bases(mats, chi):
+    return tuple(CHI if is_chi else general_basis(mat) for mat, is_chi in zip(mats, chi))
+
+
+def planted_batch(rng, m, count, rows):
+    """(mats, chi) of ``count`` random assignments, with row i replaced by
+    the QubitBasis tuple rows[i]."""
+    mats = correspondence._sample_bases(RandomSample(count, int(rng.integers(1 << 31))), m)
+    chi = np.zeros((count, m), dtype=bool)
+    for i, bases in rows.items():
+        mats[i] = [b.matrix for b in bases]
+        chi[i] = [b is CHI for b in bases]
+    return mats, chi
+
+
+def assert_screen_matches_reference(actions, mats, chi):
+    got = correspondence._screen(actions, mats, chi, DEFAULT_TOL)
+    want = [reference_screened(actions, as_bases(row, flags)) for row, flags in zip(mats, chi)]
+    assert got.tolist() == want
+    return got
+
+
+SCREEN_CASES = [(m, k, backing) for m in (6, 7, 8, 9) for k in (1, 2, 3)
+                for backing in ("permutation", "matrix")]
+
+
+@pytest.mark.parametrize("m, k, backing", SCREEN_CASES,
+                         ids=[f"{m}-{k}-{backing}" for m, k, backing in SCREEN_CASES])
+def test_batched_screen_keeps_the_reference_survivors(m, k, backing, monkeypatch):
+    # blocks of 32 assignments at m = 6 down to 4 at m = 9 on the first step,
+    # and of 1 to 4 on the second: 40 assignments span several blocks
+    monkeypatch.setattr(correspondence, "_BLOCK", 1 << 11)
+    rng = np.random.default_rng([m, k, len(backing)])
+    count = 40
+    spots = rng.choice(count, 8, replace=False).tolist()
+    if backing == "permutation":
+        actions = [permutation_action(rng, m, "random", "sign") for _ in range(k)]
+        # chi, identity and bit-flip bases, mixed with CHI within a block:
+        # the identity and the flips always admit, other words may not
+        flip = general_basis(np.array([[0, 1], [1, 0]]))
+        same = general_basis(np.eye(2))
+        choices = [CHI, ETA, same, flip]
+        rows = {i: tuple(choices[c] for c in rng.integers(0, 4, m)) for i in spots}
+        rows[spots[0]] = (same,) * m
+        mats, chi = planted_batch(rng, m, count, rows)
+        kept = assert_screen_matches_reference(actions, mats, chi)
+        assert kept[spots[0]]
+        return
+    target = tuple(general_basis(random_unitary(2, rng)) for _ in range(m))
+    rows = dict.fromkeys(spots[:4], target)
+    mats, chi = planted_batch(rng, m, count, rows)
+    planted = [OracleAction.from_matrix(dressed(rng, m, target)) for _ in range(k)]
+    kept = assert_screen_matches_reference(planted, mats, chi)
+    assert np.flatnonzero(kept).tolist() == sorted(spots[:4])
+    # one action admits on the first column only: every row fails
+    spoiled = planted[:-1] + [OracleAction.from_matrix(first_column_only(rng, m, target))]
+    assert not assert_screen_matches_reference(spoiled, mats, chi).any()
+    haar = [OracleAction.from_matrix(random_unitary(1 << m, rng)) for _ in range(k)]
+    assert not assert_screen_matches_reference(haar, mats, chi).any()
+
+
+def test_batched_screen_of_no_assignment():
+    action = OracleAction.from_matrix(random_unitary(8, np.random.default_rng(2)))
+    mats, chi, _ = correspondence._assignments(RandomSample(0, 3), 3)
+    assert mats.shape == (0, 3, 2, 2)
+    assert correspondence._screen([action], mats, chi, DEFAULT_TOL).shape == (0,)
+    assert extract_batch([action], RandomSample(0, 3)) == []
+
+
+@pytest.mark.parametrize("m", [6, 7, 8, 9])
+def test_random_samples_across_blocks(m):
+    """Whole extractions over a sample that spans blocks of the first
+    screen step at the real block size, with one assignment planted."""
+    rng = np.random.default_rng(500 + m)
+    count = 2 * (correspondence._BLOCK >> m) + 3
+    space = RandomSample(count, m)
+    pairs = list(iter_assignments(space, m))
+    target = pairs[int(rng.integers(count // 2, count))][1]
+    for k in (1, 2):
+        actions = [OracleAction.from_matrix(dressed(rng, m, target)) for _ in range(k)]
+        found = extract_batch(actions, space)
+        want = [(name, [reference_extract(action, bases) for action in actions])
+                for name, bases in pairs]
+        want = [(name, hits) for name, hits in want if all(hit is not None for hit in hits)]
+        assert [name for name, _, _ in found] == [name for name, _ in want] and want
+        for (_, _, gps), (_, hits) in zip(found, want):
+            for gp, hit in zip(gps, hits):
+                assert_same_hit(gp, hit)

@@ -433,6 +433,21 @@ def test_apply_single_qubit_on_a_stack_in_place():
     assert np.allclose(stack, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("block", [1 << 14, 1 << 4, 3])
+def test_apply_single_qubit_with_a_stack_of_matrices(monkeypatch, block):
+    # Matrix i of the stack acts on index i of the state's last axis, bit for
+    # bit as one call per matrix, with whole, partial and single-entry blocks.
+    monkeypatch.setattr("qcorr.matrixcore._BLOCK", block)
+    rng = np.random.default_rng(6)
+    n, m = 5, 4
+    state = rng.normal(size=(2, 1 << m, n)) + 1j * rng.normal(size=(2, 1 << m, n))
+    us = np.array([random_unitary(2, rng) for _ in range(n)])
+    for qubit in range(m):
+        got = apply_single_qubit(state, us, qubit, m)
+        for i in range(n):
+            assert np.array_equal(got[..., i], apply_single_qubit(state[..., i], us[i], qubit, m))
+
+
 def test_cycle_notation():
     assert cycle_notation((0, 1, 2, 3)) == "id"
     assert cycle_notation((0, 1, 3, 2)) == "(2 3)"
