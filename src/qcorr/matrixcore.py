@@ -12,6 +12,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -147,6 +148,47 @@ def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
             dst[blk][:, 0] = x
             dst[blk][:, 1] = y
     return res
+
+
+# Qubits per pass of hadamard_layer.  A pass costs 2^g multiply-adds per
+# entry and one transpose; at 6 the products stay small and 16 qubits take
+# three passes.
+_HADAMARD_PASS = 6
+
+
+@functools.cache
+def _sylvester(g: int) -> np.ndarray:
+    """The unscaled 2^g x 2^g Walsh-Hadamard matrix, entry (-1)^popcount(i & j),
+    as read-only floats."""
+    idx = np.arange(1 << g)
+    s = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1)
+    s.flags.writeable = False
+    return s
+
+
+def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
+    """H on every qubit of an m-qubit statevector, as a new array.
+
+    Each pass multiplies the leading (most significant) g <= _HADAMARD_PASS
+    qubits by the ±1 Sylvester matrix, one real matrix product on the
+    complex entries viewed as float pairs, and a transpose moves those
+    qubits to the low end.  The passes cover the m qubits once, so the order
+    ends where it began; the one scale by 2^(-m/2) comes last.
+    """
+    psi = np.ascontiguousarray(state, dtype=complex)
+    if m < 1 or psi.shape != (1 << m,):
+        raise ValueError(f"expected a statevector of 2**{m} entries, got shape {psi.shape}")
+    # Two buffers for all passes: fresh pages cost more than a pass's copy.
+    prod, out = np.empty_like(psi), np.empty_like(psi)
+    src = psi
+    for done in range(0, m, _HADAMARD_PASS):
+        g = min(_HADAMARD_PASS, m - done)
+        np.matmul(_sylvester(g), src.view(float).reshape(1 << g, -1),
+                  out=prod.view(float).reshape(1 << g, -1))
+        out.reshape(-1, 1 << g)[...] = prod.reshape(1 << g, -1).T
+        src = out
+    out *= 2.0 ** (-m / 2)
+    return out
 
 
 def _checked_tables(m: int, perms, phases, tol: float):

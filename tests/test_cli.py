@@ -369,6 +369,23 @@ def test_simulate_tolerance_below_its_checks_exits_2(capsys, monkeypatch, argv, 
     assert capsys.readouterr() == (want, "")
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_simulate_bv_at_tolerance_zero_is_exact_at_even_n(capsys, n):
+    # At even n every amplitude of the run is a dyadic rational (2^(-n/2)
+    # times a sum of signs), so each check holds exactly; at odd n the scale
+    # 2^(-n/2) is rounded and a norm misses 1 by a few ulps.
+    k = "".join(map(str, np.random.default_rng(n).integers(0, 2, n)))
+    argv = ["simulate", "--algorithm", "bv", "--k", k, "--k0", str(n & 1), "--tol", "0"]
+    if n % 2 == 0:
+        assert main(argv) == 0
+        assert capsys.readouterr() == (f'{{"k": "{k}", "queries": 1}}\n', "")
+    else:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: simulation check failed at tolerance 0.0: ")
+
+
 def test_parser_is_built_once_and_survives_errors(tmp_path, capsys):
     path = write_matrix(tmp_path / "m.json", CNOT12)
     calls = [

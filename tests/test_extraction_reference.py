@@ -12,6 +12,8 @@ the per-assignment screen it replaced, built here from the same streamed
 columns, and its drawn bases against one ``random_unitary`` call per qubit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -516,6 +518,19 @@ def test_sample_bases_are_the_per_qubit_draws(count, seed, m):
     assert [name for name, _ in pairs] == [f"random:{i}" for i in range(count)]
     for (_, bases), mats in zip(pairs, got):
         assert all(b.label == "?" and np.array_equal(b.matrix, mat) for b, mat in zip(bases, mats))
+
+
+def test_sample_draw_peaks_near_its_qr():
+    # The stacked QR holds its input, its own copy, q, r and tau: about 4.5
+    # times the result.  Keeping the normals and every other temporary alive
+    # as well took 6 times.
+    tracemalloc.start()
+    try:
+        mats = correspondence._sample_bases(RandomSample(8192, 3), 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * mats.nbytes
 
 
 def test_a_sample_is_drawn_once_per_extraction(monkeypatch):

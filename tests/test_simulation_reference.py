@@ -4,15 +4,21 @@ simple per-entry and per-query code they replaced.
 The reference functions below are the earlier implementations, kept here
 only as the reference: the phase oracle built one ``_dot_parity`` call per
 basis state, ``GeneralizedPermutation.apply`` scattering each input to its
-output, Bernstein-Vazirani with a fresh state per Hadamard, and parity with
-one ``np.kron``-built input state and one oracle call per kickback query.
+output, a Hadamard layer as one ``apply_single_qubit`` pass per qubit,
+Bernstein-Vazirani with a fresh state per Hadamard, and parity with one
+``np.kron``-built input state and one oracle call per kickback query.
 """
 
 import numpy as np
 import pytest
 
 from qcorr import querylab
-from qcorr.matrixcore import HADAMARD, GeneralizedPermutation, apply_single_qubit
+from qcorr.matrixcore import (
+    HADAMARD,
+    GeneralizedPermutation,
+    apply_single_qubit,
+    hadamard_layer,
+)
 from qcorr.oracleforge import BooleanFunction, BVInstance, phase_oracle, standard_oracle
 
 
@@ -42,16 +48,23 @@ def _reference_assert_normalized(state, tol=1e-9):
         raise RuntimeError(f"statevector norm drifted to {norm}")
 
 
+def reference_hadamard_layer(state, m):
+    for j in range(m):
+        state = apply_single_qubit(state, HADAMARD, j, m)
+    return state
+
+
+def reference_uniform(n):
+    zero = np.zeros(1 << n, dtype=complex)
+    zero[0] = 1.0
+    return reference_hadamard_layer(zero, n)
+
+
 def reference_run_bv(inst):
     n = inst.n
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    for j in range(n):
-        state = apply_single_qubit(state, HADAMARD, j, n)
-    state = reference_apply(reference_phase_oracle(inst), state)
+    state = reference_apply(reference_phase_oracle(inst), reference_uniform(n))
     _reference_assert_normalized(state)
-    for j in range(n):
-        state = apply_single_qubit(state, HADAMARD, j, n)
+    state = reference_hadamard_layer(state, n)
     _reference_assert_normalized(state)
     idx = int(np.argmax(np.abs(state)))
     if abs(abs(state[idx]) - 1.0) > 1e-9:
@@ -152,6 +165,36 @@ def test_bv_matches_reference(n):
         assert querylab.run_bv_quantum(inst) == reference_run_bv(inst) == (inst.k, 1)
 
 
+@pytest.mark.parametrize("m", range(1, 17))
+def test_hadamard_layer_matches_per_qubit_passes(m):
+    rng = np.random.default_rng(6000 + m)
+    dim = 1 << m
+    for _ in range(2):
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+        kept = state.copy()
+        got = hadamard_layer(state, m)
+        assert np.array_equal(state, kept)
+        assert got.shape == (dim,) and got.dtype == complex
+        assert np.abs(got - reference_hadamard_layer(state, m)).max() <= 1e-12
+        assert np.abs(hadamard_layer(got, m) - state).max() <= 1e-12
+
+
+def test_hadamard_layer_rejects_a_state_of_the_wrong_size():
+    for state, m in ((np.ones(8), 2), (np.ones((4, 2)), 2), (np.ones(1), 0)):
+        with pytest.raises(ValueError, match="statevector"):
+            hadamard_layer(state, m)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_bv_queries_the_oracle_once_on_the_uniform_state(monkeypatch, n):
+    oracles = record_oracles(monkeypatch, builder="phase_oracle")
+    inst = random_bv(n, np.random.default_rng(7000 + n))
+    assert querylab.run_bv_quantum(inst) == (inst.k, 1)
+    assert len(oracles) == 1 and len(oracles[0].inputs) == 1
+    assert np.abs(oracles[0].inputs[0] - reference_uniform(n)).max() <= 1e-15
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_apply_matches_scatter_reference(m):
     rng = np.random.default_rng(4000 + m)
@@ -168,14 +211,15 @@ def test_apply_matches_scatter_reference(m):
 class FaultyOracle:
     """An oracle that acts like ``action`` except on the input states that
     have support on basis state ``row``, whose outputs ``fault`` replaces.
-    Records the number of states (columns) of each call."""
+    Records the input of each call and its number of states (columns)."""
 
     def __init__(self, action, row=0, fault=lambda cols: cols):
         self.action, self.row, self.fault = action, row, fault
-        self.widths = []
+        self.inputs, self.widths = [], []
 
     def apply(self, states):
         states = np.asarray(states)
+        self.inputs.append(states.copy())
         self.widths.append(states.shape[1] if states.ndim == 2 else 1)
         out = self.action.apply(states)
         hit = states[self.row] != 0
@@ -183,22 +227,28 @@ class FaultyOracle:
         return out
 
 
-def record_oracles(monkeypatch, row=0, fault=lambda cols: cols):
-    """Make querylab.standard_oracle return FaultyOracles; returns the list
-    of oracles built."""
+def record_oracles(monkeypatch, row=0, fault=lambda cols: cols, builder="standard_oracle"):
+    """Make querylab's ``builder`` (standard_oracle or phase_oracle) return
+    FaultyOracles; returns the list of oracles built."""
     built = []
-    standard = querylab.standard_oracle
+    make = getattr(querylab, builder)
 
-    def build(f):
-        built.append(FaultyOracle(standard(f), row, fault))
+    def build(instance):
+        built.append(FaultyOracle(make(instance), row, fault))
         return built[-1]
 
-    monkeypatch.setattr(querylab, "standard_oracle", build)
+    monkeypatch.setattr(querylab, builder, build)
     return built
 
 
 def drift_norm(cols):
     return cols * (1 + 1e-6)
+
+
+def put_nan(cols):
+    cols = cols.copy()
+    cols[0] = np.nan
+    return cols
 
 
 def mix_readout(cols):
@@ -243,3 +293,35 @@ def test_bv_tolerance_reaches_the_checks(monkeypatch):
     with pytest.raises(RuntimeError, match="norm drifted"):
         querylab.run_bv_quantum(inst)
     assert querylab.run_bv_quantum(inst, tol=1e-3) == (inst.k, 1)
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_parity_nan_in_any_block_raises(monkeypatch, block):
+    n = 5
+    f = random_function(n, np.random.default_rng(8))
+    monkeypatch.setattr(querylab, "_BLOCK", 2 << (n + 1))
+    # Input |+>|rest>|-> is the only one with support on row rest << 1; at
+    # two columns a block, rest = 2 * block is in block number ``block``.
+    oracles = record_oracles(monkeypatch, (2 * block) << 1, put_nan)
+    with pytest.raises(RuntimeError, match="norm drifted to nan"):
+        querylab.run_parity_quantum(f)
+    assert oracles[-1].widths == [2] * (block + 1)
+
+
+def test_bv_nan_raises(monkeypatch):
+    inst = BVInstance(4, 0, (1, 0, 1, 1))
+    record_oracles(monkeypatch, 0, put_nan, "phase_oracle")
+    with pytest.raises(RuntimeError, match="norm drifted to nan"):
+        querylab.run_bv_quantum(inst)
+
+
+def test_readout_checks_fail_on_nan_without_the_norm_check(monkeypatch):
+    # The norm check fires first on a NaN; each readout check must also
+    # fail on its own, since NaN compares false with any tolerance.
+    monkeypatch.setattr(querylab, "_assert_normalized", lambda states, tol: None)
+    record_oracles(monkeypatch, 0, put_nan, "phase_oracle")
+    with pytest.raises(RuntimeError, match="not a computational basis state"):
+        querylab.run_bv_quantum(BVInstance(4, 0, (1, 0, 1, 1)))
+    record_oracles(monkeypatch, 0, put_nan)
+    with pytest.raises(RuntimeError, match="not deterministic"):
+        querylab.run_parity_quantum(random_function(4, np.random.default_rng(9)))
