@@ -1,8 +1,10 @@
 """Classical counterparts of quantum oracles under per-qubit computational
 basis choices, and the complete two-qubit classification.
 
-Extraction has two engines, and each backend of ``OracleAction`` maps to
-one of them.
+Extraction has two engines.  The backend of ``OracleAction`` and the
+search space pick one together: a permutation oracle takes the table engine
+on the grid or a chi/eta word, but the dense engine on a ``RandomSample``
+(``random:`` on the command line).
 
 A generalized permutation G = diag(phases) P on a chi/eta grid or a single
 chi/eta word goes to the table engine.  With S the eta qubits of a word and
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 import numpy as np
 
@@ -497,24 +498,13 @@ class CosetId(Enum):
 
 
 # The XOR-mask subgroup {x, x^1, x^2, x^3} is the normal Klein four-group of
-# S4, so left and right cosets coincide and membership is unambiguous.
-_XOR_MASKS = tuple(tuple(i ^ mask for i in range(4)) for mask in range(4))
-
-
-def _build_coset_table() -> dict[tuple[int, ...], CosetId]:
-    table: dict[tuple[int, ...], CosetId] = {}
-    for rep in CosetId:
-        for mask_perm in _XOR_MASKS:
-            composed = tuple(rep.value[mask_perm[i]] for i in range(4))
-            if composed in table:
-                raise RuntimeError("coset representatives are not disjoint")
-            table[composed] = rep
-    if set(table) != set(permutations(range(4))):
-        raise RuntimeError("cosets do not cover all 24 permutations")
-    return table
-
-
-_COSET_OF = _build_coset_table()
+# S4, so left and right cosets coincide and membership is unambiguous.  Each
+# key is a permutation of 0..3, so the six cosets of four give 24 keys
+# exactly when they are disjoint, and then they cover all of S4.
+_COSET_OF = {tuple(rep.value[i ^ mask] for i in range(4)): rep
+             for rep in CosetId for mask in range(4)}
+if len(_COSET_OF) != 24:
+    raise RuntimeError("coset representatives are not disjoint")
 
 CC_EMPTY: frozenset[CosetId] = frozenset()
 CC_CNOT_FAMILY = frozenset({CosetId.I, CosetId.CNOT12, CosetId.CNOT21})

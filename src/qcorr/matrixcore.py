@@ -195,7 +195,7 @@ def _checked_tables(m: int, perms, phases, tol: float):
     """Read-only copies of the perms and phases of one map, shape (2^m,), or
     of k maps, shape (k, 2^m), once every row is checked: its perm is a
     bijection on 0 .. 2^m - 1 and each of its phases has modulus within tol
-    of one, which NaN fails."""
+    of one and above tol, which NaN fails."""
     dim = 1 << m
     perms = np.array(perms)
     phases = np.array(phases, dtype=complex)
@@ -214,8 +214,11 @@ def _checked_tables(m: int, perms, phases, tol: float):
         if not (perms.view(np.uintp).max() < dim
                 and np.count_nonzero(np.bincount(flat.ravel(), minlength=size)) == size):
             raise ValueError("perm is not a bijection on the m-bit strings")
-        if not np.abs(np.abs(phases) - 1.0).max() <= tol:
-            raise ValueError("phases must all have unit modulus within tol")
+        # Within tol of one implies above tol while tol < 1/2, so only a
+        # larger tol pays for the second test, which the detector also makes.
+        if not (np.abs(np.abs(phases) - 1.0).max() <= tol
+                and (tol < 0.5 or np.abs(phases).min() > tol)):
+            raise ValueError("phases must all have unit modulus within tol, and modulus above tol")
     perms.flags.writeable = phases.flags.writeable = False
     return perms, phases
 
@@ -233,11 +236,11 @@ class GeneralizedPermutation:
     builds k maps from (k, 2^m) tables in one pass.  Instances are immutable.
     """
 
-    # The last three are caches, each set on first use.
-    __slots__ = ("m", "_perm", "_phases", "_inv", "_perm_tuple", "_phases_tuple")
-
     def __init__(self, m: int, perm, phases, tol: float = DEFAULT_TOL):
-        self._fill(m, *_checked_tables(m, perm, phases, tol))
+        perm, phases = _checked_tables(m, perm, phases, tol)
+        if perm.ndim != 1:
+            raise ValueError("perm/phases of one map must be 1-D; batch builds k maps")
+        self.__dict__.update(m=m, _perm=perm, _phases=phases)
 
     @classmethod
     def batch(cls, m: int, perms, phases, tol: float = DEFAULT_TOL) -> list:
@@ -245,15 +248,6 @@ class GeneralizedPermutation:
         tables, all checked in one pass; a ValueError if any row fails."""
         perms, phases = _checked_tables(m, perms, phases, tol)
         return [_unchecked(m, perm, ph) for perm, ph in zip(perms, phases)]
-
-    def _fill(self, m, perm, phases):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_perm", perm)
-        object.__setattr__(self, "_phases", phases)
-
-    def _cache(self, name, value):
-        object.__setattr__(self, name, value)
-        return value
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -264,19 +258,14 @@ class GeneralizedPermutation:
     def __reduce__(self):
         return _unchecked, (self.m, self._perm, self._phases)
 
-    @property
+    # A cached property writes the instance dict directly, past __setattr__.
+    @functools.cached_property
     def perm(self) -> tuple[int, ...]:
-        try:
-            return self._perm_tuple
-        except AttributeError:
-            return self._cache("_perm_tuple", tuple(self._perm.tolist()))
+        return tuple(self._perm.tolist())
 
-    @property
+    @functools.cached_property
     def phases(self) -> tuple[complex, ...]:
-        try:
-            return self._phases_tuple
-        except AttributeError:
-            return self._cache("_phases_tuple", tuple(self._phases.tolist()))
+        return tuple(self._phases.tolist())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -295,17 +284,13 @@ class GeneralizedPermutation:
     def dim(self) -> int:
         return 1 << self.m
 
-    @property
+    @functools.cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The inverse of ``perm``, built on first use, and the phases, as
-        read-only arrays."""
-        try:
-            return self._inv, self._phases
-        except AttributeError:
-            inv = np.empty(self.dim, dtype=np.intp)
-            inv[self._perm] = np.arange(self.dim)
-            inv.flags.writeable = False
-            return self._cache("_inv", inv), self._phases
+        """The inverse of ``perm`` and the phases, as read-only arrays."""
+        inv = np.empty(self.dim, dtype=np.intp)
+        inv[self._perm] = np.arange(self.dim)
+        inv.flags.writeable = False
+        return inv, self._phases
 
     def as_matrix(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -331,10 +316,11 @@ class GeneralizedPermutation:
 
 
 def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray) -> GeneralizedPermutation:
-    """A map from arrays already checked, as ``batch`` and unpickling have."""
+    """A map from arrays already checked, as ``batch``, ``detect_stack`` and
+    unpickling have."""
     gp = object.__new__(GeneralizedPermutation)
     perm.flags.writeable = phases.flags.writeable = False
-    gp._fill(m, perm, phases)
+    gp.__dict__.update(m=m, _perm=perm, _phases=phases)
     return gp
 
 
@@ -371,7 +357,9 @@ def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     ok &= (hits.reshape(k, dim) == 1).all(axis=1)
     phases = np.zeros_like(entries)
     np.put_along_axis(phases, rows, entries, axis=1)
-    gps = iter(GeneralizedPermutation.batch(m, rows[ok], phases[ok], tol))
+    # Those are the checks of _checked_tables, and rows from argmax are intp
+    # and in range, so the admitted rows need no second pass.
+    gps = (_unchecked(m, perm, ph) for perm, ph in zip(rows[ok], phases[ok]))
     return [next(gps) if good else None for good in ok.tolist()]
 
 
@@ -417,10 +405,18 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer field as json.load reads it: an int, not a bool, a
+    float or a string, which int() would truncate or parse."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse {"dim": d, "entries": [[re, im], ...]} (row-major, length d**2)."""
     try:
-        dim = int(obj["dim"])
+        dim = _json_int(obj["dim"], "dim")
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc

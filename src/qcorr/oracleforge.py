@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import DEFAULT_TOL, GeneralizedPermutation, num_bits
+from .matrixcore import DEFAULT_TOL, GeneralizedPermutation, _json_int, num_bits
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class BooleanFunction:
     @classmethod
     def from_json(cls, obj: dict) -> "BooleanFunction":
         try:
-            return cls(int(obj["n"]), tuple(int(b) for b in obj["truth"]))
+            return cls(_json_int(obj["n"], "n"),
+                       tuple(_json_int(b, "truth entry") for b in obj["truth"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed function object: {exc}") from exc
 
@@ -76,7 +77,8 @@ class BVInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "BVInstance":
         try:
-            return cls(int(obj["n"]), int(obj["k0"]), tuple(int(b) for b in obj["k"]))
+            return cls(_json_int(obj["n"], "n"), _json_int(obj["k0"], "k0"),
+                       tuple(_json_int(b, "k entry") for b in obj["k"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed promise object: {exc}") from exc
 

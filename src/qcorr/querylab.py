@@ -76,33 +76,27 @@ def iter_bv_instances(n: int):
             yield BVInstance(n, k0, k)
 
 
+def _problem(name: str, n: int, limit: int, instances, label) -> ProblemSpec:
+    """Every instance on n bits, labelled, once n is within 1 .. limit."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > limit:
+        raise SizeLimitError(f"exact {name} search is limited to n <= {limit} (got n={n})")
+    hyps = tuple(Hypothesis(i, inst, label(inst)) for i, inst in enumerate(instances(n)))
+    return ProblemSpec(name, n, hyps)
+
+
+# Each limit is read at call time, so a limit patched in process applies.
 def parity_problem(n: int) -> ProblemSpec:
     """Decide whether a function takes the value 1 an even or odd number of
     times; hypotheses are all truth tables on n bits."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > PARITY_SEARCH_LIMIT:
-        raise SizeLimitError(
-            f"exact parity search is limited to n <= {PARITY_SEARCH_LIMIT} (got n={n})"
-        )
-    hyps = tuple(
-        Hypothesis(i, f, f.parity()) for i, f in enumerate(iter_boolean_functions(n))
-    )
-    return ProblemSpec("parity", n, hyps)
+    return _problem("parity", n, PARITY_SEARCH_LIMIT, iter_boolean_functions,
+                    BooleanFunction.parity)
 
 
 def bv_problem(n: int) -> ProblemSpec:
     """Identify the hidden string k of a promised affine function."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > BV_SEARCH_LIMIT:
-        raise SizeLimitError(
-            f"exact bv search is limited to n <= {BV_SEARCH_LIMIT} (got n={n})"
-        )
-    hyps = tuple(
-        Hypothesis(i, inst, inst.k) for i, inst in enumerate(iter_bv_instances(n))
-    )
-    return ProblemSpec("bv", n, hyps)
+    return _problem("bv", n, BV_SEARCH_LIMIT, iter_bv_instances, lambda inst: inst.k)
 
 
 def hypothesis_function(h: Hypothesis) -> BooleanFunction:

@@ -10,6 +10,7 @@ import pytest
 
 from qcorr import querylab
 from qcorr.cli import build_parser, main
+from qcorr.matrixcore import matrix_to_json
 
 CNOT12 = [
     [1, 0, 0, 0],
@@ -149,6 +150,30 @@ def test_counterparts_malformed_exit_2(tmp_path, capsys):
     assert main(["counterparts", "--oracle", "standard", "--bases", "GRID"]) == 2
     assert main(["counterparts", "--oracle", "phase", "--bases", "GRID"]) == 2
     capsys.readouterr()
+
+
+# Each file int() would read: a float truncated, a string of digits parsed,
+# a bool taken as a bit.  Only JSON integers are accepted.
+@pytest.mark.parametrize("argv, obj", [
+    (["simulate", "--algorithm", "parity", "--function"], {"n": 2, "truth": [0.6, 1, 1, 0]}),
+    (["simulate", "--algorithm", "parity", "--function"], {"n": 2, "truth": "0110"}),
+    (["simulate", "--algorithm", "parity", "--function"], {"n": True, "truth": [True, False]}),
+    (["counterparts", "--oracle", "standard", "--bases", "CCCC", "--bv"],
+     {"n": 3.9, "k0": 0.7, "k": [1, 0.99, 1]}),
+    (["counterparts", "--oracle", "standard", "--bases", "CCCC", "--bv"],
+     {"n": 3, "k0": 0.7, "k": [1, 0, 1]}),
+    (["counterparts", "--oracle", "standard", "--bases", "CCCC", "--bv"],
+     {"n": 3, "k0": 0, "k": [1, 0.99, 1]}),
+    (["classify", "--matrix"], {"dim": 4.5, "entries": matrix_to_json(np.eye(4))["entries"]}),
+])
+def test_json_integer_fields_refuse_non_integers(tmp_path, capsys, argv, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "must be a JSON integer" in err
 
 
 def test_counterparts_random_count_bounds(tmp_path, capsys):

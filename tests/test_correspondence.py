@@ -269,6 +269,41 @@ def test_makhlin_local_invariance_smoke():
         assert phased.gamma == pytest.approx(base.gamma, abs=1e-9)
 
 
+def local_dressing(rng):
+    """Random single-qubit unitaries on both qubits, as one 4x4 matrix."""
+    return np.kron(random_unitary(2, rng), random_unitary(2, rng))
+
+
+def test_classify_local_invariance():
+    rng = np.random.default_rng(1102)
+    for rep, perm in REP_PERMS.items():
+        g = perm_matrix(perm)
+        want = classify_cc(g)
+        assert rep in want
+        for _ in range(300):
+            assert classify_cc(local_dressing(rng) @ g @ local_dressing(rng)) == want
+    for _ in range(2000):
+        u = random_unitary(4, rng)
+        assert classify_cc(local_dressing(rng) @ u @ local_dressing(rng)) == classify_cc(u)
+
+
+def test_classification_agrees_with_extraction():
+    # Under the product basis B = b0 (x) b1, the oracle B G B^dagger has G's
+    # permutation as its counterpart, and its class holds that permutation's coset.
+    rng = np.random.default_rng(1103)
+    for rep, perm in REP_PERMS.items():
+        g = perm_matrix(perm)
+        for _ in range(50):
+            b0, b1 = random_unitary(2, rng), random_unitary(2, rng)
+            b = np.kron(b0, b1)
+            u = b @ g @ b.conj().T
+            found = extract_counterpart(OracleAction.from_matrix(u),
+                                        (general_basis(b0), general_basis(b1)))
+            assert found.perm == perm
+            assert coset_of(found.perm) == rep
+            assert rep in classify_cc(u)
+
+
 def test_makhlin_errors():
     with pytest.raises(NonUnitaryError):
         makhlin_invariants(np.ones((4, 4)))

@@ -245,6 +245,26 @@ def test_detect_stack_past_one_row_per_block(k, m):
     assert want == [i % 6 in (0, 4, 5) for i in range(k)]
 
 
+@pytest.mark.parametrize("k, m", [(6, 4), (260, 6), (3, 8)])
+def test_detect_stack_maps_are_the_batch_of_their_rows(k, m):
+    # detect_stack builds its maps without batch's second check, and must
+    # still hand out the same read-only maps
+    stack = planted_stack(np.random.default_rng([k, m, 1]), k, 1 << m)
+    found = [gp for gp in detect_stack(stack) if gp is not None]
+    kept = [i for i in range(k) if i % 6 in (0, 4, 5)]
+    assert len(found) == len(kept)
+    rows = (np.abs(stack[kept]) > 1e-9).argmax(axis=1)
+    entries = np.take_along_axis(stack[kept], rows[:, None, :], axis=1)[:, 0]
+    phases = np.zeros_like(entries)
+    np.put_along_axis(phases, rows, entries, axis=1)
+    want = GeneralizedPermutation.batch(m, rows, phases)
+    assert found == want
+    assert [(hash(gp), repr(gp)) for gp in found] == [(hash(gp), repr(gp)) for gp in want]
+    for gp in found:
+        assert not gp._perm.flags.writeable and not gp._phases.flags.writeable
+        assert gp._perm.dtype == np.intp and gp._perm.shape == (1 << m,)
+
+
 def test_roundtrip_rebuild_and_redetect():
     rng = np.random.default_rng(23)
     for m in (1, 2, 3):
@@ -264,6 +284,23 @@ def test_generalized_permutation_validation():
         GeneralizedPermutation(1, (0, 1, 2), (1, 1, 1))
     with pytest.raises(ValueError):
         GeneralizedPermutation(1, (0, 1), (1, 0.5))
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9, 0.3, 0.5, 0.6, 1, 2])
+def test_constructor_admits_exactly_what_the_detector_admits(tol):
+    for r in (0, 0.2, 0.5, 0.7, 1, 1.5):
+        try:
+            GeneralizedPermutation(1, (1, 0), (r, r), tol)
+            built = True
+        except ValueError:
+            built = False
+        assert built == (detect_generalized_permutation(r * SIGMA_X, tol) is not None), r
+
+
+def test_constructor_refuses_a_table():
+    # a (k, 2^m) table is batch's input; as one map it would have 2-D arrays
+    with pytest.raises(ValueError, match="1-D"):
+        GeneralizedPermutation(1, [[0, 1], [1, 0]], [[1, 1], [1, 1]])
 
 
 def random_tables(rng, m, k):

@@ -64,6 +64,23 @@ def test_problem_size_limits():
         bv_problem(0)
 
 
+def test_problem_limits_are_read_at_call_time(monkeypatch):
+    for build, n, message in [
+        (parity_problem, 3, "exact parity search is limited to n <= 2 (got n=3)"),
+        (bv_problem, 7, "exact bv search is limited to n <= 6 (got n=7)"),
+    ]:
+        with pytest.raises(SizeLimitError) as exc:
+            build(n)
+        assert str(exc.value) == message
+    monkeypatch.setattr(querylab, "PARITY_SEARCH_LIMIT", 3)
+    monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
+    parity, bv = parity_problem(3), bv_problem(7)
+    assert [len(p.hypotheses) for p in (parity, bv)] == [256, 256]
+    assert [h.ident for h in parity.hypotheses] == list(range(256))
+    assert parity.labels() == [f.parity() for f in iter_boolean_functions(3)]
+    assert bv.labels() == [inst.k for inst in iter_bv_instances(7)]
+
+
 def test_hypothesis_function():
     parity = parity_problem(1)
     assert hypothesis_function(parity.hypotheses[1]) is parity.hypotheses[1].instance
