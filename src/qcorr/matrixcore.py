@@ -329,11 +329,13 @@ def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
 
     A matrix qualifies when each column has exactly one entry of modulus
     above tol, that entry's modulus is within tol of one, and no two columns
-    share a row.  Returns a GeneralizedPermutation, or None, per matrix.
+    share a row.  An entry counts as present unless its modulus is at most
+    tol, so a NaN entry is present and its column fails.  Returns a
+    GeneralizedPermutation, or None, per matrix.
     """
     k, dim = stack.shape[0], stack.shape[-1]
     m = num_bits(dim)
-    # The |M| > tol pass runs over blocks of whole matrices, or of row strips
+    # The presence pass runs over blocks of whole matrices, or of row strips
     # of one matrix that alone exceeds _BLOCK, so its buffers stay near
     # _BLOCK entries and its reductions run down whole columns where they fit.
     counts = np.zeros((k, dim), dtype=np.intp)
@@ -347,7 +349,8 @@ def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
         for r in range(0, dim, step):
             n = min(step, dim - r)
             hit = big[:j - i, :n]
-            np.greater(np.abs(stack[i:j, r:r + n], out=mags[:j - i, :n]), tol, out=hit)
+            np.less_equal(np.abs(stack[i:j, r:r + n], out=mags[:j - i, :n]), tol, out=hit)
+            np.logical_not(hit, out=hit)
             counts[i:j] += hit.sum(axis=1)
             np.copyto(rows[i:j], hit.argmax(axis=1) + r, where=hit.any(axis=1))
     ok = (counts == 1).all(axis=1)
@@ -426,7 +429,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     for idx, pair in enumerate(entries):
         if len(pair) != 2:
             raise ValueError(f"entry {idx} is not a [re, im] pair")
-        flat[idx] = complex(float(pair[0]), float(pair[1]))
+        if not all(type(v) in (int, float) for v in pair):
+            raise ValueError(f"entry {idx} must be a pair of JSON numbers, got {pair!r}")
+        try:
+            flat[idx] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(f"entry {idx} is too large for a float") from None
     if not np.all(np.isfinite(flat.view(float))):
         raise ValueError("matrix entries must be finite")
     return flat.reshape(dim, dim)

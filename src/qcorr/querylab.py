@@ -171,11 +171,14 @@ def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
 def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     """The bitmask search behind the query count and its witness tree.
 
-    Returns ``(count, choices)``.  Hypothesis i is bit i of a set mask and
-    ``count`` is the exact cost of the full set.  Each set the search solves
-    is memoized by its mask, and ``choices`` maps it to the first
-    ``(query string, {output: mask})`` in query order that attains its cost
-    (None if none does).  A search too deep to recurse raises SizeLimitError.
+    Returns ``(count, choices, labels)``.  The bits of a set mask are laid
+    out label by label (labels in order of first appearance, hypotheses in
+    order within a label), so each label is one run of adjacent bits, and
+    ``labels[i]`` is the label of bit i.  ``count`` is the exact cost of the
+    full set.  Each set the search solves is memoized by its mask, and
+    ``choices`` maps it to the first ``(query string, {output: mask})`` in
+    query order that attains its cost (None if none does).  A search too
+    deep to recurse raises SizeLimitError.
     """
     hyps = problem.hypotheses
     if len(family.maps) != len(hyps):
@@ -185,14 +188,29 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     if family.m > MAX_QUERY_BITS:
         raise SizeLimitError(f"query width {family.m} exceeds {MAX_QUERY_BITS} bits")
 
-    bits = [1 << i for i in range(len(hyps))]
     by_label: dict = {}
-    for bit, h in zip(bits, hyps):
-        by_label[h.label] = by_label.get(h.label, 0) | bit
-    label_masks = list(by_label.values())
-    label_of = [by_label[h.label] for h in hyps]
+    for i, h in enumerate(hyps):
+        by_label.setdefault(h.label, []).append(i)
+    bits = [0] * len(hyps)
+    labels, run_of = [], []
+    # tops holds the last bit of each label's run and ones every other bit,
+    # so (s & ones) + ones carries into a run's top bit iff s meets the run
+    # below it, and the labels of s are the top bits of that sum | s.
+    ones = tops = 0
+    for label, members in by_label.items():
+        start, size = len(labels), len(members)
+        run = ((1 << size) - 1) << start
+        for pos, i in enumerate(members, start):
+            bits[i] = 1 << pos
+        labels += [label] * size
+        run_of += [run] * size
+        tops |= 1 << (start + size - 1)
+        ones |= run
+    ones ^= tops
 
-    # Column q of the output table is query string q's answer per hypothesis.
+    # Column q of the output table is query string q's answer per
+    # hypothesis; outputs keep their order of first appearance in the
+    # hypothesis order, which the tree's branches follow.
     queries = []
     seen = set()
     for q, column in enumerate(zip(*[gp._perm.tolist() for gp in family.maps])):
@@ -209,22 +227,29 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     memo: dict[int, float] = {}
     choices: dict[int, tuple | None] = {}
 
+    def label_count(s: int) -> int:
+        return ((((s & ones) + ones) | s) & tops).bit_count()
+
     def depth(s: int):
-        low = label_of[(s & -s).bit_length() - 1]
-        if s & low == s:
+        if s & run_of[(s & -s).bit_length() - 1] == s:
             return 0
         cached = memo.get(s)
         if cached is not None:
             return cached
-        labels = sum(1 for mask in label_masks if s & mask)
+        count = label_count(s)
         bound, leaves = 0, 1
-        while leaves < labels:
+        while leaves < count:
             bound, leaves = bound + 1, leaves * branching
+        # A part with more than b^(bound-1) labels has the set's own bound,
+        # so a query leaving one costs at least bound + 1.
+        floor = leaves // branching
         best, pick = math.inf, None
         tried = set()
         for q, parts in queries:
             kids = [kid for kid in (s & mask for mask in parts.values()) if kid]
             if len(kids) < 2:
+                continue
+            if best == bound + 1 and any(label_count(kid) > floor for kid in kids):
                 continue
             key = frozenset(kids)
             if key in tried:
@@ -244,7 +269,7 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
         return best
 
     try:
-        return depth((1 << len(hyps)) - 1), choices
+        return depth((1 << len(hyps)) - 1), choices, labels
     except RecursionError:
         # One frame per level of nested sets: a family whose queries peel off
         # one hypothesis at a time nests as deep as the hypothesis count.
@@ -257,16 +282,21 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
 def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracleFamily):
     """Depth of the best adaptive deterministic decision tree.
 
-    Minimax over hypothesis sets held as int bitmasks: a set costs 0 when
-    all its labels agree, else 1 plus the best worst-case cost over the
+    Minimax over hypothesis sets held as int bitmasks, with the bits laid
+    out so that each label is one run of adjacent bits: a set costs 0 when
+    it lies in one run, else 1 plus the best worst-case cost over the
     nonempty parts ``S & mask`` of some query's output partition.  Each
     query column of the family's output table is turned into its partition
     once; queries that do not split the full set are dropped and queries
     with the same partition are merged (for ``O_S``, y=0 and y=1 pair up).
-    At a set, a query whose parts repeat an earlier query's is skipped, the
-    largest part is searched first, and the loop stops once the best depth
-    meets the counting bound ceil(log_b L): with L labels in the set and b
-    the most outputs of any query, a shallower tree has too few leaves.
+    A set's L labels are counted in four big-int operations on its mask,
+    and give the counting bound ceil(log_b L), with b the most outputs of
+    any query: a shallower tree has fewer than L leaves.  At a set, a query
+    whose parts repeat an earlier query's is skipped, the largest part is
+    searched first, and the loop stops once the best depth meets the
+    bound.  Once the best depth is the bound plus one, a query is skipped
+    unsearched when one of its parts still has the set's bound, since it
+    cannot do better.  Every memoized depth stays exact.
     Returns math.inf when no query sequence can separate the labels.
     """
     return _minimax(problem, family)[0]
@@ -281,8 +311,7 @@ def decision_tree(problem: ProblemSpec, family: ClassicalOracleFamily):
     its own: at a set of depth d it asks the first query whose parts all
     have depth at most d - 1, so the tree's depth is the query count.
     """
-    count, choices = _minimax(problem, family)
-    labels = [h.label for h in problem.hypotheses]
+    count, choices, labels = _minimax(problem, family)
 
     def build(s: int):
         if s not in choices:  # a label-pure set

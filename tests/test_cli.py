@@ -176,6 +176,28 @@ def test_json_integer_fields_refuse_non_integers(tmp_path, capsys, argv, obj):
     assert "must be a JSON integer" in err
 
 
+# A string of digits float() would parse, a bool it would take as 0 or 1,
+# null, and an integer too large for a float: only JSON numbers a float can
+# hold are matrix entries.
+@pytest.mark.parametrize("bad, message", [
+    (["1", "0"], "must be a pair of JSON numbers"),
+    ([True, 0], "must be a pair of JSON numbers"),
+    ([1, False], "must be a pair of JSON numbers"),
+    ([None, 0], "must be a pair of JSON numbers"),
+    ([10 ** 400, 0], "too large for a float"),
+])
+def test_matrix_entries_refuse_non_numbers(tmp_path, capsys, bad, message):
+    entries = matrix_to_json(np.array(CNOT12))["entries"]
+    entries[0] = bad
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"dim": 4, "entries": entries}))
+    assert main(["classify", "--matrix", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message in err
+
+
 def test_counterparts_random_count_bounds(tmp_path, capsys):
     bv = tmp_path / "bv.json"
     bv.write_text(json.dumps({"n": 1, "k0": 0, "k": [1]}))

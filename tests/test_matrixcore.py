@@ -192,6 +192,20 @@ def test_detect_stack_decides_each_matrix():
     assert detect_stack(clash) == [None]
 
 
+def test_detect_counts_nan_entries_as_present():
+    nan = np.nan
+    assert detect_generalized_permutation(np.array([[1, nan], [nan, 1]])) is None
+    # one NaN matrix among good ones fails alone, wherever its NaN sits
+    good = np.stack([SWAP, CZ, CNOT12]).astype(complex)
+    for where in [(0, 1), (2, 2), (3, 0)]:
+        stack = np.concatenate([good, good[:1]])
+        stack[2][where] = nan
+        found = detect_stack(stack)
+        assert found[2] is None
+        assert [gp.perm for i, gp in enumerate(found) if i != 2] == [
+            (0, 2, 1, 3), (0, 1, 2, 3), (0, 2, 1, 3)]
+
+
 def planted_stack(rng, k, dim):
     """k generalized permutations with random phases; from each six, the
     second to fourth are spoiled and the fifth carries noise below tol."""
@@ -516,6 +530,9 @@ def test_matrix_json_malformed():
         matrix_from_json({"dim": 1, "entries": [[1, 0, 0]]})
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 1, "entries": [[float("nan"), 0]]})
+    # float() would read strings and booleans: the identity, before
+    with pytest.raises(ValueError, match="JSON numbers"):
+        matrix_from_json({"dim": 2, "entries": [["1", "0"], [False, 0], [0, 0], [True, "0"]]})
 
 
 def test_cnot_matches_magic_q_shape():

@@ -21,6 +21,7 @@ from qcorr.querylab import (
     ORACLES,
     ProblemSpec,
     _extracted_families,
+    _minimax,
     bv_problem,
     decision_tree,
     deterministic_query_complexity,
@@ -138,6 +139,13 @@ def relabelled(problem, family, rng):
             ClassicalOracleFamily(family.name, family.m, maps))
 
 
+def reordered(problem, family, rng):
+    """The same problem with its hypotheses, and their maps, reordered."""
+    order = [int(i) for i in rng.permutation(len(problem.hypotheses))]
+    return (ProblemSpec(problem.name, problem.n, tuple(problem.hypotheses[i] for i in order)),
+            ClassicalOracleFamily(family.name, family.m, tuple(family.maps[i] for i in order)))
+
+
 NAMED = [("bv", n, o) for n in (1, 2, 3, 4) for o in ("OS", "OB", "OBT")]
 NAMED += [("parity", n, o) for n in (1, 2) for o in ("OS", "OA")]
 PROBLEMS = {"bv": bv_problem, "parity": parity_problem}
@@ -230,6 +238,69 @@ def test_random_families():
     assert all(count >= 10 for count in seen.values()), seen
 
 
+def many_label_case(rng):
+    """m <= 4 bits, at most 12 hypotheses and up to one label each.  Every
+    label has one hypothesis and the rest go to labels drawn with unequal
+    weights, so class sizes differ; the labels are interleaved in a random
+    hypothesis order.  The perms are mostly distinct near-copies of one
+    perm, so most families separate their labels, often only above the
+    counting bound, where the search skips queries that cannot win."""
+    m = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 13))
+    nlabels = int(rng.integers(2, k + 1))
+    extra = rng.choice(nlabels, k - nlabels, p=rng.dirichlet(np.full(nlabels, 0.5)))
+    labels = np.concatenate([np.arange(nlabels), extra])[rng.permutation(k)]
+    base = rng.permutation(1 << m)
+    pool = sorted({near(rng, base) for _ in range(4 * k)})
+    picks = rng.choice(len(pool), k, replace=len(pool) < k)
+    ones = (1 + 0j,) * (1 << m)
+    hyps = tuple(Hypothesis(i, None, int(label)) for i, label in enumerate(labels))
+    maps = tuple(GeneralizedPermutation(m, pool[i], ones) for i in picks)
+    return ProblemSpec("labels", m, hyps), ClassicalOracleFamily("labels", m, maps)
+
+
+def counting_bound(problem, family):
+    """ceil(log_b L) for the full set: L labels, b the most outputs of any
+    query string."""
+    branching = max(len({gp.perm[q] for gp in family.maps}) for q in range(1 << family.m))
+    bound, leaves = 0, 1
+    while leaves < len(set(problem.labels())):
+        bound, leaves = bound + 1, leaves * max(branching, 2)
+    return bound
+
+
+def test_many_label_families():
+    rng = np.random.default_rng(20050418)
+    seen = {"at the bound": 0, "bound + 1": 0, "above bound + 1": 0}
+    for _ in range(400):
+        problem, family = many_label_case(rng)
+        want = reference_complexity(problem, family)
+        assert deterministic_query_complexity(problem, family) == want
+        tree = decision_tree(problem, family)
+        check_tree(problem, family, tree, want)
+        assert tree == reference_tree(problem, family)
+        assert decision_tree(*reordered(problem, family, rng)) == tree
+        bound = counting_bound(problem, family)
+        if want == bound:
+            seen["at the bound"] += 1
+        elif want == bound + 1:
+            seen["bound + 1"] += 1
+        else:
+            seen["above bound + 1"] += 1
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bv_os_search_solves_one_set_per_tree_node(n):
+    # The optimal tree has 2^(n+1) - 1 inner nodes; any other set the search
+    # solved would only show that some query cannot beat the best so far.
+    problem = bv_problem(n)
+    count, choices, labels = _minimax(problem, named_family(problem, "OS"))
+    assert count == n + 1
+    assert len(choices) == (1 << (n + 1)) - 1
+    assert sorted(labels) == sorted(problem.labels())
+
+
 CERTIFIED = [("bv", n, o) for n in (1, 2, 3, 4, 5) for o in ("OS", "OB", "OBT")]
 CERTIFIED += [("parity", n, o) for n in (1, 2) for o in ("OS", "OA")]
 
@@ -262,3 +333,10 @@ def test_named_trees_follow_the_reference_rule(name, n, oracle):
     family = named_family(problem, oracle)
     assert decision_tree(problem, family) == reference_tree(problem, family)
 
+
+@pytest.mark.parametrize("name,n,oracle", TREES, ids=named_ids(TREES))
+def test_named_trees_ignore_hypothesis_order(name, n, oracle):
+    problem = PROBLEMS[name](n)
+    family = named_family(problem, oracle)
+    rng = np.random.default_rng([n, 11])
+    assert decision_tree(*reordered(problem, family, rng)) == decision_tree(problem, family)

@@ -28,4 +28,4 @@ def test_library_tour_runs_and_prints_what_it_says():
             continue  # a comment in words, such as "alpha ~ 1"
         assert eval(match[1], namespace) == want, line
         checked += 1
-    assert checked == 5
+    assert checked == 6
