@@ -83,14 +83,22 @@ class BVInstance:
             raise ValueError(f"malformed promise object: {exc}") from exc
 
 
-def _dot_parity(a: int, b: int) -> int:
-    return bin(a & b).count("1") & 1
+def _dot_parities(n: int, k_int) -> np.ndarray:
+    """(k . x) mod 2 for every x on n bits, along a last axis of 2^n; k_int
+    is one packed k or an array of them, one per leading index."""
+    # bitwise_count returns uint8: callers widen before any sign or shift.
+    return np.bitwise_count(np.arange(1 << n) & np.asarray(k_int)[..., None]) & 1
+
+
+def bv_truths(n: int, k0, k_int) -> np.ndarray:
+    """Truth tables of k0 XOR (k . x) on n bits, along a last axis of 2^n;
+    k0 and k_int are one instance's values or arrays of them."""
+    return np.asarray(k0, dtype=np.intp)[..., None] ^ _dot_parities(n, k_int)
 
 
 def bv_function(inst: BVInstance) -> BooleanFunction:
     """Truth table of the promised function k0 XOR (k . x)."""
-    truth = tuple(inst.k0 ^ _dot_parity(x, inst.k_int) for x in range(1 << inst.n))
-    return BooleanFunction(inst.n, truth)
+    return BooleanFunction(inst.n, tuple(bv_truths(inst.n, inst.k0, inst.k_int).tolist()))
 
 
 class OracleAction:
@@ -155,40 +163,59 @@ def standard_oracle(f: BooleanFunction) -> OracleAction:
 def phase_oracle(inst: BVInstance) -> OracleAction:
     """|x> |-> (-1)^(x.k) |x> on n qubits; k0 only shifts the global phase
     and is dropped."""
-    dim = 1 << inst.n
-    # bitwise_count returns uint8: the signs are taken in floats, where
-    # 1 - 2 * 1 is -1 and not 255.
-    parity = np.bitwise_count(np.arange(dim) & inst.k_int) & 1
-    gp = GeneralizedPermutation(inst.n, np.arange(dim), 1.0 - 2.0 * parity)
+    # The signs are taken in floats, where 1 - 2 * 1 is -1 and not 255.
+    signs = 1.0 - 2.0 * _dot_parities(inst.n, inst.k_int)
+    gp = GeneralizedPermutation(inst.n, np.arange(1 << inst.n), signs)
     return OracleAction.from_permutation(gp)
+
+
+# Each named oracle's perm is written once, over any leading axes: one
+# truth table (or one packed k) gives one perm, a (k, 2^n) table gives k.
+def perms_OS(truth) -> np.ndarray:
+    """(x, y) |-> (x, y XOR f(x)) on n+1 bits, per truth table of f along
+    the last axis."""
+    truth = np.asarray(truth, dtype=np.intp)
+    xy = np.arange(2 * truth.shape[-1])
+    return xy ^ truth[..., xy >> 1]
+
+
+def perms_OA(truth) -> np.ndarray:
+    """(x, y) |-> (x XOR c, y) on n+1 bits, where the first bit of x flips by
+    c = f(0, rest) XOR f(1, rest), per truth table of f along the last axis."""
+    truth = np.asarray(truth, dtype=np.intp)
+    n = num_bits(truth.shape[-1])
+    top = 1 << (n - 1)
+    xy = np.arange(2 << n)
+    rest = (xy >> 1) & (top - 1)
+    return xy ^ ((truth[..., rest] ^ truth[..., rest | top]) << n)
+
+
+def perms_OB(n: int, k_int) -> np.ndarray:
+    """(x, y) |-> (x XOR k, y) on n+1 bits, per packed k."""
+    return np.arange(2 << n) ^ (np.asarray(k_int)[..., None] << 1)
+
+
+def perms_OBtilde(n: int, k_int) -> np.ndarray:
+    """x |-> x XOR k on n bits, per packed k."""
+    return np.arange(1 << n) ^ np.asarray(k_int)[..., None]
 
 
 def classical_OS(f: BooleanFunction) -> GeneralizedPermutation:
     """Standard classical oracle: (x, y) |-> (x, y XOR f(x))."""
-    m = f.n + 1
-    xy = np.arange(1 << m)
-    return GeneralizedPermutation(m, xy ^ np.asarray(f.truth)[xy >> 1], np.ones(1 << m))
+    return GeneralizedPermutation(f.n + 1, perms_OS(f.truth), np.ones(2 << f.n))
 
 
 def classical_OA(f: BooleanFunction) -> GeneralizedPermutation:
     """Flip oracle: (x, y) |-> (x XOR c, y) where the first bit of x flips by
     c = f(0, rest) XOR f(1, rest), independent of y."""
-    m = f.n + 1
-    top = 1 << (f.n - 1)
-    truth = np.asarray(f.truth)
-    xy = np.arange(1 << m)
-    rest = (xy >> 1) & (top - 1)
-    c = truth[rest] ^ truth[rest | top]
-    return GeneralizedPermutation(m, xy ^ (c << f.n), np.ones(1 << m))
+    return GeneralizedPermutation(f.n + 1, perms_OA(f.truth), np.ones(2 << f.n))
 
 
 def classical_OB(inst: BVInstance) -> GeneralizedPermutation:
     """Shift oracle: (x, y) |-> (x XOR k, y) on n+1 bits."""
-    m = inst.n + 1
-    return GeneralizedPermutation(m, np.arange(1 << m) ^ (inst.k_int << 1), np.ones(1 << m))
+    return GeneralizedPermutation(inst.n + 1, perms_OB(inst.n, inst.k_int), np.ones(2 << inst.n))
 
 
 def classical_OBtilde(inst: BVInstance) -> GeneralizedPermutation:
     """Query-bit-free shift oracle: x |-> x XOR k on n bits."""
-    dim = 1 << inst.n
-    return GeneralizedPermutation(inst.n, np.arange(dim) ^ inst.k_int, np.ones(dim))
+    return GeneralizedPermutation(inst.n, perms_OBtilde(inst.n, inst.k_int), np.ones(1 << inst.n))

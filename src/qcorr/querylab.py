@@ -22,10 +22,11 @@ from .oracleforge import (
     GeneralizedPermutation,
     OracleAction,
     bv_function,
-    classical_OA,
-    classical_OB,
-    classical_OBtilde,
-    classical_OS,
+    bv_truths,
+    perms_OA,
+    perms_OB,
+    perms_OBtilde,
+    perms_OS,
     phase_oracle,
     standard_oracle,
 )
@@ -55,6 +56,15 @@ class ProblemSpec:
     def __post_init__(self):
         if not self.hypotheses:
             raise ValueError("a problem needs at least one hypothesis")
+        # A catalogued problem's oracles are built from its instances, which
+        # must then be of its own kind and size.
+        if self.name in PROBLEMS:
+            kind = PROBLEMS[self.name][1]
+            for h in self.hypotheses:
+                if not (isinstance(h.instance, kind) and h.instance.n == self.n):
+                    raise ValueError(
+                        f"a {self.name} problem on n={self.n} needs {kind.__name__} "
+                        f"instances on n={self.n}; hypothesis {h.ident} is not one")
 
     def labels(self) -> list:
         return [h.label for h in self.hypotheses]
@@ -118,43 +128,61 @@ class ClassicalOracleFamily:
             raise ValueError("all family members must act on the same bit count")
 
 
-# CLI name -> (family name, classical map of one hypothesis, the problems the
-# oracle is defined on).  O_B and O_Btilde shift by the hidden string.
+def _truths(problem: ProblemSpec) -> np.ndarray:
+    """The (k, 2^n) truth table whose row i is hypothesis i's function."""
+    insts = [h.instance for h in problem.hypotheses]
+    if problem.name == "bv":
+        return bv_truths(problem.n, [i.k0 for i in insts], [i.k_int for i in insts])
+    return np.array([f.truth for f in insts])
+
+
+def _k_ints(problem: ProblemSpec) -> list[int]:
+    return [h.instance.k_int for h in problem.hypotheses]
+
+
+# CLI name -> (family name, the (k, 2^m) perm table of a problem's
+# hypotheses, the problems the oracle is defined on).  O_B and O_Btilde
+# shift by the hidden string.
 ORACLES = {
-    "OS": ("O_S", lambda h: classical_OS(hypothesis_function(h)), ("parity", "bv")),
-    "OA": ("O_A", lambda h: classical_OA(hypothesis_function(h)), ("parity", "bv")),
-    "OB": ("O_B", lambda h: classical_OB(h.instance), ("bv",)),
-    "OBT": ("O_Btilde", lambda h: classical_OBtilde(h.instance), ("bv",)),
+    "OS": ("O_S", lambda p: perms_OS(_truths(p)), ("parity", "bv")),
+    "OA": ("O_A", lambda p: perms_OA(_truths(p)), ("parity", "bv")),
+    "OB": ("O_B", lambda p: perms_OB(p.n, _k_ints(p)), ("bv",)),
+    "OBT": ("O_Btilde", lambda p: perms_OBtilde(p.n, _k_ints(p)), ("bv",)),
 }
 
-# Problem name -> (its constructor from n, the quantum run on one instance,
-# the named oracles a speed-up report shows).  The quantum runs look the
-# algorithm up in this module's globals at call time, so a patched
-# run_bv_quantum or run_parity_quantum (a profiler's span, a test's counter)
-# is the one called.
+# Problem name -> (its constructor from n, the type of its instances, the
+# quantum run on one instance, the named oracles a speed-up report shows).
+# The quantum runs look the algorithm up in this module's globals at call
+# time, so a patched run_bv_quantum or run_parity_quantum (a profiler's span,
+# a test's counter) is the one called.
 PROBLEMS = {
-    "parity": (parity_problem, lambda f: run_parity_quantum(f), ("OS", "OA")),
-    "bv": (bv_problem, lambda inst: run_bv_quantum(inst), ("OS", "OB")),
+    "parity": (parity_problem, BooleanFunction, lambda f: run_parity_quantum(f), ("OS", "OA")),
+    "bv": (bv_problem, BVInstance, lambda inst: run_bv_quantum(inst), ("OS", "OB")),
 }
 
 
 def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
     """The named classical oracle ``oracle`` (a key of ORACLES) of every
-    hypothesis, as one family."""
+    hypothesis, as one family: its perms are built as one (k, 2^m) table and
+    checked in one pass."""
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")
-    name, build, domain = ORACLES[oracle]
+    name, perms_of, domain = ORACLES[oracle]
     if problem.name not in domain:
         raise ValueError(f"{oracle} is only defined for the {' and '.join(domain)} problem")
-    maps = tuple(build(h) for h in problem.hypotheses)
-    return ClassicalOracleFamily(name, maps[0].m, maps)
+    perms = perms_of(problem)
+    m = perms.shape[1].bit_length() - 1
+    maps = GeneralizedPermutation.batch(m, perms, np.ones(perms.shape))
+    return ClassicalOracleFamily(name, m, tuple(maps))
 
 
-def _extracted_families(problem: ProblemSpec, space, tol: float, oracles=None):
+def _extracted_families(problem: ProblemSpec, space, tol: float, standard=None):
     """(name, family) per assignment that admits every hypothesis's standard
-    oracle; ``oracles`` are those oracles, if the caller has built them."""
-    if oracles is None:
-        oracles = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
+    oracle.  The standard oracles' permutations are the maps of the O_S
+    family ``standard``, built here if the caller has not."""
+    if standard is None:
+        standard = named_family(problem, "OS")
+    oracles = [OracleAction.from_permutation(gp) for gp in standard.maps]
     return [
         (name, ClassicalOracleFamily(basis_word(bases) or "general", problem.n + 1, maps))
         for name, bases, maps in extract_batch(oracles, space, tol)
@@ -432,13 +460,11 @@ def speedup_report(problem: ProblemSpec, space=None, tol: float = DEFAULT_TOL) -
     space = PauliGrid() if space is None else space
     if problem.name not in PROBLEMS:
         raise ValueError(f"unknown problem {problem.name!r}")
-    _, run_quantum, shown = PROBLEMS[problem.name]
+    _, _, run_quantum, shown = PROBLEMS[problem.name]
     _, quantum = run_quantum(problem.hypotheses[0].instance)
     named = {oracle: named_family(problem, oracle) for oracle in shown}
     families = [(ORACLES[oracle][0], fam) for oracle, fam in named.items()]
-    # The O_S maps are the standard oracles' permutations.
-    standard = [OracleAction.from_permutation(gp) for gp in named["OS"].maps]
-    families += _extracted_families(problem, space, tol, standard)
+    families += _extracted_families(problem, space, tol, named["OS"])
     # Families with the same perms (O_S and the all-chi word) share a count.
     counts: dict[bytes, float] = {}
     entries = []

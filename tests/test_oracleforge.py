@@ -84,6 +84,16 @@ def test_bv_function_matches_affine_evaluator(n):
                 assert f(x) == affine_eval(k0, k, x, n)
 
 
+def test_bv_function_matches_popcount_reference():
+    # k0 XOR popcount(k & x) mod 2 in Python ints, one x at a time
+    for n in range(1, 9):
+        for k0 in (0, 1):
+            for k_int in range(1 << n):
+                k = tuple((k_int >> (n - 1 - j)) & 1 for j in range(n))
+                want = tuple(k0 ^ (bin(x & k_int).count("1") & 1) for x in range(1 << n))
+                assert bv_function(BVInstance(n, k0, k)).truth == want
+
+
 def test_standard_oracle_flips_target():
     oracle = standard_oracle(BooleanFunction(1, (0, 1)))
     e2 = np.zeros(4, dtype=complex)

@@ -2,11 +2,22 @@
 and the speed-up report."""
 
 import math
+import pickle
 
+import numpy as np
 import pytest
 
+from qcorr import matrixcore
 from qcorr.matrixcore import GeneralizedPermutation, SizeLimitError
-from qcorr.oracleforge import BooleanFunction, BVInstance, bv_function, classical_OS
+from qcorr.oracleforge import (
+    BooleanFunction,
+    BVInstance,
+    bv_function,
+    classical_OA,
+    classical_OB,
+    classical_OBtilde,
+    classical_OS,
+)
 from qcorr.correspondence import RandomSample, parse_basis_word
 from qcorr import querylab
 from qcorr.querylab import (
@@ -110,6 +121,62 @@ def test_family_constructors():
         )
 
 
+# The one-map constructors are the reference for the batch-built families.
+ONE_AT_A_TIME = {
+    "OS": lambda h: classical_OS(hypothesis_function(h)),
+    "OA": lambda h: classical_OA(hypothesis_function(h)),
+    "OB": lambda h: classical_OB(h.instance),
+    "OBT": lambda h: classical_OBtilde(h.instance),
+}
+DIFFERENTIAL = [("bv", n) for n in range(1, 8)] + [("parity", n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,n", DIFFERENTIAL, ids=[f"{p}{n}" for p, n in DIFFERENTIAL])
+def test_named_family_matches_one_map_per_hypothesis(name, n, monkeypatch):
+    # bv 7 and parity 3 lie past the search limits, which only gate the
+    # problem builders
+    monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
+    monkeypatch.setattr(querylab, "PARITY_SEARCH_LIMIT", 3)
+    assert set(ONE_AT_A_TIME) == set(querylab.ORACLES)
+    problem = querylab.PROBLEMS[name][0](n)
+    order = np.random.default_rng([n, 13]).permutation(len(problem.hypotheses))
+    shuffled = ProblemSpec(name, n, tuple(problem.hypotheses[int(i)] for i in order))
+    for oracle, (family_name, _, domain) in querylab.ORACLES.items():
+        if name not in domain:
+            continue
+        for spec in (problem, shuffled):
+            family = named_family(spec, oracle)
+            want = tuple(ONE_AT_A_TIME[oracle](h) for h in spec.hypotheses)
+            assert (family.name, family.m) == (family_name, want[0].m)
+            assert family.maps == want, (oracle, spec is shuffled)
+
+
+def test_named_family_checks_its_table_in_one_pass(monkeypatch):
+    calls = []
+    checked_tables = matrixcore._checked_tables
+
+    def counting(m, perms, phases, tol):
+        calls.append(np.shape(perms))
+        return checked_tables(m, perms, phases, tol)
+
+    monkeypatch.setattr(matrixcore, "_checked_tables", counting)
+    problem = bv_problem(3)
+    for oracle in querylab.ORACLES:
+        calls.clear()
+        family = named_family(problem, oracle)
+        assert calls == [(16, 1 << family.m)], oracle
+
+
+def test_named_family_member_pickles_its_own_row():
+    problem = bv_problem(3)
+    member = named_family(problem, "OS").maps[5]
+    data = pickle.dumps(member)
+    assert pickle.loads(data) == member
+    # a member built alone holds one row, so the same bytes mean one row
+    alone = classical_OS(hypothesis_function(problem.hypotheses[5]))
+    assert len(data) == len(pickle.dumps(alone))
+
+
 def test_named_family_domain():
     # the shift oracles need a hidden string
     for oracle in ("OB", "OBT"):
@@ -182,6 +249,19 @@ def test_problem_without_hypotheses_is_a_value_error(consume):
     # tuple; the spec now refuses it when it is built.
     with pytest.raises(ValueError, match="at least one hypothesis"):
         consume(ProblemSpec("bv", 1, ()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProblemSpec("bv", 2, bv_problem(3).hypotheses),
+    lambda: ProblemSpec("bv", 1, parity_problem(1).hypotheses),
+    lambda: ProblemSpec("parity", 1, bv_problem(1).hypotheses),
+    lambda: ProblemSpec("parity", 2, parity_problem(1).hypotheses),
+], ids=["bv-wrong-n", "bv-of-functions", "parity-of-bv-instances", "parity-wrong-n"])
+def test_catalogued_problem_checks_its_instances(make):
+    # Each of these used to be accepted: the first gave a 4-bit O_S family,
+    # and speedup_report of the next two raised AttributeError.
+    with pytest.raises(ValueError, match="instances on n="):
+        make()
 
 
 def test_minimax_family_size_mismatch():
