@@ -110,6 +110,8 @@ def cmd_classify(args) -> dict:
 
 
 def _build_oracle(args):
+    if args.function is not None and (args.bv is not None or args.oracle == "phase"):
+        raise ValueError("--function goes with a standard oracle and no --bv")
     if args.oracle == "standard":
         if args.function:
             f = BooleanFunction.from_json(_load_json_file(args.function))
@@ -186,6 +188,8 @@ def cmd_simulate(args) -> dict:
         inst = BVInstance(n, args.k0, k)
         recovered, queries = _checked_run(querylab.run_bv_quantum, inst, tol)
         return {"k": "".join(str(b) for b in recovered), "queries": queries}
+    if args.function is not None and args.truth is not None:
+        raise ValueError("parity simulation takes --function or --truth, not both")
     if args.function:
         f = BooleanFunction.from_json(_load_json_file(args.function))
     elif args.truth:
@@ -197,6 +201,8 @@ def cmd_simulate(args) -> dict:
         f = BooleanFunction(n, truth)
     else:
         raise ValueError("parity simulation needs --function or --truth")
+    if args.n is not None and args.n != f.n:
+        raise ValueError(f"--n {args.n} does not match the truth table's n={f.n}")
     parity, queries = _checked_run(querylab.run_parity_quantum, f, tol)
     return {"parity": parity, "queries": queries}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import _BLOCK, HADAMARD, SizeLimitError, apply_single_qubit, hadamard_layer
+from .matrixcore import HADAMARD, SizeLimitError, apply_single_qubit, hadamard_layer
 from .oracleforge import (
     BooleanFunction,
     BVInstance,
@@ -350,12 +350,12 @@ def decision_tree(problem: ProblemSpec, family: ClassicalOracleFamily):
     return None if math.isinf(count) else build((1 << len(labels)) - 1)
 
 
-def _assert_normalized(states: np.ndarray, tol: float = DEFAULT_TOL):
-    """Each statevector, or each column of a (2^m, B) array of them, has unit
-    norm within tol; a NaN norm fails."""
-    norms = np.atleast_1d(np.sqrt(np.vecdot(states, states, axis=0).real))
+def _assert_normalized(sq_norms, tol: float = DEFAULT_TOL):
+    """Each state whose squared norm is an entry of ``sq_norms`` (one, or an
+    array) has unit norm within tol; a NaN norm fails."""
+    norms = np.atleast_1d(np.sqrt(sq_norms))
     drift = np.abs(norms - 1.0)
-    if not np.all(drift <= tol):
+    if not (drift <= tol).all():
         raise RuntimeError(f"statevector norm drifted to {float(norms[np.argmax(drift)])}")
 
 
@@ -370,9 +370,9 @@ def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     n = inst.n
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
     state = phase_oracle(inst).apply(state)
-    _assert_normalized(state, tol)
+    _assert_normalized(np.vecdot(state, state).real, tol)
     state = hadamard_layer(state, n)
-    _assert_normalized(state, tol)
+    _assert_normalized(np.vecdot(state, state).real, tol)
     idx = int(np.argmax(np.abs(state)))
     if not abs(abs(state[idx]) - 1.0) <= tol:
         raise RuntimeError("final state is not a computational basis state")
@@ -381,45 +381,38 @@ def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
 
 
 def run_parity_quantum(f: BooleanFunction, tol: float = DEFAULT_TOL):
-    """Parity in 2**(n-1) queries: one kickback step per setting of the
-    trailing n-1 input bits.
-
-    Each step places the first input qubit in the Hadamard-basis 0 state and
-    the query qubit in the Hadamard-basis 1 state, queries the standard
-    oracle once, and reads the first qubit back in the Hadamard basis; the
-    outcome is deterministically f(0, rest) XOR f(1, rest).  The steps run
-    in blocks of 2^b input states, one per column of a (2^m, 2^b) array, so
-    a block is one state on m + b qubits whose qubit 0 is the first input
-    qubit; 2^b is the largest power of two with 2^(m+b) <= _BLOCK, at least 1.
-    """
+    """Parity in 2**(n-1) queries, one per setting r of the trailing n-1
+    input bits: query r puts the first input qubit a in the Hadamard-basis 0
+    state and the query qubit y in the Hadamard-basis 1 state, and reads a
+    back in the Hadamard basis as f(0, r) XOR f(1, r).  Its state spans the
+    strings (a, r, y), which an oracle that writes only y maps onto
+    themselves, so all queries share one state of 2^m amplitudes, one oracle
+    call and one Hadamard on qubit 0.  Query r is slice [:, r, :] of the
+    (2, 2^(n-1), 2) view; its norm and readout are checked on their own."""
     if f.n > 12:
         raise SizeLimitError(f"parity simulation limited to n <= 12 (got n={f.n})")
     n = f.n
-    m = n + 1
     oracle = standard_oracle(f)
-    settings = 1 << (n - 1)
-    b = min(n - 1, max(0, _BLOCK.bit_length() - 1 - m))
-    cols = np.arange(1 << b)
-    total = queries = 0
-    for start in range(0, settings, 1 << b):
-        # |+>|rest>|->: entries +-1/2 at first bit 0 or 1 and query bit 0 or 1.
-        states = np.zeros((1 << m, 1 << b), dtype=complex)
-        base = (start + cols) << 1
-        for first in (0, 1 << n):
-            states[base | first, cols] = 0.5
-            states[base | first | 1, cols] = -0.5
-        out = oracle.apply(states)
-        queries += out.shape[1]
-        _assert_normalized(out, tol)
-        apply_single_qubit(out, HADAMARD, 0, m + b, out=out)
-        _assert_normalized(out, tol)
-        p_one = np.vecdot(out[1 << n:], out[1 << n:], axis=0).real
-        if not np.all(np.minimum(p_one, 1.0 - p_one) <= tol):
-            raise RuntimeError("kickback readout is not deterministic")
-        total ^= int(np.count_nonzero(p_one > 0.5)) & 1
-    if queries != settings:
-        raise RuntimeError(f"made {queries} kickback queries, expected {settings}")
-    return total, queries
+    gp = oracle.permutation
+    # An oracle that moved some string's input bits would mix two queries.
+    if gp is None or ((gp._perm ^ np.arange(2 << n)) > 1).any():
+        raise RuntimeError("oracle does not keep the input bits of every string")
+    # |+>|r>|-> for every r: amplitude 1/2 at y = 0 and -1/2 at y = 1.
+    state = np.empty((1 << n, 2), dtype=complex)
+    state[:] = 0.5, -0.5
+    out = oracle.apply(state.reshape(-1)).reshape(2, -1, 2)
+    queries = out.shape[1]
+    if queries != 1 << (n - 1):
+        raise RuntimeError(f"made {queries} kickback queries, expected {1 << (n - 1)}")
+    # p[a, r] is the probability of first bit a in query r.
+    p = np.vecdot(out, out).real
+    _assert_normalized(p[0] + p[1], tol)
+    apply_single_qubit(out, HADAMARD, 0, n + 1, out=out)
+    p = np.vecdot(out, out).real
+    _assert_normalized(p[0] + p[1], tol)
+    if not (np.minimum(p[1], 1.0 - p[1]) <= tol).all():
+        raise RuntimeError("kickback readout is not deterministic")
+    return int(np.count_nonzero(p[1] > 0.5)) & 1, queries
 
 
 @dataclass(frozen=True)

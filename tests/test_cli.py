@@ -299,6 +299,32 @@ def test_simulate_parity_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--algorithm", "parity", "--n", "5", "--truth", "0110"],
+     "--n 5 does not match the truth table's n=2"),
+    (["simulate", "--algorithm", "parity", "--n", "2", "--function", "{f}"],
+     "--n 2 does not match the truth table's n=1"),
+    (["simulate", "--algorithm", "parity", "--function", "{f}", "--truth", "0110"],
+     "parity simulation takes --function or --truth, not both"),
+    (["counterparts", "--oracle", "standard", "--function", "{f}", "--bv", "{bv}",
+      "--bases", "CC"], "--function goes with a standard oracle and no --bv"),
+    (["counterparts", "--oracle", "phase", "--function", "{f}", "--bases", "CH"],
+     "--function goes with a standard oracle and no --bv"),
+], ids=["parity-n-truth", "parity-n-function", "parity-function-truth",
+        "standard-function-bv", "phase-function"])
+def test_conflicting_inputs_exit_2(tmp_path, capsys, argv, message):
+    # Each input alone is valid; together they disagree, or one would be
+    # dropped unread.
+    fn, bv = tmp_path / "f.json", tmp_path / "bv.json"
+    fn.write_text(json.dumps({"n": 1, "truth": [0, 1]}))
+    bv.write_text(json.dumps({"n": 1, "k0": 0, "k": [1]}))
+    argv = [a.format(f=fn, bv=bv) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("truth", ["0", "011", "011010"])
 def test_simulate_truth_length_must_be_a_power_of_two(capsys, truth):
     assert main(["simulate", "--algorithm", "parity", "--truth", truth]) == 2

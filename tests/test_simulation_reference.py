@@ -12,14 +12,20 @@ Bernstein-Vazirani with a fresh state per Hadamard, and parity with one
 import numpy as np
 import pytest
 
-from qcorr import querylab
+from qcorr import matrixcore, querylab
 from qcorr.matrixcore import (
     HADAMARD,
     GeneralizedPermutation,
     apply_single_qubit,
     hadamard_layer,
 )
-from qcorr.oracleforge import BooleanFunction, BVInstance, phase_oracle, standard_oracle
+from qcorr.oracleforge import (
+    BooleanFunction,
+    BVInstance,
+    OracleAction,
+    phase_oracle,
+    standard_oracle,
+)
 
 
 def _dot_parity(a, b):
@@ -72,22 +78,26 @@ def reference_run_bv(inst):
     return tuple((idx >> (n - 1 - j)) & 1 for j in range(n)), 1
 
 
+def reference_parity_input(n, rest):
+    plus = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
+    minus = np.array([1, -1], dtype=complex) / np.sqrt(2.0)
+    vec = plus
+    for j in range(1, n):
+        bit = (rest >> (n - 1 - j)) & 1
+        e = np.zeros(2, dtype=complex)
+        e[bit] = 1.0
+        vec = np.kron(vec, e)
+    return np.kron(vec, minus)
+
+
 def reference_run_parity(f):
     n = f.n
     m = n + 1
     oracle = standard_oracle(f).permutation
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
-    minus = np.array([1, -1], dtype=complex) / np.sqrt(2.0)
     total = 0
     settings = 1 << (n - 1)
     for rest in range(settings):
-        vec = plus
-        for j in range(1, n):
-            bit = (rest >> (n - 1 - j)) & 1
-            e = np.zeros(2, dtype=complex)
-            e[bit] = 1.0
-            vec = np.kron(vec, e)
-        vec = np.kron(vec, minus)
+        vec = reference_parity_input(n, rest)
         out = reference_apply(oracle, vec)
         _reference_assert_normalized(out)
         out = apply_single_qubit(out, HADAMARD, 0, m)
@@ -120,29 +130,36 @@ def test_parity_matches_reference(n):
 
 @pytest.mark.parametrize("block", [1, 7, 16, 48, 64, 1000])
 def test_parity_matches_reference_in_several_blocks(monkeypatch, block):
-    # Shrinking the block splits even small runs into several blocks of 1,
-    # 2, 4, ... columns.  A block size that is not a power of two still
-    # gives power-of-two columns, which divide the 2^(n-1) queries.
-    monkeypatch.setattr(querylab, "_BLOCK", block)
+    # Shrinking matrixcore's block splits the one readout Hadamard into
+    # blocks of 1, 7, 16, ... pairs, the last one short unless the block
+    # size divides the 2^n pairs (at 1000 pairs, n <= 7 fits in one block).
+    monkeypatch.setattr(matrixcore, "_BLOCK", block)
     oracles = record_oracles(monkeypatch)
     rng = np.random.default_rng(block)
     for n in range(1, 8):
+        settings = 1 << (n - 1)
         for _ in range(4):
             f = random_function(n, rng)
             assert querylab.run_parity_quantum(f) == reference_run_parity(f)
-            widths = oracles[-1].widths
-            assert sum(widths) == 1 << (n - 1) and len(set(widths)) == 1
-            assert widths[0] & (widths[0] - 1) == 0
-    assert len(oracles[-1].widths) > 1
+            # One oracle call on one state of 2^m amplitudes, whose block r
+            # is the reference's query-r input on its span, where all of that
+            # input lies.
+            (state,) = oracles[-1].inputs
+            assert state.shape == (2 << n,)
+            for r in range(settings):
+                want = reference_parity_input(n, r).reshape(2, settings, 2)
+                assert np.abs(state.reshape(2, settings, 2)[:, r] - want[:, r]).max() <= 1e-15
+                assert not np.delete(want, r, axis=1).any()
 
 
-def test_parity_exhaustive_in_single_columns(monkeypatch):
-    monkeypatch.setattr(querylab, "_BLOCK", 1)
+def test_parity_exhaustive_to_n3_and_sampled_at_n4():
     for n in (1, 2, 3):
-        for code in range(1 << (1 << n)):
-            truth = tuple((code >> i) & 1 for i in range(1 << n))
-            f = BooleanFunction(n, truth)
-            assert querylab.run_parity_quantum(f) == (sum(truth) & 1, 1 << (n - 1))
+        for f in querylab.iter_boolean_functions(n):
+            assert querylab.run_parity_quantum(f) == (f.parity(), 1 << (n - 1))
+    rng = np.random.default_rng(16)
+    for code in rng.choice(1 << 16, size=4096, replace=False).tolist():
+        f = BooleanFunction(4, tuple((code >> i) & 1 for i in range(16)))
+        assert querylab.run_parity_quantum(f) == (f.parity(), 8)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -209,54 +226,58 @@ def test_apply_matches_scatter_reference(m):
 
 
 class FaultyOracle:
-    """An oracle that acts like ``action`` except on the input states that
-    have support on basis state ``row``, whose outputs ``fault`` replaces.
-    Records the input of each call and its number of states (columns)."""
+    """An oracle that acts like ``action``, except that ``fault`` replaces
+    the output amplitudes of one query.  A parity run makes all its queries
+    on one state of 2^m amplitudes, and query r's block is the slice
+    [:, r, :] of its (2, 2^(n-1), 2) view: the four strings (a, r, y).  A bv
+    run's one query is its whole state (``query`` None).  Records the input
+    of each call, and passes the action's permutation through, as the
+    parity run reads it."""
 
-    def __init__(self, action, row=0, fault=lambda cols: cols):
-        self.action, self.row, self.fault = action, row, fault
-        self.inputs, self.widths = [], []
+    def __init__(self, action, query=None, fault=lambda amps: amps):
+        self.action, self.query, self.fault = action, query, fault
+        self.permutation = action.permutation
+        self.inputs = []
 
-    def apply(self, states):
-        states = np.asarray(states)
-        self.inputs.append(states.copy())
-        self.widths.append(states.shape[1] if states.ndim == 2 else 1)
-        out = self.action.apply(states)
-        hit = states[self.row] != 0
-        out[..., hit] = self.fault(out[..., hit])
+    def apply(self, state):
+        state = np.asarray(state)
+        self.inputs.append(state.copy())
+        out = self.action.apply(state)
+        hit = out if self.query is None else out.reshape(2, -1, 2)[:, self.query]
+        hit[...] = self.fault(hit)
         return out
 
 
-def record_oracles(monkeypatch, row=0, fault=lambda cols: cols, builder="standard_oracle"):
+def record_oracles(monkeypatch, query=None, fault=lambda amps: amps, builder="standard_oracle"):
     """Make querylab's ``builder`` (standard_oracle or phase_oracle) return
     FaultyOracles; returns the list of oracles built."""
     built = []
     make = getattr(querylab, builder)
 
     def build(instance):
-        built.append(FaultyOracle(make(instance), row, fault))
+        built.append(FaultyOracle(make(instance), query, fault))
         return built[-1]
 
     monkeypatch.setattr(querylab, builder, build)
     return built
 
 
-def drift_norm(cols):
-    return cols * (1 + 1e-6)
+def drift_norm(amps):
+    return amps * (1 + 1e-6)
 
 
-def put_nan(cols):
-    cols = cols.copy()
-    cols[0] = np.nan
-    return cols
+def put_nan(amps):
+    amps = amps.copy()
+    amps[0] = np.nan
+    return amps
 
 
-def mix_readout(cols):
+def mix_readout(amps):
     # Keep only the half with the first qubit at 0, renormalized: the norm
     # holds, and the Hadamard readout of that qubit is a fair coin.
-    half = cols.shape[0] // 2
-    out = np.zeros_like(cols)
-    out[:half] = cols[:half] * np.sqrt(2.0)
+    half = amps.shape[0] // 2
+    out = np.zeros_like(amps)
+    out[:half] = amps[:half] * np.sqrt(2.0)
     return out
 
 
@@ -265,16 +286,28 @@ def mix_readout(cols):
     (mix_readout, "not deterministic"),
 ])
 def test_parity_checks_fire_in_the_last_block_only(monkeypatch, fault, message):
-    n = 5
+    # At the size limit, a fault in the last of 2048 queries is found while
+    # every other query is clean.
+    n = 12
     f = random_function(n, np.random.default_rng(5))
-    settings = 1 << (n - 1)
-    monkeypatch.setattr(querylab, "_BLOCK", 2 << (n + 1))
-    # Input |+>|rest>|->, rest = settings - 1, is the only one with support
-    # on (rest << 1): the last column of the last of 8 blocks.
-    oracles = record_oracles(monkeypatch, (settings - 1) << 1, fault)
+    oracles = record_oracles(monkeypatch, (1 << (n - 1)) - 1, fault)
     with pytest.raises(RuntimeError, match=message):
         querylab.run_parity_quantum(f)
-    assert oracles[-1].widths == [2] * 8
+    assert [state.shape for state in oracles[-1].inputs] == [(2 << n,)]
+
+
+@pytest.mark.parametrize("query", [0, 7, 15], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("fault, message", [
+    (drift_norm, "norm drifted"),
+    (put_nan, "norm drifted to nan"),
+    (mix_readout, "not deterministic"),
+])
+def test_parity_checks_fire_in_any_one_block(monkeypatch, fault, message, query):
+    f = random_function(5, np.random.default_rng(7))
+    oracles = record_oracles(monkeypatch, query, fault)
+    with pytest.raises(RuntimeError, match=message):
+        querylab.run_parity_quantum(f)
+    assert len(oracles[-1].inputs) == 1
 
 
 def test_parity_tolerance_reaches_the_checks(monkeypatch):
@@ -289,7 +322,7 @@ def test_bv_tolerance_reaches_the_checks(monkeypatch):
     inst = BVInstance(6, 1, (1, 0, 1, 1, 0, 1))
     phase = querylab.phase_oracle
     monkeypatch.setattr(querylab, "phase_oracle",
-                        lambda i: FaultyOracle(phase(i), 0, drift_norm))
+                        lambda i: FaultyOracle(phase(i), None, drift_norm))
     with pytest.raises(RuntimeError, match="norm drifted"):
         querylab.run_bv_quantum(inst)
     assert querylab.run_bv_quantum(inst, tol=1e-3) == (inst.k, 1)
@@ -297,20 +330,17 @@ def test_bv_tolerance_reaches_the_checks(monkeypatch):
 
 @pytest.mark.parametrize("block", range(8))
 def test_parity_nan_in_any_block_raises(monkeypatch, block):
-    n = 5
-    f = random_function(n, np.random.default_rng(8))
-    monkeypatch.setattr(querylab, "_BLOCK", 2 << (n + 1))
-    # Input |+>|rest>|-> is the only one with support on row rest << 1; at
-    # two columns a block, rest = 2 * block is in block number ``block``.
-    oracles = record_oracles(monkeypatch, (2 * block) << 1, put_nan)
+    # n = 4 makes 8 queries: each block is one query's four amplitudes.
+    f = random_function(4, np.random.default_rng(8))
+    oracles = record_oracles(monkeypatch, block, put_nan)
     with pytest.raises(RuntimeError, match="norm drifted to nan"):
         querylab.run_parity_quantum(f)
-    assert oracles[-1].widths == [2] * (block + 1)
+    assert len(oracles[-1].inputs) == 1
 
 
 def test_bv_nan_raises(monkeypatch):
     inst = BVInstance(4, 0, (1, 0, 1, 1))
-    record_oracles(monkeypatch, 0, put_nan, "phase_oracle")
+    record_oracles(monkeypatch, None, put_nan, "phase_oracle")
     with pytest.raises(RuntimeError, match="norm drifted to nan"):
         querylab.run_bv_quantum(inst)
 
@@ -318,10 +348,42 @@ def test_bv_nan_raises(monkeypatch):
 def test_readout_checks_fail_on_nan_without_the_norm_check(monkeypatch):
     # The norm check fires first on a NaN; each readout check must also
     # fail on its own, since NaN compares false with any tolerance.
-    monkeypatch.setattr(querylab, "_assert_normalized", lambda states, tol: None)
-    record_oracles(monkeypatch, 0, put_nan, "phase_oracle")
+    monkeypatch.setattr(querylab, "_assert_normalized", lambda sq_norms, tol: None)
+    record_oracles(monkeypatch, None, put_nan, "phase_oracle")
     with pytest.raises(RuntimeError, match="not a computational basis state"):
         querylab.run_bv_quantum(BVInstance(4, 0, (1, 0, 1, 1)))
-    record_oracles(monkeypatch, 0, put_nan)
+    record_oracles(monkeypatch, 3, put_nan)
     with pytest.raises(RuntimeError, match="not deterministic"):
         querylab.run_parity_quantum(random_function(4, np.random.default_rng(9)))
+
+
+def _swap_two_queries(m):
+    # Strings 0 and 2 are (0, r=0, 0) and (0, r=1, 0): one leaves its query.
+    perm = np.arange(1 << m)
+    perm[[0, 2]] = 2, 0
+    return OracleAction.from_permutation(GeneralizedPermutation(m, perm, np.ones(1 << m)))
+
+
+def _flip_first_bit(m):
+    perm = np.arange(1 << m) ^ (1 << (m - 1))
+    return OracleAction.from_permutation(GeneralizedPermutation(m, perm, np.ones(1 << m)))
+
+
+def _as_matrix(m):
+    return OracleAction.from_matrix(np.eye(1 << m))
+
+
+@pytest.mark.parametrize("make", [_swap_two_queries, _flip_first_bit, _as_matrix])
+def test_parity_refuses_an_oracle_that_moves_input_bits(monkeypatch, make):
+    # One state holds every query only while the oracle writes no input bit;
+    # a map that might (a matrix) is refused as well, before any query.
+    built = []
+
+    def oracle(f):
+        built.append(FaultyOracle(make(f.n + 1)))
+        return built[-1]
+
+    monkeypatch.setattr(querylab, "standard_oracle", oracle)
+    with pytest.raises(RuntimeError, match="input bits"):
+        querylab.run_parity_quantum(random_function(3, np.random.default_rng(10)))
+    assert len(built) == 1 and built[0].inputs == []
