@@ -179,15 +179,19 @@ def _checked_run(run, instance, tol: float):
 def cmd_simulate(args) -> dict:
     tol = _resolve_tol(args)
     if args.algorithm == "bv":
+        if args.function is not None or args.truth is not None:
+            raise ValueError("bv simulation takes --k and --k0, not --function or --truth")
         if args.k is None:
             raise ValueError("bv simulation needs --k")
         k = _parse_bits(args.k, "--k")
         n = args.n if args.n is not None else len(k)
         if n != len(k):
             raise ValueError(f"--n {n} does not match --k length {len(k)}")
-        inst = BVInstance(n, args.k0, k)
+        inst = BVInstance(n, 0 if args.k0 is None else args.k0, k)
         recovered, queries = _checked_run(querylab.run_bv_quantum, inst, tol)
         return {"k": "".join(str(b) for b in recovered), "queries": queries}
+    if args.k is not None or args.k0 is not None:
+        raise ValueError("parity simulation takes --function or --truth, not --k or --k0")
     if args.function is not None and args.truth is not None:
         raise ValueError("parity simulation takes --function or --truth, not both")
     if args.function:
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True, choices=["bv", "parity"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", help="hidden bit string for bv")
-    p.add_argument("--k0", type=int, default=0, choices=[0, 1])
+    p.add_argument("--k0", type=int, default=None, choices=[0, 1], help="k0 for bv (default 0)")
     p.add_argument("--function", help="JSON truth-table file for parity")
     p.add_argument("--truth", help="inline truth table bits for parity")
     add_common(p)

@@ -38,6 +38,8 @@ gates modulo pre/post bit flips.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -148,9 +150,11 @@ class RandomSample:
 GRID_QUBIT_LIMIT = 13
 
 
-def _grid_assignment(code: int, m: int):
-    bases = tuple(ETA if (code >> (m - 1 - j)) & 1 else CHI for j in range(m))
-    return basis_word(bases), bases
+@functools.cache
+def _grid_words(m: int) -> tuple:
+    """(name, bases) of every chi/eta word on m qubits, by grid code."""
+    return tuple(zip(map("".join, itertools.product("CH", repeat=m)),
+                    itertools.product((CHI, ETA), repeat=m)))
 
 
 def _check_space(space, m: int) -> None:
@@ -203,7 +207,7 @@ def _assignments(space, m: int):
     if isinstance(space, PauliGrid):
         eta = ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(bool)
         return (np.where(eta[..., None, None], ETA.matrix, CHI.matrix), ~eta,
-                lambda i: _grid_assignment(i, m))
+                _grid_words(m).__getitem__)
     if isinstance(space, RandomSample):
         mats = _sample_bases(space, m)
         return (mats, np.zeros(mats.shape[:2], dtype=bool),
@@ -297,14 +301,15 @@ def _screen(actions, bases: np.ndarray, chi: np.ndarray, tol: float) -> np.ndarr
 
 
 def _by_bit(a: np.ndarray, b: int) -> np.ndarray:
-    """A (n, 2^m) array as a (n, 2^(m-1-b), 2, 2^b) view: axis 2 is bit b of
-    the index, so reversing it pairs every x with x ^ 2^b."""
+    """A (n, ..., 2^m) array as a (n, -1, 2, 2^b) view: axis 2 is bit b of
+    the last index, so reversing it pairs every x with x ^ 2^b."""
     return a.reshape(a.shape[0], -1, 2, 1 << b)
 
 
 class _FlipTables:
     """Bit-flip tables of k generalized permutations G = diag(phases) P on
-    the same m bits, each table one array over the k hypotheses.
+    the same m bits, each one array over the k hypotheses; building them
+    peaks at one (m, k, 2^m) intp table and two bool ones.
 
     Bit b of an index is qubit m - 1 - b, so the eta qubits of a chi/eta word
     form the mask s whose grid code is the word.  With psi(x) the phase G
@@ -314,8 +319,8 @@ class _FlipTables:
       hypothesis;
     - T_b(x): psi(x ^ e_b) / psi(x) is within tol of -1;
     - ``signed[b]``: every such ratio is within tol of +1 or -1;
-    - ``flat[i, j]``: D_i and T_i are unchanged when bit j of x flips, a
-      second difference of P and of psi, so symmetric in i and j;
+    - ``clash[i]``, the mask of the bits j < i whose flip changes D_i or T_i
+      somewhere, a second difference of P and of psi;
     - ``back``, bit b of B(w) = parity(D_b(x) & w) ^ T_b(x) with x = P⁻¹(w).
     """
 
@@ -332,40 +337,36 @@ class _FlipTables:
         # pass the dense detector's test: modulus above tol and within tol of 1.
         mags = np.abs(self.psi)
         self.unit = bool(((mags > tol) & (np.abs(mags - 1.0) <= tol)).all())
-        diff = np.empty((m, k, dim), dtype=self.p.dtype)
-        minus = np.empty((m, k, dim), dtype=bool)
-        self.signed = np.empty(m, dtype=bool)
+        key = np.empty((m, k, dim), dtype=self.p.dtype)
+        minus, plus = np.empty((2, m, k, dim), dtype=bool)
         for b in range(m):
-            pb, sb, tb = _by_bit(self.p, b), _by_bit(self.psi, b), _by_bit(minus[b], b)
-            np.bitwise_xor(pb, pb[:, :, ::-1], out=_by_bit(diff[b], b))
+            pb, sb = _by_bit(self.p, b), _by_bit(self.psi, b)
+            np.bitwise_xor(pb, pb[:, :, ::-1], out=_by_bit(key[b], b))
             ratio = sb[:, :, ::-1] / sb
-            np.less_equal(np.abs(ratio + 1.0), tol, out=tb)
-            self.signed[b] = (tb | (np.abs(ratio - 1.0) <= tol)).all()
-        self.reach = np.bitwise_or.reduce(diff.reshape(m, -1), axis=1)
-        self.flat = np.empty((m, m), dtype=bool)
-        for j in range(m):
-            d, t = _by_bit(diff.reshape(m * k, dim), j), _by_bit(minus.reshape(m * k, dim), j)
-            still = (d == d[:, :, ::-1]) & (t == t[:, :, ::-1])
-            self.flat[:, j] = still.reshape(m, -1).all(axis=1)
-        at_inv = np.s_[:, rows, self.inv]
-        bits = (np.bitwise_count(diff[at_inv] & np.arange(dim)) & 1).astype(bool) ^ minus[at_inv]
-        self.back = np.bitwise_or.reduce(bits.astype(self.p.dtype) << np.arange(m)[:, None, None],
-                                         axis=0)
+            np.less_equal(np.abs(ratio + 1.0), tol, out=_by_bit(minus[b], b))
+            np.less_equal(np.abs(ratio - 1.0), tol, out=_by_bit(plus[b], b))
+        self.signed = np.logical_or(plus, minus, out=plus).reshape(m, -1).all(axis=1)
+        self.reach = np.bitwise_or.reduce(key.reshape(m, -1), axis=1)
+        key <<= 1  # key = D << 1 | T: one compare of x with x ^ e_j tests both
+        key |= minus
+        self.clash = np.zeros(m, dtype=self.p.dtype)
+        for j in range(m - 1):
+            kj = _by_bit(key[j + 1:], j)
+            self.clash[j + 1:] |= (kj[:, :, 0] != kj[:, :, 1]).any(axis=(1, 2)) << j
+        # parity(D_b(x) & P(x)) ^ T_b(x) is the parity of key & (P(x) << 1 | 1)
+        key &= (self.p << 1) | 1
+        np.bitwise_and(np.bitwise_count(key, out=key), 1, out=key)
+        self.back = ((1 << np.arange(m)) @ key.reshape(m, -1)).reshape(k, dim)[rows, self.inv]
 
     def admitted(self, words: np.ndarray) -> np.ndarray:
         """The eta masks among ``words`` under which every G has a
-        counterpart: every phase passes the detector's test and, for all
-        i, j in s, reach[i] ⊆ s, the ratios of bit i are ±1, and flipping
-        bit j leaves D_i and T_i unchanged."""
-        ok = np.full(words.shape, self.unit)
-        for i in range(self.m):
-            inside = (words & self.reach[i]) == self.reach[i]
-            ok &= ((words >> i) & 1 == 0) | (inside & self.signed[i])
-            for j in range(i):
-                if not self.flat[i, j]:
-                    pair = (1 << i) | (1 << j)
-                    ok &= (words & pair) != pair
-        return words[ok]
+        counterpart, in one broadcast over (words, m): every phase passes the
+        detector's test and, for every bit i in s, reach[i] ⊆ s, the ratios of
+        bit i are ±1, and s & clash[i] is empty."""
+        bit = 1 << np.arange(self.m)
+        s = words[:, None]
+        fine = self.signed & ((s & self.reach) == self.reach) & ((s & self.clash) == 0)
+        return words[self.unit & (fine | ((s & bit) == 0)).all(axis=1)]
 
     def counterparts(self, words: np.ndarray):
         """Per eta mask s of ``words``, the tuple of the k counterparts Q of
@@ -415,9 +416,8 @@ def extract_batch(actions, space, tol: float = DEFAULT_TOL):
         words = None
     if words is not None and all(gp is not None for gp in perms):
         tables = _FlipTables(perms, tol)
-        hits = tables.admitted(words)
-        return [(*_grid_assignment(code, m), gps)
-                for code, gps in zip(hits.tolist(), tables.counterparts(hits))]
+        hits, names = tables.admitted(words), _grid_words(m)
+        return [(*names[code], gps) for code, gps in zip(hits.tolist(), tables.counterparts(hits))]
     bases, chi, at = _assignments(space, m)
     found = []
     for i in np.flatnonzero(_screen(actions, bases, chi, tol)).tolist():

@@ -270,6 +270,12 @@ def test_simulate_bv(capsys):
     assert data == {"k": "1011", "queries": 1}
 
 
+def test_simulate_bv_k0_defaults_to_0(capsys):
+    for extra in ([], ["--k0", "0"], ["--k0", "1"]):
+        argv = ["simulate", "--algorithm", "bv", "--k", "101", *extra]
+        assert run_cli(capsys, argv) == (0, {"k": "101", "queries": 1})
+
+
 def test_simulate_bv_errors(capsys):
     assert main(["simulate", "--algorithm", "bv", "--n", "3", "--k", "10"]) == 2
     assert main(["simulate", "--algorithm", "bv", "--n", "3"]) == 2
@@ -310,8 +316,19 @@ def test_simulate_parity_errors(capsys):
       "--bases", "CC"], "--function goes with a standard oracle and no --bv"),
     (["counterparts", "--oracle", "phase", "--function", "{f}", "--bases", "CH"],
      "--function goes with a standard oracle and no --bv"),
+    (["simulate", "--algorithm", "bv", "--k", "101", "--truth", "0110"],
+     "bv simulation takes --k and --k0, not --function or --truth"),
+    (["simulate", "--algorithm", "bv", "--k", "101", "--function", "{f}"],
+     "bv simulation takes --k and --k0, not --function or --truth"),
+    (["simulate", "--algorithm", "parity", "--truth", "0110", "--k", "111", "--k0", "1"],
+     "parity simulation takes --function or --truth, not --k or --k0"),
+    (["simulate", "--algorithm", "parity", "--truth", "0110", "--k", "11"],
+     "parity simulation takes --function or --truth, not --k or --k0"),
+    (["simulate", "--algorithm", "parity", "--function", "{f}", "--k0", "0"],
+     "parity simulation takes --function or --truth, not --k or --k0"),
 ], ids=["parity-n-truth", "parity-n-function", "parity-function-truth",
-        "standard-function-bv", "phase-function"])
+        "standard-function-bv", "phase-function", "bv-truth", "bv-function",
+        "parity-k-k0", "parity-k", "parity-explicit-k0-0"])
 def test_conflicting_inputs_exit_2(tmp_path, capsys, argv, message):
     # Each input alone is valid; together they disagree, or one would be
     # dropped unread.

@@ -10,6 +10,8 @@ give the same admitted names in the same order, the same perms, and phases
 within 1e-12.  The dense engine's batched column screen is pinned against
 the per-assignment screen it replaced, built here from the same streamed
 columns, and its drawn bases against one ``random_unitary`` call per qubit.
+The table engine's bit-flip tables and admitted words are pinned, exactly,
+against their first per-bit form, also kept here and nowhere else.
 """
 
 import tracemalloc
@@ -21,6 +23,7 @@ from qcorr.matrixcore import (
     DEFAULT_TOL,
     GeneralizedPermutation,
     SizeLimitError,
+    num_bits,
     random_unitary,
 )
 from qcorr.oracleforge import (
@@ -208,8 +211,9 @@ def test_phase_oracles_over_the_grid(n, strategy):
 
 def permutation_action(rng, m, maps, phases):
     """A permutation-backed action: a random permutation or an invertible
-    affine map over GF(2) (``maps``), with unit, ±1, character times global
-    or random phases (``phases``)."""
+    affine map over GF(2) (``maps``), with unit, ±1, quarter-turn, character
+    times global, character off the unit circle or random phases
+    (``phases``)."""
     dim = 1 << m
     if maps == "affine":
         while True:
@@ -227,6 +231,12 @@ def permutation_action(rng, m, maps, phases):
     elif phases == "character":
         parity = np.bitwise_count(np.arange(dim) & int(rng.integers(0, dim))) & 1
         ph = np.exp(2j * np.pi * rng.uniform()) * (1.0 - 2.0 * parity)
+    elif phases == "quarter":
+        ph = 1j ** rng.integers(0, 4, dim)
+    elif phases == "off":
+        # a character off the unit circle by less than the default tolerance
+        parity = np.bitwise_count(np.arange(dim) & int(rng.integers(0, dim))) & 1
+        ph = rng.choice([1 + 1e-10, 1 - 1e-10]) * (1.0 - 2.0 * parity)
     else:
         ph = np.exp(2j * np.pi * rng.uniform(size=dim))
     gp = GeneralizedPermutation(m, tuple(perm.tolist()), tuple(ph.astype(complex).tolist()))
@@ -389,6 +399,112 @@ def test_table_engine_matches_dense_engine_on_hypothesis_stacks(problem):
 def test_table_matches_dense_on_bv_at_m8():
     inst = BVInstance(7, 1, (1, 0, 1, 1, 0, 0, 1))
     assert assert_table_matches_dense([standard_oracle(bv_function(inst))], PauliGrid()) > 100
+
+
+class ReferenceFlipTables:
+    """The table engine's decision half as it was first written: the bit-flip
+    tables and every reduction built in one loop per bit, the flat table in
+    one loop per bit over every row, the back table from a gather of the
+    stacked D and T at P⁻¹, and the admitted words in one loop per bit and
+    per pair of bits.  It builds counterparts with the engine's own code."""
+
+    counterparts = correspondence._FlipTables.counterparts
+
+    def __init__(self, perms, tol):
+        by_bit = correspondence._by_bit
+        self.p = np.stack([gp._perm for gp in perms])
+        k, dim = self.p.shape
+        self.m = m = num_bits(dim)
+        self.tol = tol
+        self.rows = rows = np.arange(k)[:, None]
+        self.inv = np.empty_like(self.p)
+        self.inv[rows, self.p] = np.arange(dim)
+        self.psi = np.stack([gp._phases for gp in perms])[rows, self.p]
+        mags = np.abs(self.psi)
+        self.unit = bool(((mags > tol) & (np.abs(mags - 1.0) <= tol)).all())
+        diff = np.empty((m, k, dim), dtype=self.p.dtype)
+        minus = np.empty((m, k, dim), dtype=bool)
+        self.signed = np.empty(m, dtype=bool)
+        for b in range(m):
+            pb, sb, tb = by_bit(self.p, b), by_bit(self.psi, b), by_bit(minus[b], b)
+            np.bitwise_xor(pb, pb[:, :, ::-1], out=by_bit(diff[b], b))
+            ratio = sb[:, :, ::-1] / sb
+            np.less_equal(np.abs(ratio + 1.0), tol, out=tb)
+            self.signed[b] = (tb | (np.abs(ratio - 1.0) <= tol)).all()
+        self.reach = np.bitwise_or.reduce(diff.reshape(m, -1), axis=1)
+        self.flat = np.empty((m, m), dtype=bool)
+        for j in range(m):
+            d, t = by_bit(diff.reshape(m * k, dim), j), by_bit(minus.reshape(m * k, dim), j)
+            still = (d == d[:, :, ::-1]) & (t == t[:, :, ::-1])
+            self.flat[:, j] = still.reshape(m, -1).all(axis=1)
+        at_inv = np.s_[:, rows, self.inv]
+        bits = (np.bitwise_count(diff[at_inv] & np.arange(dim)) & 1).astype(bool) ^ minus[at_inv]
+        self.back = np.bitwise_or.reduce(bits.astype(self.p.dtype) << np.arange(m)[:, None, None],
+                                         axis=0)
+
+    def admitted(self, words):
+        ok = np.full(words.shape, self.unit)
+        for i in range(self.m):
+            inside = (words & self.reach[i]) == self.reach[i]
+            ok &= ((words >> i) & 1 == 0) | (inside & self.signed[i])
+            for j in range(i):
+                if not self.flat[i, j]:
+                    pair = (1 << i) | (1 << j)
+                    ok &= (words & pair) != pair
+        return words[ok]
+
+
+TABLE_KINDS = [(maps, phases) for maps in ("random", "affine")
+               for phases in ("unit", "sign", "quarter", "character", "off", "random")]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_flip_tables_match_the_reference(m):
+    """Every table, every admitted word in order, and every counterpart,
+    exactly equal to the per-bit reference, at the default tolerance and a
+    tighter one."""
+    rng = np.random.default_rng([m, 41])
+    words = np.arange(1 << m)
+    lower = np.tri(m, k=-1, dtype=bool)
+    admitted = 0
+    for kind in TABLE_KINDS:
+        for k in range(1, 6):
+            perms = [permutation_action(rng, m, *kind).permutation for _ in range(k)]
+            for tol in (DEFAULT_TOL, 1e-11):
+                got, want = correspondence._FlipTables(perms, tol), ReferenceFlipTables(perms, tol)
+                for name in ("p", "inv", "psi", "signed", "reach", "back"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+                assert got.unit is want.unit
+                # the bits j < i whose flip changes D_i or T_i
+                assert np.array_equal(got.clash, (~want.flat & lower) @ (1 << np.arange(m)))
+                hits = got.admitted(words)
+                assert hits.dtype == words.dtype
+                assert np.array_equal(hits, want.admitted(words))
+                admitted += len(hits)
+                for gps, refs in zip(got.counterparts(hits), want.counterparts(hits), strict=True):
+                    for gp, ref in zip(gps, refs, strict=True):
+                        assert np.array_equal(gp._perm, ref._perm)
+                        assert np.array_equal(gp._phases, ref._phases)
+    # the affine maps with unit, sign and character phases admit words
+    assert admitted >= 3 * 5
+
+
+def test_flip_tables_peak_near_one_table(monkeypatch):
+    # bv n = 7's O_S family: k = 256 maps on m = 8 bits.  At its peak the
+    # engine holds one (m, k, 2^m) intp table and two bool ones, next to the
+    # (k, 2^m) inputs and one bit's temporaries: about 2.5 such intp tables.
+    # The reference's gather of the stacked tables at P⁻¹ took 4.3.
+    monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
+    maps = list(querylab.named_family(bv_problem(7), "OS").maps)
+    table = 8 * len(maps) * 256 * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        correspondence._FlipTables(maps, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table
 
 
 def test_phases_off_the_unit_circle_admit_nothing():
