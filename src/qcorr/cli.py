@@ -42,6 +42,7 @@ from .correspondence import (
     CosetId,
     PauliGrid,
     RandomSample,
+    _check_space,
     classify_triple,
     makhlin_invariants,
     parse_basis_word,
@@ -109,20 +110,22 @@ def cmd_classify(args) -> dict:
     }
 
 
-def _build_oracle(args):
+def _oracle_input(args):
+    """(m, build): the named oracle's qubit count, from its file, and its builder."""
     if args.function is not None and (args.bv is not None or args.oracle == "phase"):
         raise ValueError("--function goes with a standard oracle and no --bv")
     if args.oracle == "standard":
         if args.function:
             f = BooleanFunction.from_json(_load_json_file(args.function))
-        elif args.bv:
-            f = bv_function(BVInstance.from_json(_load_json_file(args.bv)))
-        else:
-            raise ValueError("standard oracle needs --function or --bv")
-        return standard_oracle(f)
+            return f.n + 1, lambda: standard_oracle(f)
+        if args.bv:
+            inst = BVInstance.from_json(_load_json_file(args.bv))
+            return inst.n + 1, lambda: standard_oracle(bv_function(inst))
+        raise ValueError("standard oracle needs --function or --bv")
     if args.bv is None:
         raise ValueError("phase oracle needs --bv")
-    return phase_oracle(BVInstance.from_json(_load_json_file(args.bv)))
+    inst = BVInstance.from_json(_load_json_file(args.bv))
+    return inst.n, lambda: phase_oracle(inst)
 
 
 def _parse_space(text: str, m: int):
@@ -141,8 +144,10 @@ def _parse_space(text: str, m: int):
 
 def cmd_counterparts(args) -> list:
     tol = _resolve_tol(args)
-    action = _build_oracle(args)
-    found = search_counterparts(action, _parse_space(args.bases, action.m), tol)
+    m, build = _oracle_input(args)
+    space = _parse_space(args.bases, m)
+    _check_space(space, m)  # before the 2^m entries of the oracle are built
+    found = search_counterparts(build(), space, tol)
     return [
         {
             "bases": name,

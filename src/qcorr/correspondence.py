@@ -14,11 +14,11 @@ that differ only on S) and maps it onto an output fibre, and psi is a
 character there times a constant: the affine-character criterion of
 Walsh-Hadamard analysis (O'Donnell, *Analysis of Boolean Functions*, 2014),
 which matches the affine/quadratic form of Clifford maps (Dehaene and
-De Moor, PRA 68, 042318, 2003).  The engine reduces the criterion to
-bit-flip tables built once per batch in O(k m^2 2^m) for k oracles on m
-qubits, decides every word of the grid at once from them, and builds each
-admitted word's counterpart in closed form in O(k 2^m).  No dense matrix is
-made.
+De Moor, PRA 68, 042318, 2003).  The engine takes the k oracles on m
+qubits as (k, 2^m) perm and phase tables, reduces the criterion to bit-flip
+tables built from them in O(k m^2 2^m), decides every word of the grid at
+once, and builds each admitted word's counterparts as tables in closed form
+in O(k 2^m).  No dense matrix is made.
 
 Matrix-backed actions, random product bases and other non-chi/eta words go
 to the dense engine.  It screens all the assignments of a space at once on
@@ -49,9 +49,10 @@ from .matrixcore import (
     _BLOCK,
     DEFAULT_TOL,
     MAGIC_Q,
-    GeneralizedPermutation,
     NonUnitaryError,
     SizeLimitError,
+    _checked_perms,
+    _unchecked,
     apply_single_qubit,
     detect_stack,
     is_unitary,
@@ -216,17 +217,6 @@ def _assignments(space, m: int):
             lambda i: (basis_word(space), space))
 
 
-def iter_assignments(space, m: int):
-    """(name, assignment) pairs for a space, in a fixed order.
-
-    A space is a PauliGrid, a RandomSample, or one assignment given as a tuple
-    of bases.  The call itself checks the size limits, before any pair is made.
-    """
-    _check_space(space, m)
-    bases, _, at = _assignments(space, m)
-    return map(at, range(len(bases)))
-
-
 def conjugate(actions, bases) -> np.ndarray:
     """B†UB for the matrix U of every action, as a (k, 2^m, 2^m) stack.
 
@@ -308,8 +298,8 @@ def _by_bit(a: np.ndarray, b: int) -> np.ndarray:
 
 class _FlipTables:
     """Bit-flip tables of k generalized permutations G = diag(phases) P on
-    the same m bits, each one array over the k hypotheses; building them
-    peaks at one (m, k, 2^m) intp table and two bool ones.
+    the same m bits, built from their (k, 2^m) perm and phase tables at once;
+    building them peaks at one (m, k, 2^m) intp table and two bool ones.
 
     Bit b of an index is qubit m - 1 - b, so the eta qubits of a chi/eta word
     form the mask s whose grid code is the word.  With psi(x) the phase G
@@ -324,15 +314,14 @@ class _FlipTables:
     - ``back``, bit b of B(w) = parity(D_b(x) & w) ^ T_b(x) with x = P⁻¹(w).
     """
 
-    def __init__(self, perms, tol: float):
-        self.p = np.stack([gp._perm for gp in perms])
-        k, dim = self.p.shape
+    def __init__(self, perms: np.ndarray, phases: np.ndarray, tol: float):
+        self.p = perms
+        k, dim = perms.shape
         self.m = m = num_bits(dim)
-        self.tol = tol
         self.rows = rows = np.arange(k)[:, None]
-        self.inv = np.empty_like(self.p)
-        self.inv[rows, self.p] = np.arange(dim)
-        self.psi = np.stack([gp._phases for gp in perms])[rows, self.p]
+        self.inv = np.empty_like(perms)
+        self.inv[rows, perms] = np.arange(dim)
+        self.psi = phases[rows, perms]
         # Every entry of a counterpart is some psi(x) or -psi(x), so each must
         # pass the dense detector's test: modulus above tol and within tol of 1.
         mags = np.abs(self.psi)
@@ -369,11 +358,12 @@ class _FlipTables:
         return words[self.unit & (fine | ((s & bit) == 0)).all(axis=1)]
 
     def counterparts(self, words: np.ndarray):
-        """Per eta mask s of ``words``, the tuple of the k counterparts Q of
-        H^S G H^S, in closed form: with x0 = P⁻¹(w) & ~s, Q⁻¹(w) is
-        x0 | (B(w) & s) and the phase of output w is
-        psi(x0) (-1)^parity(P(x0) & s & w).  Built, and checked, in blocks
-        of about ``_BLOCK`` entries."""
+        """Per eta mask s of ``words``, the (k, 2^m) perm and phase tables of
+        the k counterparts Q of H^S G H^S, in closed form: with
+        x0 = P⁻¹(w) & ~s, Q⁻¹(w) is x0 | (B(w) & s) and the phase of output w
+        is psi(x0) (-1)^parity(P(x0) & s & w), which ``unit`` has tested.
+        Built in blocks of about ``_BLOCK`` entries, each block's perms
+        checked in one pass."""
         k, dim = self.inv.shape
         w = np.arange(dim)
         per = max(1, _BLOCK // (k * dim))
@@ -386,10 +376,26 @@ class _FlipTables:
             np.negative(phases, out=phases, where=odd)
             perm = np.empty_like(qinv)
             np.put_along_axis(perm, qinv, np.broadcast_to(w, qinv.shape), axis=-1)
-            gps = GeneralizedPermutation.batch(self.m, perm.reshape(-1, dim),
-                                               phases.reshape(-1, dim), self.tol)
-            for i in range(0, len(gps), k):
-                yield tuple(gps[i:i + k])
+            perm = _checked_perms(self.m, perm.reshape(-1, dim), 2).reshape(perm.shape)
+            yield from zip(perm, phases)
+
+
+def extract_tables(perms: np.ndarray, phases: np.ndarray, space, tol: float = DEFAULT_TOL):
+    """The table engine on k maps G = diag(phases) P given as (k, 2^m) perm
+    and phase tables, over the grid or one chi/eta word: per word under which
+    every G has a counterpart, in grid order, (name, assignment, perms,
+    phases) with the counterparts' tables.  None for any other space."""
+    m = num_bits(perms.shape[1])
+    _check_space(space, m)
+    if isinstance(space, PauliGrid):
+        words = np.arange(1 << m)
+    elif isinstance(space, tuple) and all(b is CHI or b is ETA for b in space):
+        words = np.array([sum(1 << (m - 1 - j) for j, b in enumerate(space) if b is ETA)])
+    else:
+        return None
+    tables = _FlipTables(perms, phases, tol)
+    hits, names = tables.admitted(words), _grid_words(m)
+    return [(*names[code], *found) for code, found in zip(hits.tolist(), tables.counterparts(hits))]
 
 
 def extract_batch(actions, space, tol: float = DEFAULT_TOL):
@@ -407,17 +413,13 @@ def extract_batch(actions, space, tol: float = DEFAULT_TOL):
     if any(action.m != m for action in actions):
         raise ValueError("all actions must act on the same number of qubits")
     _check_space(space, m)  # before any allocation
-    perms = [action.permutation for action in actions]
-    if isinstance(space, PauliGrid):
-        words = np.arange(1 << m)
-    elif isinstance(space, tuple) and all(b is CHI or b is ETA for b in space):
-        words = np.array([sum(1 << (m - 1 - j) for j, b in enumerate(space) if b is ETA)])
-    else:
-        words = None
-    if words is not None and all(gp is not None for gp in perms):
-        tables = _FlipTables(perms, tol)
-        hits, names = tables.admitted(words), _grid_words(m)
-        return [(*names[code], gps) for code, gps in zip(hits.tolist(), tables.counterparts(hits))]
+    maps = [action.permutation for action in actions]
+    if all(gp is not None for gp in maps):
+        found = extract_tables(np.stack([gp._perm for gp in maps]),
+                               np.stack([gp._phases for gp in maps]), space, tol)
+        if found is not None:
+            return [(name, bases, tuple(map(_unchecked, [m] * len(maps), perms, phases)))
+                    for name, bases, perms, phases in found]
     bases, chi, at = _assignments(space, m)
     found = []
     for i in np.flatnonzero(_screen(actions, bases, chi, tol)).tolist():

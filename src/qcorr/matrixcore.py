@@ -191,16 +191,13 @@ def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _checked_tables(m: int, perms, phases, tol: float):
-    """Read-only copies of the perms and phases of one map, shape (2^m,), or
-    of k maps, shape (k, 2^m), once every row is checked: its perm is a
-    bijection on 0 .. 2^m - 1 and each of its phases has modulus within tol
-    of one and above tol, which NaN fails."""
+def _checked_perms(m: int, perms, ndim: int) -> np.ndarray:
+    """A read-only intp copy of ``perms``, one perm (ndim 1) or k (ndim 2) of
+    2^m entries, once each is checked to be a bijection on 0 .. 2^m - 1."""
     dim = 1 << m
     perms = np.array(perms)
-    phases = np.array(phases, dtype=complex)
-    if perms.shape[-1:] != (dim,) or perms.ndim > 2 or phases.shape != perms.shape:
-        raise ValueError(f"perm/phases length must be 2**m = {dim}")
+    if perms.ndim != ndim or perms.shape[-1] != dim:
+        raise ValueError(f"expected {ndim}-D perms of length 2**m = {dim}, got shape {perms.shape}")
     if perms.dtype.kind not in "iu":
         raise ValueError(f"perm entries must be integers, not {perms.dtype}")
     perms = perms.astype(np.intp, copy=False)
@@ -210,17 +207,12 @@ def _checked_tables(m: int, perms, phases, tol: float):
         # r*dim + dim - 1, and every bin is hit exactly when every row is a
         # bijection.
         size = perms.size
-        flat = perms if perms.ndim == 1 else perms + np.arange(0, size, dim)[:, None]
+        flat = perms if ndim == 1 else perms + np.arange(0, size, dim)[:, None]
         if not (perms.view(np.uintp).max() < dim
                 and np.count_nonzero(np.bincount(flat.ravel(), minlength=size)) == size):
             raise ValueError("perm is not a bijection on the m-bit strings")
-        # Within tol of one implies above tol while tol < 1/2, so only a
-        # larger tol pays for the second test, which the detector also makes.
-        if not (np.abs(np.abs(phases) - 1.0).max() <= tol
-                and (tol < 0.5 or np.abs(phases).min() > tol)):
-            raise ValueError("phases must all have unit modulus within tol, and modulus above tol")
-    perms.flags.writeable = phases.flags.writeable = False
-    return perms, phases
+    perms.flags.writeable = False
+    return perms
 
 
 class GeneralizedPermutation:
@@ -232,22 +224,21 @@ class GeneralizedPermutation:
     A map is stored as two read-only arrays of 2^m entries, copied from the
     input and checked once.  ``perm`` and ``phases`` are tuples of Python
     ints and complexes, built from them on first access; equality, hashing
-    and repr mean what they would on those tuples.  ``batch`` checks and
-    builds k maps from (k, 2^m) tables in one pass.  Instances are immutable.
+    and repr mean what they would on those tuples.  Instances are immutable.
     """
 
     def __init__(self, m: int, perm, phases, tol: float = DEFAULT_TOL):
-        perm, phases = _checked_tables(m, perm, phases, tol)
-        if perm.ndim != 1:
-            raise ValueError("perm/phases of one map must be 1-D; batch builds k maps")
+        perm = _checked_perms(m, perm, 1)
+        phases = np.array(phases, dtype=complex)
+        if phases.shape != perm.shape:
+            raise ValueError(f"phases length must be 2**m = {perm.size}")
+        # Modulus within tol of one implies above tol while tol < 1/2, so only a
+        # larger tol pays for the second test, which the detector also makes.
+        if not (np.abs(np.abs(phases) - 1.0).max() <= tol
+                and (tol < 0.5 or np.abs(phases).min() > tol)):
+            raise ValueError("phases must all have unit modulus within tol, and modulus above tol")
+        phases.flags.writeable = False
         self.__dict__.update(m=m, _perm=perm, _phases=phases)
-
-    @classmethod
-    def batch(cls, m: int, perms, phases, tol: float = DEFAULT_TOL) -> list:
-        """The k maps whose perms and phases are the rows of two (k, 2^m)
-        tables, all checked in one pass; a ValueError if any row fails."""
-        perms, phases = _checked_tables(m, perms, phases, tol)
-        return [_unchecked(m, perm, ph) for perm, ph in zip(perms, phases)]
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -316,8 +307,8 @@ class GeneralizedPermutation:
 
 
 def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray) -> GeneralizedPermutation:
-    """A map from arrays already checked, as ``batch``, ``detect_stack`` and
-    unpickling have."""
+    """A map from arrays already checked, as ``detect_stack``,
+    ``extract_batch`` and unpickling have."""
     gp = object.__new__(GeneralizedPermutation)
     perm.flags.writeable = phases.flags.writeable = False
     gp.__dict__.update(m=m, _perm=perm, _phases=phases)
@@ -360,7 +351,7 @@ def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     ok &= (hits.reshape(k, dim) == 1).all(axis=1)
     phases = np.zeros_like(entries)
     np.put_along_axis(phases, rows, entries, axis=1)
-    # Those are the checks of _checked_tables, and rows from argmax are intp
+    # Those are the constructor's checks, and rows from argmax are intp
     # and in range, so the admitted rows need no second pass.
     gps = (_unchecked(m, perm, ph) for perm, ph in zip(rows[ok], phases[ok]))
     return [next(gps) if good else None for good in ok.tolist()]

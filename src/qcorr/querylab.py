@@ -3,8 +3,8 @@ speed-up report comparing a quantum oracle against every classical
 counterpart it induces.
 
 Classical query model: one query submits a full m-bit input string and
-observes the full m-bit output string (reversible-gate semantics); phases on
-counterparts are invisible to a classical user and are ignored.
+observes the full m-bit output string (reversible-gate semantics); phases
+are invisible to a classical user, so a classical family is a perm table.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import HADAMARD, SizeLimitError, apply_single_qubit, hadamard_layer
+from .matrixcore import HADAMARD, SizeLimitError, _checked_perms, apply_single_qubit, hadamard_layer
 from .oracleforge import (
     BooleanFunction,
     BVInstance,
-    GeneralizedPermutation,
-    OracleAction,
     bv_function,
     bv_truths,
     perms_OA,
@@ -30,7 +28,7 @@ from .oracleforge import (
     phase_oracle,
     standard_oracle,
 )
-from .correspondence import DEFAULT_TOL, PauliGrid, basis_word, extract_batch
+from .correspondence import DEFAULT_TOL, PauliGrid, extract_tables
 
 MAX_HYPOTHESES = 65536
 MAX_QUERY_BITS = 12
@@ -115,17 +113,23 @@ def hypothesis_function(h: Hypothesis) -> BooleanFunction:
     return h.instance
 
 
-@dataclass(frozen=True)
+# Compared by identity: the report keys its counts on the perms' bytes.
+@dataclass(frozen=True, eq=False)
 class ClassicalOracleFamily:
-    """One classical oracle per hypothesis, all over the same m bits."""
+    """One classical oracle per hypothesis, all over the same m bits, as a
+    read-only (k, 2^m) intp table: row i maps hypothesis i's inputs to its
+    outputs, with no phases.  ``perms`` is given as an integer array or as k
+    GeneralizedPermutation maps, and is copied and checked once."""
 
     name: str
     m: int
-    maps: tuple[GeneralizedPermutation, ...]
+    perms: np.ndarray
 
     def __post_init__(self):
-        if any(gp.m != self.m for gp in self.maps):
-            raise ValueError("all family members must act on the same bit count")
+        perms = self.perms
+        if not isinstance(perms, np.ndarray):  # k maps
+            perms = [gp._perm for gp in perms]
+        object.__setattr__(self, "perms", _checked_perms(self.m, perms, 2))
 
 
 def _truths(problem: ProblemSpec) -> np.ndarray:
@@ -163,35 +167,33 @@ PROBLEMS = {
 
 def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
     """The named classical oracle ``oracle`` (a key of ORACLES) of every
-    hypothesis, as one family: its perms are built as one (k, 2^m) table and
-    checked in one pass."""
+    hypothesis, as one family: its perms are built as one (k, 2^m) table,
+    which the family checks in one pass."""
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")
     name, perms_of, domain = ORACLES[oracle]
     if problem.name not in domain:
         raise ValueError(f"{oracle} is only defined for the {' and '.join(domain)} problem")
     perms = perms_of(problem)
-    m = perms.shape[1].bit_length() - 1
-    maps = GeneralizedPermutation.batch(m, perms, np.ones(perms.shape))
-    return ClassicalOracleFamily(name, m, tuple(maps))
+    return ClassicalOracleFamily(name, perms.shape[1].bit_length() - 1, perms)
 
 
 def _extracted_families(problem: ProblemSpec, space, tol: float, standard=None):
-    """(name, family) per assignment that admits every hypothesis's standard
-    oracle.  The standard oracles' permutations are the maps of the O_S
-    family ``standard``, built here if the caller has not."""
+    """(word, family) per word of ``space``, the grid or one C/H word, that
+    admits every hypothesis's standard oracle: the perms of the O_S family
+    ``standard``, built here if the caller has not, with unit phases."""
     if standard is None:
         standard = named_family(problem, "OS")
-    oracles = [OracleAction.from_permutation(gp) for gp in standard.maps]
-    return [
-        (name, ClassicalOracleFamily(basis_word(bases) or "general", problem.n + 1, maps))
-        for name, bases, maps in extract_batch(oracles, space, tol)
-    ]
+    found = extract_tables(standard.perms, np.ones(standard.perms.shape, dtype=complex), space, tol)
+    if found is None:
+        raise ValueError("a counterpart family needs the grid or a word over C and H")
+    return [(word, ClassicalOracleFamily(word, standard.m, table))
+            for word, _, table, _ in found]
 
 
 def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
-    """Counterpart family for one basis assignment over the standard oracle,
-    or None when extraction fails for any hypothesis."""
+    """The standard oracle's counterpart family under one C/H word, or None
+    when extraction fails for any hypothesis; other bases raise ValueError."""
     found = _extracted_families(problem, tuple(bases), tol)
     return found[0][1] if found else None
 
@@ -209,7 +211,7 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     deep to recurse raises SizeLimitError.
     """
     hyps = problem.hypotheses
-    if len(family.maps) != len(hyps):
+    if len(family.perms) != len(hyps):
         raise ValueError("family size does not match hypothesis count")
     if len(hyps) > MAX_HYPOTHESES:
         raise SizeLimitError(f"hypothesis count {len(hyps)} exceeds {MAX_HYPOTHESES}")
@@ -241,7 +243,7 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     # hypothesis order, which the tree's branches follow.
     queries = []
     seen = set()
-    for q, column in enumerate(zip(*[gp._perm.tolist() for gp in family.maps])):
+    for q, column in enumerate(family.perms.T.tolist()):
         parts: dict[int, int] = {}
         for bit, out in zip(bits, column):
             parts[out] = parts.get(out, 0) | bit
@@ -441,28 +443,27 @@ class QueryReport:
         }
 
 
-def speedup_report(problem: ProblemSpec, space=None, tol: float = DEFAULT_TOL) -> QueryReport:
+def speedup_report(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> QueryReport:
     """Audit a problem for genuine quantum advantage.
 
     Counts queries for the named classical oracles and for every counterpart
-    family the basis search finds over the standard oracle (an assignment is
+    family the chi/eta grid yields over the standard oracle (a word is
     admissible only if extraction succeeds for every hypothesis); families
     that cannot separate the labels appear with an infinite count and do not
     enter the genuine-speed-up minimum.
     """
-    space = PauliGrid() if space is None else space
     if problem.name not in PROBLEMS:
         raise ValueError(f"unknown problem {problem.name!r}")
     _, _, run_quantum, shown = PROBLEMS[problem.name]
     _, quantum = run_quantum(problem.hypotheses[0].instance)
     named = {oracle: named_family(problem, oracle) for oracle in shown}
     families = [(ORACLES[oracle][0], fam) for oracle, fam in named.items()]
-    families += _extracted_families(problem, space, tol, named["OS"])
+    families += _extracted_families(problem, PauliGrid(), tol, named["OS"])
     # Families with the same perms (O_S and the all-chi word) share a count.
     counts: dict[bytes, float] = {}
     entries = []
     for name, fam in families:
-        key = np.stack([gp._perm for gp in fam.maps]).tobytes()
+        key = fam.perms.tobytes()
         if key not in counts:
             counts[key] = deterministic_query_complexity(problem, fam)
         entries.append((name, counts[key]))

@@ -81,3 +81,20 @@ def test_speedup_report_calls_the_patched_quantum_run(monkeypatch, make, run):
     monkeypatch.setattr(querylab, run, counting)
     querylab.speedup_report(make(1))
     assert len(calls) == 1
+
+
+def test_the_calls_the_benchmark_makes():
+    # The minimax workload builds a family from a tuple of maps, by position,
+    # the audit workload calls speedup_report with the problem alone, and
+    # the grid workload reads each counterpart's perm.
+    problem = querylab.bv_problem(2)
+    functions = [querylab.hypothesis_function(h) for h in problem.hypotheses]
+    maps = tuple(oracleforge.classical_OS(f) for f in functions)
+    family = querylab.ClassicalOracleFamily("O_S", 3, maps)
+    assert family.perms.tolist() == [list(gp.perm) for gp in maps]
+    assert querylab.deterministic_query_complexity(problem, family) == 3
+    report = querylab.speedup_report(problem)
+    assert report.entries[0] == ("O_S", 3) and report.genuine_speedup == 1.0
+    oracle = oracleforge.standard_oracle(functions[1])
+    name, _, gp = correspondence.search_counterparts(oracle, correspondence.PauliGrid())[0]
+    assert name == "CCC" and gp.perm == maps[1].perm

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcorr import querylab
+from qcorr import cli, querylab
 from qcorr.cli import build_parser, main
 from qcorr.matrixcore import matrix_to_json
 
@@ -217,6 +217,22 @@ def test_counterparts_qubit_limit_covers_every_space(tmp_path, capsys):
     assert main(args + ["H" * 14]) == 4
     assert main(args + ["random:1:1"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("oracle, m", [("standard", 41), ("phase", 40)])
+def test_counterparts_limit_comes_before_the_oracle(tmp_path, capsys, monkeypatch, oracle, m):
+    # a promise file of about a hundred bytes names a 2^m-entry oracle
+    def refuse(*args):
+        raise AssertionError("the oracle must not be built past the qubit limit")
+
+    for name in ("bv_function", "standard_oracle", "phase_oracle"):
+        monkeypatch.setattr(cli, name, refuse)
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({"n": 40, "k0": 1, "k": [1, 0] * 20}))
+    assert main(["counterparts", "--oracle", oracle, "--bv", str(bv), "--bases", "GRID"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: extraction on {m} qubits exceeds the 13-qubit limit\n"
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,6 @@ from qcorr.correspondence import (
     coset_of,
     extract_counterpart,
     general_basis,
-    iter_assignments,
     makhlin_invariants,
     parse_basis_word,
     search_counterparts,
@@ -200,11 +199,11 @@ def test_random_sample_space_deterministic():
     assert [gp.perm for _, _, gp in first] == [gp.perm for _, _, gp in second]
 
 
-def test_iter_assignments_errors():
+def test_search_counterparts_space_errors():
     with pytest.raises(SizeLimitError):
-        list(iter_assignments(PauliGrid(), 14))
-    with pytest.raises(ValueError):
-        list(iter_assignments(object(), 2))
+        search_counterparts(standard_oracle(BooleanFunction(13, (0,) * 8192)), PauliGrid())
+    with pytest.raises(ValueError, match="unknown search space"):
+        search_counterparts(standard_oracle(BooleanFunction(1, (0, 1))), object())
 
 
 def test_every_space_is_bounded_before_it_allocates():
@@ -215,11 +214,12 @@ def test_every_space_is_bounded_before_it_allocates():
         extract_counterpart(oracle, (CHI,) * 14)
     with pytest.raises(SizeLimitError):
         search_counterparts(oracle, RandomSample(count=1, seed=0))
+    small = standard_oracle(BooleanFunction(1, (0, 1)))
     with pytest.raises(SizeLimitError):
-        iter_assignments(RandomSample(count=(1 << 13) + 1, seed=0), 2)
+        search_counterparts(small, RandomSample(count=(1 << 13) + 1, seed=0))
     with pytest.raises(ValueError):
-        iter_assignments(RandomSample(count=-3, seed=1), 2)
-    assert list(iter_assignments(RandomSample(count=0, seed=1), 2)) == []
+        search_counterparts(small, RandomSample(count=-3, seed=1))
+    assert search_counterparts(small, RandomSample(count=0, seed=1)) == []
 
 
 def test_makhlin_fixed_points():

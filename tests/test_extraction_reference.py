@@ -44,7 +44,6 @@ from qcorr.correspondence import (
     extract_batch,
     extract_counterpart,
     general_basis,
-    iter_assignments,
     search_counterparts,
 )
 from qcorr.querylab import bv_problem, family_extracted, hypothesis_function, parity_problem
@@ -133,6 +132,13 @@ def reference_random(count, seed, m):
     rng = np.random.default_rng(seed)
     for idx in range(count):
         yield f"random:{idx}", tuple(general_basis(random_unitary(2, rng)) for _ in range(m))
+
+
+def space_pairs(space, m):
+    """(name, bases) of every assignment of a checked space, in its order."""
+    correspondence._check_space(space, m)
+    bases, _, at = correspondence._assignments(space, m)
+    return [at(i) for i in range(len(bases))]
 
 
 def reference_search(action, assignments):
@@ -261,7 +267,7 @@ def test_haar_actions_under_random_samples(m):
     for seed in range(3):
         space = RandomSample(count=6, seed=seed)
         plain = OracleAction.from_matrix(random_unitary(1 << m, rng))
-        target = list(iter_assignments(space, m))[int(rng.integers(0, 6))][1]
+        target = space_pairs(space, m)[int(rng.integers(0, 6))][1]
         planted = OracleAction.from_matrix(dressed(rng, m, target))
         for action in (plain, planted):
             found = search_counterparts(action, space)
@@ -313,9 +319,8 @@ def test_family_extracted_stacks(problem, strategy):
             assert fam is None, word
             continue
         admitted.append((word, hits))
-        assert fam.name == word and len(fam.maps) == len(hits)
-        for gp, hit in zip(fam.maps, hits):
-            assert_same_hit(gp, hit)
+        assert fam.name == word
+        assert fam.perms.tolist() == [list(perm) for perm, _ in hits]
     assert admitted
     # the whole grid in one batch, as speedup_report takes it
     found = extract_batch(oracles, PauliGrid())
@@ -415,7 +420,6 @@ class ReferenceFlipTables:
         self.p = np.stack([gp._perm for gp in perms])
         k, dim = self.p.shape
         self.m = m = num_bits(dim)
-        self.tol = tol
         self.rows = rows = np.arange(k)[:, None]
         self.inv = np.empty_like(self.p)
         self.inv[rows, self.p] = np.arange(dim)
@@ -470,8 +474,10 @@ def test_flip_tables_match_the_reference(m):
     for kind in TABLE_KINDS:
         for k in range(1, 6):
             perms = [permutation_action(rng, m, *kind).permutation for _ in range(k)]
+            tables = np.stack([gp._perm for gp in perms]), np.stack([gp._phases for gp in perms])
             for tol in (DEFAULT_TOL, 1e-11):
-                got, want = correspondence._FlipTables(perms, tol), ReferenceFlipTables(perms, tol)
+                got = correspondence._FlipTables(*tables, tol)
+                want = ReferenceFlipTables(perms, tol)
                 for name in ("p", "inv", "psi", "signed", "reach", "back"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -482,10 +488,9 @@ def test_flip_tables_match_the_reference(m):
                 assert hits.dtype == words.dtype
                 assert np.array_equal(hits, want.admitted(words))
                 admitted += len(hits)
-                for gps, refs in zip(got.counterparts(hits), want.counterparts(hits), strict=True):
-                    for gp, ref in zip(gps, refs, strict=True):
-                        assert np.array_equal(gp._perm, ref._perm)
-                        assert np.array_equal(gp._phases, ref._phases)
+                for found, ref in zip(got.counterparts(hits), want.counterparts(hits), strict=True):
+                    assert all(a.shape == (k, 1 << m) for a in found)
+                    assert all(np.array_equal(a, b) for a, b in zip(found, ref, strict=True))
     # the affine maps with unit, sign and character phases admit words
     assert admitted >= 3 * 5
 
@@ -496,11 +501,12 @@ def test_flip_tables_peak_near_one_table(monkeypatch):
     # (k, 2^m) inputs and one bit's temporaries: about 2.5 such intp tables.
     # The reference's gather of the stacked tables at P⁻¹ took 4.3.
     monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
-    maps = list(querylab.named_family(bv_problem(7), "OS").maps)
-    table = 8 * len(maps) * 256 * np.dtype(np.intp).itemsize
+    perms = querylab.named_family(bv_problem(7), "OS").perms
+    phases = np.ones(perms.shape, dtype=complex)
+    table = 8 * perms.nbytes
     tracemalloc.start()
     try:
-        correspondence._FlipTables(maps, DEFAULT_TOL)
+        correspondence._FlipTables(perms, phases, DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -630,7 +636,7 @@ def test_sample_bases_are_the_per_qubit_draws(count, seed, m):
     want = np.array([[random_unitary(2, rng) for _ in range(m)] for _ in range(count)])
     assert got.shape == (count, m, 2, 2)
     assert np.array_equal(got, want.reshape(count, m, 2, 2))
-    pairs = list(iter_assignments(RandomSample(count, seed), m))
+    pairs = space_pairs(RandomSample(count, seed), m)
     assert [name for name, _ in pairs] == [f"random:{i}" for i in range(count)]
     for (_, bases), mats in zip(pairs, got):
         assert all(b.label == "?" and np.array_equal(b.matrix, mat) for b, mat in zip(bases, mats))
@@ -660,7 +666,7 @@ def test_a_sample_is_drawn_once_per_extraction(monkeypatch):
     monkeypatch.setattr(correspondence, "_sample_bases", counted)
     rng = np.random.default_rng(31)
     space = RandomSample(12, 4)
-    target = list(iter_assignments(space, 3))[5][1]
+    target = space_pairs(space, 3)[5][1]
     calls.clear()
     found = extract_batch([OracleAction.from_matrix(dressed(rng, 3, target))], space)
     assert [name for name, _, _ in found] == ["random:5"] and len(calls) == 1
@@ -756,7 +762,7 @@ def test_random_samples_across_blocks(m):
     rng = np.random.default_rng(500 + m)
     count = 2 * (correspondence._BLOCK >> m) + 3
     space = RandomSample(count, m)
-    pairs = list(iter_assignments(space, m))
+    pairs = space_pairs(space, m)
     target = pairs[int(rng.integers(count // 2, count))][1]
     for k in (1, 2):
         actions = [OracleAction.from_matrix(dressed(rng, m, target)) for _ in range(k)]

@@ -16,6 +16,7 @@ from qcorr.matrixcore import (
     SIGMA_Z,
     SWAP,
     GeneralizedPermutation,
+    _checked_perms,
     apply_single_qubit,
     cycle_notation,
     detect_generalized_permutation,
@@ -261,8 +262,8 @@ def test_detect_stack_past_one_row_per_block(k, m):
 
 @pytest.mark.parametrize("k, m", [(6, 4), (260, 6), (3, 8)])
 def test_detect_stack_maps_are_the_batch_of_their_rows(k, m):
-    # detect_stack builds its maps without batch's second check, and must
-    # still hand out the same read-only maps
+    # detect_stack builds its maps without the constructor's second check,
+    # and must still hand out the maps the constructor builds from its rows
     stack = planted_stack(np.random.default_rng([k, m, 1]), k, 1 << m)
     found = [gp for gp in detect_stack(stack) if gp is not None]
     kept = [i for i in range(k) if i % 6 in (0, 4, 5)]
@@ -271,7 +272,7 @@ def test_detect_stack_maps_are_the_batch_of_their_rows(k, m):
     entries = np.take_along_axis(stack[kept], rows[:, None, :], axis=1)[:, 0]
     phases = np.zeros_like(entries)
     np.put_along_axis(phases, rows, entries, axis=1)
-    want = GeneralizedPermutation.batch(m, rows, phases)
+    want = [GeneralizedPermutation(m, row, ph) for row, ph in zip(rows, phases)]
     assert found == want
     assert [(hash(gp), repr(gp)) for gp in found] == [(hash(gp), repr(gp)) for gp in want]
     for gp in found:
@@ -312,7 +313,7 @@ def test_constructor_admits_exactly_what_the_detector_admits(tol):
 
 
 def test_constructor_refuses_a_table():
-    # a (k, 2^m) table is batch's input; as one map it would have 2-D arrays
+    # a (k, 2^m) table is a family's input; as one map it would have 2-D arrays
     with pytest.raises(ValueError, match="1-D"):
         GeneralizedPermutation(1, [[0, 1], [1, 0]], [[1, 1], [1, 1]])
 
@@ -323,16 +324,18 @@ def random_tables(rng, m, k):
     return perms, np.exp(1j * rng.uniform(0, 2 * np.pi, (k, dim)))
 
 
+# The batch is a (k, 2^m) perm table, as a classical family holds it: its
+# one check must take the same perms as one map at a time.
 @pytest.mark.parametrize("m", range(1, 9))
 def test_batch_equals_one_map_at_a_time(m):
     rng = np.random.default_rng(700 + m)
     for k in range(1, 6):
         perms, phases = random_tables(rng, m, k)
-        got = GeneralizedPermutation.batch(m, perms, phases)
+        got = _checked_perms(m, perms, 2)
         want = [GeneralizedPermutation(m, tuple(p.tolist()), tuple(ph.tolist()))
                 for p, ph in zip(perms, phases)]
-        assert got == want
-        assert [(g.perm, g.phases) for g in got] == [(w.perm, w.phases) for w in want]
+        assert got.dtype == np.intp and not got.flags.writeable
+        assert got.tolist() == [list(w.perm) for w in want]
 
 
 def _spoiled(rng, m, k, how):
@@ -362,23 +365,22 @@ def _spoiled(rng, m, k, how):
 @pytest.mark.parametrize("how", ["none", "duplicate", "negative", "too large", "wrong length",
                                  "off modulus", "nan phase", "float perm", "bool perm"])
 def test_batch_rejects_exactly_when_some_row_is_rejected(how):
+    # the table holds perms only, so a spoiled phase fails the maps alone
+    def accepts(build):
+        try:
+            build()
+            return True
+        except ValueError:
+            return False
+
     rng = np.random.default_rng(41)
     for m in (1, 2, 5):
         perms, phases = _spoiled(rng, m, 3, how)
-        single = []
-        for p, ph in zip(perms, phases):
-            try:
-                GeneralizedPermutation(m, p, ph)
-                single.append(True)
-            except ValueError:
-                single.append(False)
-        try:
-            GeneralizedPermutation.batch(m, perms, phases)
-            batched = True
-        except ValueError:
-            batched = False
-        assert batched == all(single)
-        assert batched == (how == "none")
+        single = [accepts(lambda: _checked_perms(m, p, 1)) for p in perms]
+        maps = [accepts(lambda: GeneralizedPermutation(m, p, ph)) for p, ph in zip(perms, phases)]
+        batched = accepts(lambda: _checked_perms(m, perms, 2))
+        assert batched == all(single) == (how in ("none", "off modulus", "nan phase"))
+        assert all(maps) == (how == "none")
 
 
 def test_generalized_permutation_rejects_nan_and_non_integer_perms():
@@ -394,8 +396,9 @@ def test_generalized_permutation_rejects_nan_and_non_integer_perms():
 
 def test_generalized_permutation_pickles_and_copies():
     perms, phases = random_tables(np.random.default_rng(43), 3, 2)
-    for gp in [GeneralizedPermutation(3, perms[0], phases[0]),
-               *GeneralizedPermutation.batch(3, perms, phases)]:
+    # detect_stack's maps hold rows of one table
+    stack = np.stack([GeneralizedPermutation(3, p, ph).as_matrix() for p, ph in zip(perms, phases)])
+    for gp in [GeneralizedPermutation(3, perms[0], phases[0]), *detect_stack(stack)]:
         gp.apply(np.eye(8))  # fills the cached inverse
         for twin in (pickle.loads(pickle.dumps(gp)), copy.copy(gp), copy.deepcopy(gp)):
             assert twin == gp and hash(twin) == hash(gp) and repr(twin) == repr(gp)
@@ -406,13 +409,12 @@ def test_generalized_permutation_pickles_and_copies():
 
 def test_generalized_permutation_copies_its_input():
     perms, phases = random_tables(np.random.default_rng(47), 3, 2)
-    single = GeneralizedPermutation(3, perms[0], phases[0])
-    batch = GeneralizedPermutation.batch(3, perms, phases)
-    before = [(gp.perm, gp.phases) for gp in [single, *batch]]
+    maps = [GeneralizedPermutation(3, p, ph) for p, ph in zip(perms, phases)]
+    before = [(gp.perm, gp.phases) for gp in maps]
     perms[:] = perms[:, ::-1]
     phases *= -1
-    assert [(gp.perm, gp.phases) for gp in [single, *batch]] == before
-    for gp in [single, *batch]:
+    assert [(gp.perm, gp.phases) for gp in maps] == before
+    for gp in maps:
         assert not gp._perm.flags.writeable and not gp._phases.flags.writeable
         with pytest.raises(ValueError):
             gp._perm[0] = 0
@@ -422,7 +424,7 @@ def test_generalized_permutation_from_tuples_or_arrays_is_the_same_map():
     perm, phases = (2, 0, 3, 1), (1j, -1 + 0j, 1 + 0j, -1j)
     built = [GeneralizedPermutation(2, perm, phases),
              GeneralizedPermutation(2, np.array(perm, dtype=np.int32), np.array(phases)),
-             GeneralizedPermutation.batch(2, np.array([perm]), np.array([phases]))[0]]
+             detect_generalized_permutation(GeneralizedPermutation(2, perm, phases).as_matrix())]
     for gp in built[1:]:
         assert gp == built[0] and hash(gp) == hash(built[0]) and repr(gp) == repr(built[0])
         assert type(gp.perm[0]) is int and type(gp.phases[0]) is complex

@@ -41,7 +41,7 @@ def groups_of(perms, ids, q):
 def reference_depths(problem, family):
     """The exact cost of a set of hypothesis ids (a sorted tuple)."""
     labels = problem.labels()
-    perms = [gp.perm for gp in family.maps]
+    perms = family.perms.tolist()
     query_strings = range(1 << family.m)
     memo = {}
 
@@ -82,7 +82,7 @@ def reference_tree(problem, family):
     least two groups, all of depth below d, and branch on its outputs."""
     depth = reference_depths(problem, family)
     labels = problem.labels()
-    perms = [gp.perm for gp in family.maps]
+    perms = family.perms.tolist()
 
     def build(ids):
         d = depth(ids)
@@ -107,11 +107,11 @@ def check_tree(problem, family, tree, count):
         return
     leaves = {}
     longest = 0
-    for h, gp in zip(problem.hypotheses, family.maps):
+    for h, perm in zip(problem.hypotheses, family.perms.tolist()):
         node, path = tree, ()
         while isinstance(node, tuple) and len(node) == 2 and isinstance(node[1], dict):
             query, branches = node
-            out = gp.perm[query]
+            out = perm[query]
             assert out in branches, f"output {out} of query {query} has no branch"
             node, path = branches[out], path + ((query, out),)
         assert node == h.label
@@ -127,23 +127,16 @@ def relabelled(problem, family, rng):
     order = [int(i) for i in rng.permutation(len(problem.hypotheses))]
     mask = int(rng.integers(0, 1 << family.m))
     hyps = tuple(problem.hypotheses[i] for i in order)
-    maps = tuple(
-        GeneralizedPermutation(
-            family.m,
-            tuple(family.maps[i].perm[x ^ mask] for x in range(1 << family.m)),
-            family.maps[i].phases,
-        )
-        for i in order
-    )
+    perms = [[family.perms[i, x ^ mask] for x in range(1 << family.m)] for i in order]
     return (ProblemSpec(problem.name, problem.n, hyps),
-            ClassicalOracleFamily(family.name, family.m, maps))
+            ClassicalOracleFamily(family.name, family.m, np.array(perms)))
 
 
 def reordered(problem, family, rng):
-    """The same problem with its hypotheses, and their maps, reordered."""
+    """The same problem with its hypotheses, and their perms, reordered."""
     order = [int(i) for i in rng.permutation(len(problem.hypotheses))]
     return (ProblemSpec(problem.name, problem.n, tuple(problem.hypotheses[i] for i in order)),
-            ClassicalOracleFamily(family.name, family.m, tuple(family.maps[i] for i in order)))
+            ClassicalOracleFamily(family.name, family.m, family.perms[order]))
 
 
 NAMED = [("bv", n, o) for n in (1, 2, 3, 4) for o in ("OS", "OB", "OBT")]
@@ -262,7 +255,7 @@ def many_label_case(rng):
 def counting_bound(problem, family):
     """ceil(log_b L) for the full set: L labels, b the most outputs of any
     query string."""
-    branching = max(len({gp.perm[q] for gp in family.maps}) for q in range(1 << family.m))
+    branching = max(len(set(column)) for column in family.perms.T.tolist())
     bound, leaves = 0, 1
     while leaves < len(set(problem.labels())):
         bound, leaves = bound + 1, leaves * max(branching, 2)

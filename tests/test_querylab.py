@@ -3,11 +3,12 @@ and the speed-up report."""
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qcorr import matrixcore
+from qcorr import correspondence, matrixcore
 from qcorr.matrixcore import GeneralizedPermutation, SizeLimitError
 from qcorr.oracleforge import (
     BooleanFunction,
@@ -17,8 +18,9 @@ from qcorr.oracleforge import (
     classical_OB,
     classical_OBtilde,
     classical_OS,
+    standard_oracle,
 )
-from qcorr.correspondence import RandomSample, parse_basis_word
+from qcorr.correspondence import PauliGrid, extract_batch, general_basis, parse_basis_word
 from qcorr import querylab
 from qcorr.querylab import (
     ClassicalOracleFamily,
@@ -121,7 +123,40 @@ def test_family_constructors():
         )
 
 
-# The one-map constructors are the reference for the batch-built families.
+def test_family_table_and_maps_give_the_same_perms():
+    maps = [classical_OS(BooleanFunction(2, t)) for t in ((0, 1, 1, 0), (1, 1, 1, 1))]
+    table = np.array([gp.perm for gp in maps], dtype=np.int32)
+    by_table = ClassicalOracleFamily("t", 3, table)
+    by_maps = ClassicalOracleFamily("t", 3, tuple(maps))
+    assert by_table.perms.dtype == by_maps.perms.dtype == np.intp
+    assert np.array_equal(by_table.perms, by_maps.perms)
+    assert by_table.perms.tolist() == [list(gp.perm) for gp in maps]
+
+
+def test_family_perms_are_a_read_only_copy():
+    table = np.array([[1, 0, 3, 2], [0, 1, 2, 3]])
+    family = ClassicalOracleFamily("t", 2, table)
+    assert not family.perms.flags.writeable
+    with pytest.raises(ValueError):
+        family.perms[0, 0] = 0
+    table[:] = table[:, ::-1]
+    assert family.perms.tolist() == [[1, 0, 3, 2], [0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("perms", [
+    np.array([[1.0, 0.0, 3.0, 2.0]]),
+    np.array([[1, 0, 3, 2, 4, 5, 6, 7]]),
+    np.array([[[1, 0, 3, 2]]]),
+    np.array([1, 0, 3, 2]),
+    np.array([[0, 1, 2, 3], [-1, 0, 1, 2]]),
+    np.array([[0, 1, 2, 3], [0, 0, 2, 3]]),
+], ids=["float", "wrong-width", "3-D", "1-D", "negative", "not-bijective"])
+def test_family_refuses_bad_perms(perms):
+    with pytest.raises(ValueError):
+        ClassicalOracleFamily("bad", 2, perms)
+
+
+# The one-map constructors are the reference for the table-built families.
 ONE_AT_A_TIME = {
     "OS": lambda h: classical_OS(hypothesis_function(h)),
     "OA": lambda h: classical_OA(hypothesis_function(h)),
@@ -148,18 +183,19 @@ def test_named_family_matches_one_map_per_hypothesis(name, n, monkeypatch):
             family = named_family(spec, oracle)
             want = tuple(ONE_AT_A_TIME[oracle](h) for h in spec.hypotheses)
             assert (family.name, family.m) == (family_name, want[0].m)
-            assert family.maps == want, (oracle, spec is shuffled)
+            assert family.perms.tolist() == [list(gp.perm) for gp in want], (
+                oracle, spec is shuffled)
 
 
 def test_named_family_checks_its_table_in_one_pass(monkeypatch):
     calls = []
-    checked_tables = matrixcore._checked_tables
+    checked_perms = matrixcore._checked_perms
 
-    def counting(m, perms, phases, tol):
+    def counting(m, perms, ndim):
         calls.append(np.shape(perms))
-        return checked_tables(m, perms, phases, tol)
+        return checked_perms(m, perms, ndim)
 
-    monkeypatch.setattr(matrixcore, "_checked_tables", counting)
+    monkeypatch.setattr(querylab, "_checked_perms", counting)
     problem = bv_problem(3)
     for oracle in querylab.ORACLES:
         calls.clear()
@@ -167,9 +203,31 @@ def test_named_family_checks_its_table_in_one_pass(monkeypatch):
         assert calls == [(16, 1 << family.m)], oracle
 
 
-def test_named_family_member_pickles_its_own_row():
+def test_named_family_peak_near_five_tables(monkeypatch):
+    # bv n = 9's O_S family: k = 1024 perms on m = 10 bits.  The perms, the
+    # family's copy, its row offsets and its bin counts are four (k, 2^m)
+    # intp tables; building the perms from the truth tables adds about one.
+    # Built as k maps through a complex table of ones, the peak was 8.
+    monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 9)
+    problem = bv_problem(9)
+    table = (1 << 10) * (1 << 10) * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        family = named_family(problem, "OS")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.perms.nbytes == table
+    assert peak <= 5.5 * table
+
+
+def test_extracted_map_pickles_its_own_row():
+    # extract_batch hands out the rows of a table as maps
     problem = bv_problem(3)
-    member = named_family(problem, "OS").maps[5]
+    oracles = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
+    word, _, member = extract_batch(oracles, PauliGrid())[0]
+    member = member[5]
+    assert word == "CCCC"
     data = pickle.dumps(member)
     assert pickle.loads(data) == member
     # a member built alone holds one row, so the same bytes mean one row
@@ -228,8 +286,15 @@ def test_unsolvable_family_is_infinite():
     problem = bv_problem(1)
     fam = family_extracted(problem, parse_basis_word("CH"))
     assert fam is not None
-    assert all(gp.perm == (0, 1, 2, 3) for gp in fam.maps)
+    assert fam.perms.tolist() == [[0, 1, 2, 3]] * 4
     assert math.isinf(deterministic_query_complexity(problem, fam))
+
+
+def test_extracted_family_needs_a_chi_eta_word():
+    problem = bv_problem(1)
+    bases = (general_basis(np.eye(2)), general_basis(np.eye(2)))
+    with pytest.raises(ValueError, match="grid or a word over C and H"):
+        family_extracted(problem, bases)
 
 
 def test_minimax_zero_when_labels_agree():
@@ -378,7 +443,7 @@ def test_speedup_report_solves_each_distinct_family_once(monkeypatch):
     calls = []
 
     def counting(problem, family):
-        calls.append(tuple(gp.perm for gp in family.maps))
+        calls.append(tuple(map(tuple, family.perms.tolist())))
         return deterministic_query_complexity(problem, family)
 
     monkeypatch.setattr(querylab, "deterministic_query_complexity", counting)
@@ -389,10 +454,34 @@ def test_speedup_report_solves_each_distinct_family_once(monkeypatch):
 
 def test_speedup_report_monotone_under_more_families():
     problem = bv_problem(2)
-    named_only = speedup_report(problem, space=RandomSample(count=0, seed=1))
     with_grid = speedup_report(problem)
-    assert with_grid.genuine_speedup <= named_only.genuine_speedup
+    named_only = min(deterministic_query_complexity(problem, named_family(problem, oracle))
+                     for oracle in querylab.PROBLEMS["bv"][3]) / with_grid.quantum_queries
+    assert with_grid.genuine_speedup <= named_only
     assert with_grid.genuine_speedup <= with_grid.naive_speedup
+
+
+def test_speedup_report_builds_no_map_per_hypothesis(monkeypatch):
+    # From the catalogue and the extraction engine to the minimax search a
+    # family is one table: the only map built is the quantum run's oracle.
+    built = []
+    init = GeneralizedPermutation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_unchecked(m, perm, phases):
+        built.append("unchecked")
+        return unchecked(m, perm, phases)
+
+    unchecked = matrixcore._unchecked
+    monkeypatch.setattr(GeneralizedPermutation, "__init__", counting_init)
+    for module in (matrixcore, correspondence):
+        monkeypatch.setattr(module, "_unchecked", counting_unchecked)
+    report = speedup_report(bv_problem(3))
+    assert built == ["init"]
+    assert report.genuine_speedup == 1.0
 
 
 def test_speedup_report_unknown_problem():
