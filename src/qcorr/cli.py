@@ -3,8 +3,9 @@ speedup.  Every subcommand prints a single JSON document on stdout.
 
 Exit codes: 0 success, 2 malformed input, 3 non-unitary matrix, 4 size limit
 exceeded.  QCORR_TOL overrides the default tolerance; an explicit --tol flag
-wins over the environment.  A negative or NaN tolerance exits 2, as does a
-``simulate`` tolerance too tight for the simulation's own checks.
+wins over the environment.  A negative, infinite or NaN tolerance exits 2,
+as does a ``simulate`` tolerance too tight for the simulation's own checks.
+No NaN or infinity is ever printed.
 
 The problems (``--problem``) and the named classical oracles (``complexity
 --oracle``) are the keys of ``querylab.PROBLEMS`` and ``querylab.ORACLES``;
@@ -54,8 +55,8 @@ _COSET_ORDER = list(CosetId)
 
 
 def _resolve_tol(args) -> float:
-    """--tol, else QCORR_TOL, else the default; a negative or NaN value is
-    malformed input."""
+    """--tol, else QCORR_TOL, else the default; a negative, infinite or NaN
+    value is malformed input."""
     if args.tol is not None:
         tol, source = args.tol, "--tol"
     elif (env := os.environ.get("QCORR_TOL")) is not None:
@@ -67,6 +68,8 @@ def _resolve_tol(args) -> float:
         return DEFAULT_TOL
     if not tol >= 0.0:
         raise ValueError(f"{source} must be a number >= 0, got {tol!r}")
+    if math.isinf(tol):
+        raise ValueError(f"{source} must be finite, got {tol!r}")
     return tol
 
 
@@ -290,7 +293,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(result, indent=2 if args.pretty else None))
+    print(json.dumps(result, indent=2 if args.pretty else None, allow_nan=False))
     return 0
 
 

@@ -21,13 +21,13 @@ once, and builds each admitted word's counterparts as tables in closed form
 in O(k 2^m).  No dense matrix is made.
 
 Matrix-backed actions, random product bases and other non-chi/eta words go
-to the dense engine.  It screens all the assignments of a space at once on
-a few product-state columns, in blocks of assignments: one oracle
-application per block, then one 2x2 pass per qubit with each assignment's
-own basis change.  That rejects most of those that admit nothing.  It then
-conjugates, per assignment that passes, the stacked dense matrices of the k
-oracles by the product of single-qubit basis changes, one 2x2 pass per row
-or column qubit, and tests every conjugated matrix at once for being a
+to the dense engine, one oracle at a time.  It screens all the assignments
+of a space at once on a few product-state columns, in blocks of
+assignments: one oracle application per block, then one 2x2 pass per qubit
+with each assignment's own basis change.  That rejects most of those that
+admit nothing.  It then conjugates, per assignment that passes, the
+oracle's dense matrix by the product of single-qubit basis changes, one
+2x2 pass per row or column qubit, and tests the result for being a
 generalized permutation.
 
 The classification side computes the three local invariants of a 4x4
@@ -54,7 +54,7 @@ from .matrixcore import (
     _checked_perms,
     _unchecked,
     apply_single_qubit,
-    detect_stack,
+    detect_generalized_permutation,
     is_unitary,
     num_bits,
 )
@@ -217,42 +217,39 @@ def _assignments(space, m: int):
             lambda i: (basis_word(space), space))
 
 
-def conjugate(actions, bases) -> np.ndarray:
-    """B†UB for the matrix U of every action, as a (k, 2^m, 2^m) stack.
+def conjugate(action: OracleAction, bases) -> np.ndarray:
+    """B†UB for the matrix U of the action, as a new 2^m x 2^m array.
 
     B is the product of the per-qubit bases; column j of B†UB is the oracle's
     image of the product state encoding j, read in the same product basis.
     """
-    m = actions[0].m
+    m = action.m
     if len(bases) != m:
         raise ValueError(f"{len(bases)} bases given for an oracle on {m} qubits")
-    mats = [action.as_matrix() for action in actions]
-    stack = mats[0][None] if len(mats) == 1 else np.stack(mats)
+    mat = action.as_matrix()
     for j, basis in enumerate(bases):
         if basis is not CHI:
-            # every matrix times D on column qubit j and D† on row qubit j
-            apply_single_qubit(stack, basis.matrix.T, m + j, 2 * m, out=stack)
-            apply_single_qubit(stack, basis.matrix.conj().T, j, 2 * m, out=stack)
-    return stack
+            # the matrix times D on column qubit j and D† on row qubit j
+            apply_single_qubit(mat, basis.matrix.T, m + j, 2 * m, out=mat)
+            apply_single_qubit(mat, basis.matrix.conj().T, j, 2 * m, out=mat)
+    return mat
 
 
-def _columns(actions, bases: np.ndarray, chi: np.ndarray, c: int) -> np.ndarray:
-    """Columns 0 .. 2^c - 1 of B†UB for every action U and every assignment B
-    of a block, given as (A, m, 2, 2) basis matrices and an (A, m) CHI mask,
-    as a (k, 2^m, 2^c, A) array: the oracle's images of the product states
-    that vary only the last c qubits, read back in each assignment's own
-    product basis, at O(m 2^(m+c)) per action and assignment.  All A * 2^c
-    states go through each oracle at once, and a qubit gets no 2x2 pass
-    where its basis is CHI in every assignment of the block."""
+def _columns(action: OracleAction, bases: np.ndarray, chi: np.ndarray, c: int) -> np.ndarray:
+    """Columns 0 .. 2^c - 1 of B†UB for every assignment B of a block, given
+    as (A, m, 2, 2) basis matrices and an (A, m) CHI mask, as a
+    (2^m, 2^c, A) array: the oracle's images of the product states that
+    vary only the last c qubits, read back in each assignment's own product
+    basis, at O(m 2^(m+c)) per assignment.  All A * 2^c states go through
+    the oracle at once, and a qubit gets no 2x2 pass where its basis is CHI
+    in every assignment of the block."""
     a, m = chi.shape
     states = np.ones((1, 1, a), dtype=complex)
     for j in range(m):
         # the block's states of qubit j, as (2, w, A), times the states so far
         mats = (bases[:, j] if j >= m - c else bases[:, j, :, :1]).transpose(1, 2, 0)
         states = (states[:, None, :, None] * mats[None, :, None]).reshape(2 * len(states), -1, a)
-    flat = states.reshape(1 << m, -1)
-    cols = np.stack([action.apply(flat) for action in actions]).reshape(
-        len(actions), 1 << m, 1 << c, a)
+    cols = action.apply(states.reshape(1 << m, -1)).reshape(1 << m, 1 << c, a)
     back = bases.conj().swapaxes(-1, -2)
     for j in range(m):
         if not chi[:, j].all():
@@ -261,24 +258,24 @@ def _columns(actions, bases: np.ndarray, chi: np.ndarray, c: int) -> np.ndarray:
 
 
 def _columns_admit(cols: np.ndarray, tol: float) -> np.ndarray:
-    """Per assignment of a (k, 2^m, n, A) array of columns, whether every
-    column holds exactly one entry of modulus above tol, itself within tol
-    of one, on a row no other column of its action takes."""
+    """Per assignment of a (2^m, n, A) array of columns, whether every column
+    holds exactly one entry of modulus above tol, itself within tol of one,
+    on a row no other column takes."""
     mags = np.abs(cols)
     big = mags > tol
-    rows = big.argmax(axis=1)
-    unit = np.abs(np.take_along_axis(mags, rows[:, None], axis=1)[:, 0] - 1.0) <= tol
-    ok = ((big.sum(axis=1) == 1) & unit).all(axis=(0, 1))
-    return ok & ~(np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=(0, 1))
+    rows = big.argmax(axis=0)
+    unit = np.abs(np.take_along_axis(mags, rows[None], axis=0)[0] - 1.0) <= tol
+    ok = ((big.sum(axis=0) == 1) & unit).all(axis=0)
+    return ok & ~(np.diff(np.sort(rows, axis=0), axis=0) == 0).any(axis=0)
 
 
-def _screen(actions, bases: np.ndarray, chi: np.ndarray, tol: float) -> np.ndarray:
+def _screen(action: OracleAction, bases: np.ndarray, chi: np.ndarray, tol: float) -> np.ndarray:
     """Which of A assignments, given as (A, m, 2, 2) basis matrices and an
-    (A, m) CHI mask, have every B†UB pass on its first column, then on its
-    first 2^(m//2) columns: the early exit of a column-by-column test, in
-    two vectorized steps over blocks of about ``_BLOCK`` entries per action.
-    Most assignments that admit no counterpart fail here, before any
-    O(m 4^m) conjugation."""
+    (A, m) CHI mask, have B†UB pass on its first column, then on its first
+    2^(m//2) columns: the early exit of a column-by-column test, in two
+    vectorized steps over blocks of about ``_BLOCK`` entries.  Most
+    assignments that admit no counterpart fail here, before any O(m 4^m)
+    conjugation."""
     m = chi.shape[1]
     keep = np.ones(len(chi), dtype=bool)
     for c in (0, m // 2):
@@ -286,7 +283,7 @@ def _screen(actions, bases: np.ndarray, chi: np.ndarray, tol: float) -> np.ndarr
         per = max(1, _BLOCK >> (m + c))
         for start in range(0, len(todo), per):
             blk = todo[start:start + per]
-            keep[blk] = _columns_admit(_columns(actions, bases[blk], chi[blk], c), tol)
+            keep[blk] = _columns_admit(_columns(action, bases[blk], chi[blk], c), tol)
     return keep
 
 
@@ -398,35 +395,31 @@ def extract_tables(perms: np.ndarray, phases: np.ndarray, space, tol: float = DE
     return [(*names[code], *found) for code, found in zip(hits.tolist(), tables.counterparts(hits))]
 
 
-def extract_batch(actions, space, tol: float = DEFAULT_TOL):
-    """Assignments of a space under which every action has a counterpart.
+def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
+    """All assignments of a space under which the action has a classical
+    counterpart, as (name, assignment, counterpart) triples in the space's
+    order.
 
-    The actions act on the same m qubits, typically one oracle per
-    hypothesis.  Returns (name, assignment, counterparts) triples, one
-    counterpart per action, in the space's order.  Permutation-backed
-    actions on a grid or a chi/eta word are decided and built from their
-    bit-flip tables.  Otherwise all the assignments are screened at once on
-    their first columns, and the ones that pass are conjugated and detected
-    whole.
+    A permutation-backed action on the grid or a chi/eta word is decided
+    and built from its bit-flip tables.  Otherwise all the assignments are
+    screened at once on their first columns, and the ones that pass are
+    conjugated and detected whole.
     """
-    m = actions[0].m
-    if any(action.m != m for action in actions):
-        raise ValueError("all actions must act on the same number of qubits")
+    m = action.m
     _check_space(space, m)  # before any allocation
-    maps = [action.permutation for action in actions]
-    if all(gp is not None for gp in maps):
-        found = extract_tables(np.stack([gp._perm for gp in maps]),
-                               np.stack([gp._phases for gp in maps]), space, tol)
+    gp = action.permutation
+    if gp is not None:
+        found = extract_tables(gp._perm[None], gp._phases[None], space, tol)
         if found is not None:
-            return [(name, bases, tuple(map(_unchecked, [m] * len(maps), perms, phases)))
+            return [(name, bases, _unchecked(m, perms[0], phases[0]))
                     for name, bases, perms, phases in found]
     bases, chi, at = _assignments(space, m)
     found = []
-    for i in np.flatnonzero(_screen(actions, bases, chi, tol)).tolist():
+    for i in np.flatnonzero(_screen(action, bases, chi, tol)).tolist():
         name, assignment = at(i)
-        gps = detect_stack(conjugate(actions, assignment), tol)
-        if all(gp is not None for gp in gps):
-            found.append((name, assignment, tuple(gps)))
+        hit = detect_generalized_permutation(conjugate(action, assignment), tol)
+        if hit is not None:
+            found.append((name, assignment, hit))
     return found
 
 
@@ -437,16 +430,8 @@ def extract_counterpart(action: OracleAction, bases, tol: float = DEFAULT_TOL):
     vector up to phase; the result collects the full permutation and its
     output phases.
     """
-    found = extract_batch([action], tuple(bases), tol)
-    return found[0][2][0] if found else None
-
-
-def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
-    """All assignments in the space whose extraction succeeds.
-
-    Returns (name, assignment, counterpart) triples in deterministic order.
-    """
-    return [(name, bases, gps[0]) for name, bases, gps in extract_batch([action], space, tol)]
+    found = search_counterparts(action, tuple(bases), tol)
+    return found[0][2] if found else None
 
 
 @dataclass(frozen=True)
@@ -470,19 +455,26 @@ def makhlin_invariants(u: np.ndarray, tol: float = DEFAULT_TOL) -> MakhlinTriple
     alpha + i*beta = Tr(V)^2 / (16 det U) and
     gamma = (Tr(V)^2 - Tr(V^2)) / (4 det U), with V = W^T W and W the unitary
     rewritten in the magic basis.  Equal for all unitaries that differ only
-    by single-qubit operations on either side, or by a global phase.
+    by single-qubit operations on either side, or by a global phase.  A lax
+    tol can pass a singular matrix as unitary: one whose det is 0, or whose
+    invariants are not finite, raises NonUnitaryError as well.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {u.shape}")
-    if not is_unitary(u, tol):
-        raise NonUnitaryError("matrix is not unitary within tolerance")
-    w = MAGIC_Q.conj().T @ u @ MAGIC_Q
-    v = w.T @ w
-    tr2 = np.trace(v) ** 2
-    det = np.linalg.det(u)
-    g = tr2 / (16 * det)
-    gamma = (tr2 - np.trace(v @ v)) / (4 * det)
+    # A lax tol lets through matrices whose products overflow or whose det
+    # is 0: their invariants come out inf or NaN, and are refused below.
+    with np.errstate(all="ignore"):
+        if not is_unitary(u, tol):
+            raise NonUnitaryError("matrix is not unitary within tolerance")
+        w = MAGIC_Q.conj().T @ u @ MAGIC_Q
+        v = w.T @ w
+        tr2 = np.trace(v) ** 2
+        det = np.linalg.det(u)
+        g = tr2 / (16 * det)
+        gamma = (tr2 - np.trace(v @ v)) / (4 * det)
+    if not np.isfinite([g, gamma]).all():
+        raise NonUnitaryError("matrix is singular, or its invariants are not finite")
     return MakhlinTriple(float(g.real), float(g.imag), float(gamma.real), float(gamma.imag))
 
 

@@ -307,62 +307,50 @@ class GeneralizedPermutation:
 
 
 def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray) -> GeneralizedPermutation:
-    """A map from arrays already checked, as ``detect_stack``,
-    ``extract_batch`` and unpickling have."""
+    """A map from arrays already checked, as the detector, the extraction
+    engines and unpickling have."""
     gp = object.__new__(GeneralizedPermutation)
     perm.flags.writeable = phases.flags.writeable = False
     gp.__dict__.update(m=m, _perm=perm, _phases=phases)
     return gp
 
 
-def detect_stack(stack: np.ndarray, tol: float = DEFAULT_TOL) -> list:
-    """Decompose every matrix of a (k, d, d) stack into permutation + phases.
+def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):
+    """Decompose a square matrix into permutation + phases, or None.
 
     A matrix qualifies when each column has exactly one entry of modulus
     above tol, that entry's modulus is within tol of one, and no two columns
     share a row.  An entry counts as present unless its modulus is at most
-    tol, so a NaN entry is present and its column fails.  Returns a
-    GeneralizedPermutation, or None, per matrix.
+    tol, so a NaN entry is present and its column fails.
     """
-    k, dim = stack.shape[0], stack.shape[-1]
-    m = num_bits(dim)
-    # The presence pass runs over blocks of whole matrices, or of row strips
-    # of one matrix that alone exceeds _BLOCK, so its buffers stay near
-    # _BLOCK entries and its reductions run down whole columns where they fit.
-    counts = np.zeros((k, dim), dtype=np.intp)
-    rows = np.zeros((k, dim), dtype=np.intp)
-    per = min(k, max(1, _BLOCK // (dim * dim)))
-    step = min(dim, max(1, _BLOCK // dim))
-    mags = np.empty((per, step, dim))
-    big = np.empty((per, step, dim), dtype=bool)
-    for i in range(0, k, per):
-        j = min(k, i + per)
-        for r in range(0, dim, step):
-            n = min(step, dim - r)
-            hit = big[:j - i, :n]
-            np.less_equal(np.abs(stack[i:j, r:r + n], out=mags[:j - i, :n]), tol, out=hit)
-            np.logical_not(hit, out=hit)
-            counts[i:j] += hit.sum(axis=1)
-            np.copyto(rows[i:j], hit.argmax(axis=1) + r, where=hit.any(axis=1))
-    ok = (counts == 1).all(axis=1)
-    entries = stack[np.arange(k)[:, None], rows, np.arange(dim)]
-    ok &= (np.abs(np.abs(entries) - 1.0) <= tol).all(axis=1)
-    hits = np.bincount((rows + dim * np.arange(k)[:, None]).ravel(), minlength=k * dim)
-    ok &= (hits.reshape(k, dim) == 1).all(axis=1)
-    phases = np.zeros_like(entries)
-    np.put_along_axis(phases, rows, entries, axis=1)
-    # Those are the constructor's checks, and rows from argmax are intp
-    # and in range, so the admitted rows need no second pass.
-    gps = (_unchecked(m, perm, ph) for perm, ph in zip(rows[ok], phases[ok]))
-    return [next(gps) if good else None for good in ok.tolist()]
-
-
-def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):
-    """Decompose into permutation + phases, or None if any column mixes."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return detect_stack(mat[None], tol)[0]
+    dim = mat.shape[0]
+    m = num_bits(dim)
+    # The presence pass runs over row strips of about _BLOCK entries, so its
+    # buffers stay small and its reductions run down whole columns.
+    counts = np.zeros(dim, dtype=np.intp)
+    rows = np.zeros(dim, dtype=np.intp)
+    step = min(dim, max(1, _BLOCK // dim))
+    mags = np.empty((step, dim))
+    big = np.empty((step, dim), dtype=bool)
+    for r in range(0, dim, step):
+        n = min(step, dim - r)
+        hit = big[:n]
+        np.less_equal(np.abs(mat[r:r + n], out=mags[:n]), tol, out=hit)
+        np.logical_not(hit, out=hit)
+        counts += hit.sum(axis=0)
+        np.copyto(rows, hit.argmax(axis=0) + r, where=hit.any(axis=0))
+    entries = mat[rows, np.arange(dim)]
+    if not ((counts == 1).all() and (np.abs(np.abs(entries) - 1.0) <= tol).all()
+            and (np.bincount(rows, minlength=dim) == 1).all()):
+        return None
+    phases = np.zeros_like(entries)
+    phases[rows] = entries
+    # Those are the constructor's checks, and rows from argmax are intp
+    # and in range, so the map needs no second pass.
+    return _unchecked(m, rows, phases)
 
 
 def cycle_notation(perm) -> str:

@@ -178,12 +178,10 @@ def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
     return ClassicalOracleFamily(name, perms.shape[1].bit_length() - 1, perms)
 
 
-def _extracted_families(problem: ProblemSpec, space, tol: float, standard=None):
+def _extracted_families(standard: ClassicalOracleFamily, space, tol: float):
     """(word, family) per word of ``space``, the grid or one C/H word, that
     admits every hypothesis's standard oracle: the perms of the O_S family
-    ``standard``, built here if the caller has not, with unit phases."""
-    if standard is None:
-        standard = named_family(problem, "OS")
+    ``standard``, with unit phases."""
     found = extract_tables(standard.perms, np.ones(standard.perms.shape, dtype=complex), space, tol)
     if found is None:
         raise ValueError("a counterpart family needs the grid or a word over C and H")
@@ -194,7 +192,7 @@ def _extracted_families(problem: ProblemSpec, space, tol: float, standard=None):
 def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
     """The standard oracle's counterpart family under one C/H word, or None
     when extraction fails for any hypothesis; other bases raise ValueError."""
-    found = _extracted_families(problem, tuple(bases), tol)
+    found = _extracted_families(named_family(problem, "OS"), tuple(bases), tol)
     return found[0][1] if found else None
 
 
@@ -458,7 +456,7 @@ def speedup_report(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> QueryRepor
     _, quantum = run_quantum(problem.hypotheses[0].instance)
     named = {oracle: named_family(problem, oracle) for oracle in shown}
     families = [(ORACLES[oracle][0], fam) for oracle, fam in named.items()]
-    families += _extracted_families(problem, PauliGrid(), tol, named["OS"])
+    families += _extracted_families(named["OS"], PauliGrid(), tol)
     # Families with the same perms (O_S and the all-chi word) share a count.
     counts: dict[bytes, float] = {}
     entries = []

@@ -10,6 +10,7 @@ import pytest
 
 from qcorr import cli, querylab
 from qcorr.cli import build_parser, main
+from qcorr.correspondence import MakhlinTriple
 from qcorr.matrixcore import matrix_to_json
 
 CNOT12 = [
@@ -401,6 +402,47 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QCORR_TOL", "abc")
     assert main(["classify", "--matrix", path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows, tol", [
+    (np.zeros((4, 4)), "1"),                          # det 0
+    (1e-100 * np.eye(4), "1"),                        # det underflows to 0
+    (np.diag([1e80, 1e80, 1e80, 1e-240]), "1e300"),   # invariants overflow
+    (1e200 * np.eye(4), "1e300"),                     # A†A overflows
+], ids=["zero", "tiny", "huge-invariants", "huge"])
+def test_classify_refuses_what_a_lax_tolerance_lets_through(tmp_path, capsys, rows, tol):
+    path = write_matrix(tmp_path / "m.json", rows)
+    assert main(["classify", "--matrix", path, "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: matrix is ")
+
+
+@pytest.mark.parametrize("value", ["inf", "Infinity", "1e400"])
+def test_infinite_tolerance_exits_2(tmp_path, capsys, monkeypatch, value):
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({"n": 2, "k0": 0, "k": [1, 1]}))
+    runs = [
+        ["classify", "--matrix", write_matrix(tmp_path / "m.json", 2 * np.eye(4))],
+        ["counterparts", "--oracle", "standard", "--bv", str(bv), "--bases", "GRID"],
+        ["simulate", "--algorithm", "parity", "--truth", "0110"],
+    ]
+    for argv in runs:
+        assert main(argv + [f"--tol={value}"]) == 2
+        assert capsys.readouterr() == ("", "error: --tol must be finite, got inf\n")
+    monkeypatch.setenv("QCORR_TOL", value)
+    for argv in runs:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: QCORR_TOL must be finite, got inf\n")
+
+
+def test_stdout_never_carries_nan(tmp_path, capsys, monkeypatch):
+    # a NaN that reached the output is a fault, not a JSON document
+    nan = MakhlinTriple(np.nan, 0.0, 1.0)
+    monkeypatch.setattr(cli, "makhlin_invariants", lambda u, tol: nan)
+    with pytest.raises(ValueError, match="JSON"):
+        main(["classify", "--matrix", write_matrix(tmp_path / "m.json", CNOT12)])
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_reads_the_tolerance(tmp_path, capsys, monkeypatch):

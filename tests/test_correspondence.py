@@ -129,14 +129,14 @@ def test_parse_basis_word():
 
 def test_conjugate_column_examples():
     sz = OracleAction.from_matrix(SIGMA_Z)
-    assert np.allclose(conjugate([sz], (CHI,))[0][:, 0], [1, 0])
-    assert np.allclose(conjugate([sz], (ETA,))[0][:, 0], [0, 1])
+    assert np.allclose(conjugate(sz, (CHI,))[:, 0], [1, 0])
+    assert np.allclose(conjugate(sz, (ETA,))[:, 0], [0, 1])
     theta, phi = 0.4, 2.2
     phased = OracleAction.from_matrix(sigma_x_phased(theta, phi))
-    col0 = conjugate([phased], (CHI,))[0][:, 0]
+    col0 = conjugate(phased, (CHI,))[:, 0]
     assert np.allclose(col0, [0, np.exp(1j * phi)])
     with pytest.raises(ValueError):
-        conjugate([sz], (CHI, CHI))
+        conjugate(sz, (CHI, CHI))
 
 
 @pytest.mark.parametrize("n", [1, 2])

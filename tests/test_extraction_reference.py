@@ -41,8 +41,8 @@ from qcorr.correspondence import (
     PauliGrid,
     RandomSample,
     basis_word,
-    extract_batch,
     extract_counterpart,
+    extract_tables,
     general_basis,
     search_counterparts,
 )
@@ -99,25 +99,24 @@ def reference_extract(action, bases, tol=DEFAULT_TOL):
 
 
 def reference_columns_admit(cols, tol):
-    """Whether every column of a (k, 2^m, n) array holds exactly one entry of
+    """Whether every column of a (2^m, n) array holds exactly one entry of
     modulus above tol, itself within tol of one, on a row no other takes."""
     mags = np.abs(cols)
     big = mags > tol
-    if not (big.sum(axis=1) == 1).all():
+    if not (big.sum(axis=0) == 1).all():
         return False
-    rows = big.argmax(axis=1)
-    if not (np.abs(np.take_along_axis(mags, rows[:, None], axis=1) - 1.0) <= tol).all():
+    rows = big.argmax(axis=0)
+    if not (np.abs(np.take_along_axis(mags, rows[None], axis=0) - 1.0) <= tol).all():
         return False
-    return not (np.diff(np.sort(rows, axis=1), axis=1) == 0).any()
+    return not (np.diff(np.sort(rows)) == 0).any()
 
 
-def reference_screened(actions, bases, tol=DEFAULT_TOL):
-    """The per-assignment screen: every B†UB passes on its first column,
-    then on its first 2^(m//2) columns."""
+def reference_screened(action, bases, tol=DEFAULT_TOL):
+    """The per-assignment screen: B†UB passes on its first column, then on
+    its first 2^(m//2) columns."""
     for c in (0, len(bases) // 2):
-        cols = np.array([[reference_column(action, bases, col) for col in range(1 << c)]
-                         for action in actions])
-        if not reference_columns_admit(cols.transpose(0, 2, 1), tol):
+        cols = np.array([reference_column(action, bases, col) for col in range(1 << c)])
+        if not reference_columns_admit(cols.T, tol):
             return False
     return True
 
@@ -310,10 +309,18 @@ def test_haar_actions_under_single_words(m, strategy):
 )
 def test_family_extracted_stacks(problem, strategy):
     m = problem.n + 1
-    oracles = [strategy(standard_oracle(hypothesis_function(h))) for h in problem.hypotheses]
+    built = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
+    oracles = [strategy(oracle) for oracle in built]
+    # one search per oracle, through the engine the strategy picks
+    searches = [{name: gp for name, _, gp in search_counterparts(oracle, PauliGrid())}
+                for oracle in oracles]
     admitted = []
     for word, bases in reference_grid(m):
         hits = [reference_extract(oracle, bases) for oracle in oracles]
+        for search, hit in zip(searches, hits):
+            assert (word in search) == (hit is not None), word
+            if hit is not None:
+                assert_same_hit(search[word], hit)
         fam = family_extracted(problem, bases)
         if any(hit is None for hit in hits):
             assert fam is None, word
@@ -322,28 +329,43 @@ def test_family_extracted_stacks(problem, strategy):
         assert fam.name == word
         assert fam.perms.tolist() == [list(perm) for perm, _ in hits]
     assert admitted
-    # the whole grid in one batch, as speedup_report takes it
-    found = extract_batch(oracles, PauliGrid())
-    assert [name for name, _, _ in found] == [word for word, _ in admitted]
-    for (_, _, gps), (_, hits) in zip(found, admitted):
-        for gp, hit in zip(gps, hits):
-            assert_same_hit(gp, hit)
+    # the whole grid on the stacked tables, as speedup_report takes it
+    found = extract_tables(*stacked_tables(built), PauliGrid())
+    assert [name for name, _, _, _ in found] == [word for word, _ in admitted]
+    for (_, _, perms, phases), (_, hits) in zip(found, admitted):
+        for perm, ph, hit in zip(perms, phases, hits, strict=True):
+            assert_same_hit(GeneralizedPermutation(m, perm, ph), hit)
 
 
+def stacked_tables(actions):
+    """The (k, 2^m) perm and phase tables of k permutation-backed actions."""
+    maps = [action.permutation for action in actions]
+    return np.stack([gp._perm for gp in maps]), np.stack([gp._phases for gp in maps])
 
 
-def assert_same_batch(found, want):
-    assert [(name, bases) for name, bases, _ in found] == [(name, bases) for name, bases, _ in want]
-    for (_, _, gps), (_, _, wants) in zip(found, want):
-        assert len(gps) == len(wants)
-        for gp, other in zip(gps, wants):
-            assert gp.perm == other.perm
-            assert np.max(np.abs(np.asarray(gp.phases) - np.asarray(other.phases))) < PHASE_TOL
 
 
 def assert_table_matches_dense(actions, space):
-    found = extract_batch(actions, space)
-    assert_same_batch(found, extract_batch([dense(action) for action in actions], space))
+    """Each permutation action's search against the dense engine's search
+    of the same oracle as a matrix, then the table engine on the stacked
+    tables of all the actions against the words that every dense search
+    admits.  Returns the number of words the stack admits."""
+    searches = []
+    for action in actions:
+        found, want = search_counterparts(action, space), search_counterparts(dense(action), space)
+        assert [(name, bases) for name, bases, _ in found] == [(name, bases) for name, bases, _ in want]
+        for (_, _, gp), (_, _, other) in zip(found, want):
+            assert_same_hit(gp, (other.perm, other.phases))
+        searches.append({name: (bases, gp) for name, bases, gp in want})
+    found = extract_tables(*stacked_tables(actions), space)
+    want = [(name, bases) for name, (bases, _) in searches[0].items()
+            if all(name in search for search in searches)]
+    assert [(name, bases) for name, bases, _, _ in found] == want
+    m = actions[0].m
+    for name, _, perms, phases in found:
+        for perm, ph, search in zip(perms, phases, searches, strict=True):
+            other = search[name][1]
+            assert_same_hit(GeneralizedPermutation(m, perm, ph), (other.perm, other.phases))
     return len(found)
 
 
@@ -522,8 +544,8 @@ def test_phases_off_the_unit_circle_admit_nothing():
         base = permutation_action(rng, m, "affine", "character").permutation
         scaled = GeneralizedPermutation(m, base.perm, tuple(p * (1 + 1e-10) for p in base.phases))
         table, matrix = OracleAction.from_permutation(scaled), dense(OracleAction.from_permutation(scaled))
-        assert extract_batch([table], PauliGrid(), tol=1e-11) == []
-        assert extract_batch([matrix], PauliGrid(), tol=1e-11) == []
+        assert search_counterparts(table, PauliGrid(), tol=1e-11) == []
+        assert search_counterparts(matrix, PauliGrid(), tol=1e-11) == []
         assert assert_table_matches_dense([table], PauliGrid()) > 0
 
 
@@ -533,8 +555,8 @@ def test_no_word_admits_at_a_tolerance_of_one_or_more(tol):
     # finds no entry in any column
     inst = BVInstance(2, 0, (1, 1))
     for oracle in (standard_oracle(bv_function(inst)), phase_oracle(inst)):
-        assert extract_batch([oracle], PauliGrid(), tol) == []
-        assert extract_batch([dense(oracle)], PauliGrid(), tol) == []
+        assert search_counterparts(oracle, PauliGrid(), tol) == []
+        assert search_counterparts(dense(oracle), PauliGrid(), tol) == []
 
 
 def refuse(*args, **kwargs):
@@ -576,13 +598,15 @@ def test_other_spaces_of_permutation_oracles_take_the_dense_engine(monkeypatch):
     for seed in range(3):
         found = search_counterparts(oracle, RandomSample(6, seed))
         assert_same_search(found, reference_search(oracle, reference_random(6, seed, 3)))
-    # a batch with one matrix-backed action
-    found = extract_batch([oracle, dense(oracle)], PauliGrid())
-    want = reference_search(oracle, reference_grid(3))
-    assert [name for name, _, _ in found] == [name for name, _ in want]
-    for (_, _, gps), (_, hit) in zip(found, want):
-        for gp in gps:
-            assert_same_hit(gp, hit)
+    # the same oracle as a matrix, on the grid, and as a permutation once
+    # the table engine may run: two searches that agree
+    found = search_counterparts(dense(oracle), PauliGrid())
+    assert_same_search(found, reference_search(oracle, reference_grid(3)))
+    monkeypatch.undo()
+    tables = search_counterparts(oracle, PauliGrid())
+    assert [name for name, _, _ in tables] == [name for name, _, _ in found]
+    for (_, _, gp), (_, _, other) in zip(tables, found):
+        assert_same_hit(gp, (other.perm, other.phases))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -605,22 +629,22 @@ def test_chi_is_known_by_identity(m, monkeypatch):
     words = [(CHI,) * m] + [tuple(ETA if bit else CHI for bit in rng.integers(0, 2, m))
                             for _ in range(4)]
 
-    def run(actions, bases):
+    def run(action, bases):
         """conjugate and the screen's columns under ``bases``, each with the
         qubits its passes touched."""
         mats, chi, _ = correspondence._assignments(bases, m)
         results = []
-        for call, args in [(correspondence.conjugate, (actions, bases))] + [
-                (correspondence._columns, (actions, mats, chi, c)) for c in (0, m // 2)]:
+        for call, args in [(correspondence.conjugate, (action, bases))] + [
+                (correspondence._columns, (action, mats, chi, c)) for c in (0, m // 2)]:
             passes.clear()
             results.append((call(*args), sorted(passes)))
         return results
 
-    for actions in ([perm], [matrix], [perm, matrix]):
+    for action in (perm, matrix):
         for word in words:
             twin = tuple(same if b is CHI else b for b in word)
             rotated = [j for j, b in enumerate(word) if b is not CHI]
-            got, want = run(actions, word), run(actions, twin)
+            got, want = run(action, word), run(action, twin)
             assert [touched for _, touched in got] == [sorted(2 * rotated), rotated, rotated]
             assert [touched for _, touched in want] == [sorted(2 * list(range(m))),
                                                         list(range(m)), list(range(m))]
@@ -668,7 +692,7 @@ def test_a_sample_is_drawn_once_per_extraction(monkeypatch):
     space = RandomSample(12, 4)
     target = space_pairs(space, 3)[5][1]
     calls.clear()
-    found = extract_batch([OracleAction.from_matrix(dressed(rng, 3, target))], space)
+    found = search_counterparts(OracleAction.from_matrix(dressed(rng, 3, target)), space)
     assert [name for name, _, _ in found] == ["random:5"] and len(calls) == 1
 
 
@@ -701,9 +725,9 @@ def planted_batch(rng, m, count, rows):
     return mats, chi
 
 
-def assert_screen_matches_reference(actions, mats, chi):
-    got = correspondence._screen(actions, mats, chi, DEFAULT_TOL)
-    want = [reference_screened(actions, as_bases(row, flags)) for row, flags in zip(mats, chi)]
+def assert_screen_matches_reference(action, mats, chi):
+    got = correspondence._screen(action, mats, chi, DEFAULT_TOL)
+    want = [reference_screened(action, as_bases(row, flags)) for row, flags in zip(mats, chi)]
     assert got.tolist() == want
     return got
 
@@ -715,8 +739,9 @@ SCREEN_CASES = [(m, k, backing) for m in (6, 7, 8, 9) for k in (1, 2, 3)
 @pytest.mark.parametrize("m, k, backing", SCREEN_CASES,
                          ids=[f"{m}-{k}-{backing}" for m, k, backing in SCREEN_CASES])
 def test_batched_screen_keeps_the_reference_survivors(m, k, backing, monkeypatch):
-    # blocks of 32 assignments at m = 6 down to 4 at m = 9 on the first step,
-    # and of 1 to 4 on the second: 40 assignments span several blocks
+    # k actions, each screened alone over the same assignments.  Blocks of
+    # 32 assignments at m = 6 down to 4 at m = 9 on the first step, and of
+    # 1 to 4 on the second: 40 assignments span several blocks
     monkeypatch.setattr(correspondence, "_BLOCK", 1 << 11)
     rng = np.random.default_rng([m, k, len(backing)])
     count = 40
@@ -731,28 +756,30 @@ def test_batched_screen_keeps_the_reference_survivors(m, k, backing, monkeypatch
         rows = {i: tuple(choices[c] for c in rng.integers(0, 4, m)) for i in spots}
         rows[spots[0]] = (same,) * m
         mats, chi = planted_batch(rng, m, count, rows)
-        kept = assert_screen_matches_reference(actions, mats, chi)
-        assert kept[spots[0]]
+        for action in actions:
+            assert assert_screen_matches_reference(action, mats, chi)[spots[0]]
         return
     target = tuple(general_basis(random_unitary(2, rng)) for _ in range(m))
     rows = dict.fromkeys(spots[:4], target)
     mats, chi = planted_batch(rng, m, count, rows)
-    planted = [OracleAction.from_matrix(dressed(rng, m, target)) for _ in range(k)]
-    kept = assert_screen_matches_reference(planted, mats, chi)
-    assert np.flatnonzero(kept).tolist() == sorted(spots[:4])
-    # one action admits on the first column only: every row fails
-    spoiled = planted[:-1] + [OracleAction.from_matrix(first_column_only(rng, m, target))]
+    for _ in range(k):
+        planted = OracleAction.from_matrix(dressed(rng, m, target))
+        kept = assert_screen_matches_reference(planted, mats, chi)
+        assert np.flatnonzero(kept).tolist() == sorted(spots[:4])
+    # an action that admits on the first column only: every row fails
+    spoiled = OracleAction.from_matrix(first_column_only(rng, m, target))
     assert not assert_screen_matches_reference(spoiled, mats, chi).any()
-    haar = [OracleAction.from_matrix(random_unitary(1 << m, rng)) for _ in range(k)]
-    assert not assert_screen_matches_reference(haar, mats, chi).any()
+    for _ in range(k):
+        haar = OracleAction.from_matrix(random_unitary(1 << m, rng))
+        assert not assert_screen_matches_reference(haar, mats, chi).any()
 
 
 def test_batched_screen_of_no_assignment():
     action = OracleAction.from_matrix(random_unitary(8, np.random.default_rng(2)))
     mats, chi, _ = correspondence._assignments(RandomSample(0, 3), 3)
     assert mats.shape == (0, 3, 2, 2)
-    assert correspondence._screen([action], mats, chi, DEFAULT_TOL).shape == (0,)
-    assert extract_batch([action], RandomSample(0, 3)) == []
+    assert correspondence._screen(action, mats, chi, DEFAULT_TOL).shape == (0,)
+    assert search_counterparts(action, RandomSample(0, 3)) == []
 
 
 @pytest.mark.parametrize("m", [6, 7, 8, 9])
@@ -764,13 +791,8 @@ def test_random_samples_across_blocks(m):
     space = RandomSample(count, m)
     pairs = space_pairs(space, m)
     target = pairs[int(rng.integers(count // 2, count))][1]
-    for k in (1, 2):
-        actions = [OracleAction.from_matrix(dressed(rng, m, target)) for _ in range(k)]
-        found = extract_batch(actions, space)
-        want = [(name, [reference_extract(action, bases) for action in actions])
-                for name, bases in pairs]
-        want = [(name, hits) for name, hits in want if all(hit is not None for hit in hits)]
-        assert [name for name, _, _ in found] == [name for name, _ in want] and want
-        for (_, _, gps), (_, hits) in zip(found, want):
-            for gp, hit in zip(gps, hits):
-                assert_same_hit(gp, hit)
+    for _ in range(3):
+        action = OracleAction.from_matrix(dressed(rng, m, target))
+        want = reference_search(action, pairs)
+        assert want
+        assert_same_search(search_counterparts(action, space), want)

@@ -20,7 +20,6 @@ from qcorr.matrixcore import (
     apply_single_qubit,
     cycle_notation,
     detect_generalized_permutation,
-    detect_stack,
     gate,
     is_unitary,
     matrix_from_json,
@@ -182,15 +181,20 @@ def test_detect_carries_its_tol_to_the_phase_check():
     assert detect_generalized_permutation(mat) is None
 
 
+def detect_each(stack):
+    """The detector's verdict on every matrix of a (k, d, d) stack."""
+    return [detect_generalized_permutation(mat) for mat in stack]
+
+
 def test_detect_stack_decides_each_matrix():
     stack = np.stack([SWAP, CNOT12 @ np.kron(HADAMARD, np.eye(2)), CZ]).astype(complex)
-    found = detect_stack(stack)
+    found = detect_each(stack)
     assert found[0].perm == (0, 2, 1, 3)
     assert found[1] is None
     assert found[2].phases == (1, 1, 1, -1)
     # two columns on the same row: one big entry per column, not a bijection
-    clash = np.array([[[1, 1], [0, 0]]], dtype=complex)
-    assert detect_stack(clash) == [None]
+    clash = np.array([[1, 1], [0, 0]], dtype=complex)
+    assert detect_generalized_permutation(clash) is None
 
 
 def test_detect_counts_nan_entries_as_present():
@@ -201,7 +205,7 @@ def test_detect_counts_nan_entries_as_present():
     for where in [(0, 1), (2, 2), (3, 0)]:
         stack = np.concatenate([good, good[:1]])
         stack[2][where] = nan
-        found = detect_stack(stack)
+        found = detect_each(stack)
         assert found[2] is None
         assert [gp.perm for i, gp in enumerate(found) if i != 2] == [
             (0, 2, 1, 3), (0, 1, 2, 3), (0, 2, 1, 3)]
@@ -227,15 +231,15 @@ def planted_stack(rng, k, dim):
 
 
 def assert_detect_stack_matches_one_pass(stack):
-    """detect_stack against the whole |M| > tol pass at once, as a plain
-    reference; returns which matrices qualify."""
+    """The detector on every matrix of a stack against the whole |M| > tol
+    pass at once, as a plain reference; returns which matrices qualify."""
     big = np.abs(stack) > 1e-9
     rows = big.argmax(axis=1)
     entries = np.take_along_axis(stack, rows[:, None, :], axis=1)[:, 0]
     dim = stack.shape[-1]
     want = [bool((big[i].sum(axis=0) == 1).all()) and sorted(rows[i]) == list(range(dim))
             and bool((np.abs(np.abs(entries[i]) - 1) <= 1e-9).all()) for i in range(len(stack))]
-    found = detect_stack(stack)
+    found = detect_each(stack)
     assert [gp is not None for gp in found] == want
     for i, gp in enumerate(found):
         if gp is not None:
@@ -246,26 +250,30 @@ def assert_detect_stack_matches_one_pass(stack):
 
 @pytest.mark.parametrize("rows_per_block", [1, 2, 5, 16])
 def test_detect_stack_row_blocks_match_one_pass(monkeypatch, rows_per_block):
+    # strips of rows_per_block rows of a 16 x 16 matrix, the last one shorter
+    # where they do not divide 16
     stack = planted_stack(np.random.default_rng(17), 6, 16)
-    monkeypatch.setattr("qcorr.matrixcore._BLOCK", len(stack) * 16 * rows_per_block)
+    monkeypatch.setattr("qcorr.matrixcore._BLOCK", 16 * rows_per_block)
     assert assert_detect_stack_matches_one_pass(stack) == [True, False, False, False, True, True]
 
 
 @pytest.mark.parametrize("k, m", [(260, 6), (3, 8)])
-def test_detect_stack_past_one_row_per_block(k, m):
-    # at the default block size: one row of each of 260 matrices of 6 qubits
-    # already fills a block, and one 8-qubit matrix alone exceeds it
+def test_detect_stack_past_one_row_per_block(k, m, monkeypatch):
+    # at the default block size a 6-qubit matrix is one strip and an 8-qubit
+    # one four; at half a row per block every strip is one row
     stack = planted_stack(np.random.default_rng([k, m]), k, 1 << m)
-    want = assert_detect_stack_matches_one_pass(stack)
-    assert want == [i % 6 in (0, 4, 5) for i in range(k)]
+    want = [i % 6 in (0, 4, 5) for i in range(k)]
+    assert assert_detect_stack_matches_one_pass(stack) == want
+    monkeypatch.setattr("qcorr.matrixcore._BLOCK", 1 << (m - 1))
+    assert assert_detect_stack_matches_one_pass(stack) == want
 
 
 @pytest.mark.parametrize("k, m", [(6, 4), (260, 6), (3, 8)])
 def test_detect_stack_maps_are_the_batch_of_their_rows(k, m):
-    # detect_stack builds its maps without the constructor's second check,
+    # the detector builds its maps without the constructor's second check,
     # and must still hand out the maps the constructor builds from its rows
     stack = planted_stack(np.random.default_rng([k, m, 1]), k, 1 << m)
-    found = [gp for gp in detect_stack(stack) if gp is not None]
+    found = [gp for gp in detect_each(stack) if gp is not None]
     kept = [i for i in range(k) if i % 6 in (0, 4, 5)]
     assert len(found) == len(kept)
     rows = (np.abs(stack[kept]) > 1e-9).argmax(axis=1)
@@ -396,9 +404,9 @@ def test_generalized_permutation_rejects_nan_and_non_integer_perms():
 
 def test_generalized_permutation_pickles_and_copies():
     perms, phases = random_tables(np.random.default_rng(43), 3, 2)
-    # detect_stack's maps hold rows of one table
+    # and the maps the detector builds from its own arrays
     stack = np.stack([GeneralizedPermutation(3, p, ph).as_matrix() for p, ph in zip(perms, phases)])
-    for gp in [GeneralizedPermutation(3, perms[0], phases[0]), *detect_stack(stack)]:
+    for gp in [GeneralizedPermutation(3, perms[0], phases[0]), *detect_each(stack)]:
         gp.apply(np.eye(8))  # fills the cached inverse
         for twin in (pickle.loads(pickle.dumps(gp)), copy.copy(gp), copy.deepcopy(gp)):
             assert twin == gp and hash(twin) == hash(gp) and repr(twin) == repr(gp)

@@ -165,7 +165,7 @@ EXTRACTED = [("bv", n) for n in (1, 2, 3)] + [("parity", n) for n in (1, 2)]
 
 def extracted(name, n):
     problem = PROBLEMS[name](n)
-    return problem, _extracted_families(problem, PauliGrid(), 1e-9)
+    return problem, _extracted_families(named_family(problem, "OS"), PauliGrid(), 1e-9)
 
 
 @pytest.mark.parametrize("name,n", EXTRACTED, ids=[f"{p}{n}" for p, n in EXTRACTED])

@@ -20,7 +20,7 @@ from qcorr.oracleforge import (
     classical_OS,
     standard_oracle,
 )
-from qcorr.correspondence import PauliGrid, extract_batch, general_basis, parse_basis_word
+from qcorr.correspondence import PauliGrid, general_basis, parse_basis_word, search_counterparts
 from qcorr import querylab
 from qcorr.querylab import (
     ClassicalOracleFamily,
@@ -222,12 +222,12 @@ def test_named_family_peak_near_five_tables(monkeypatch):
 
 
 def test_extracted_map_pickles_its_own_row():
-    # extract_batch hands out the rows of a table as maps
+    # the table engine builds many words' counterparts in one table, and
+    # search_counterparts hands out its rows as maps
     problem = bv_problem(3)
-    oracles = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
-    word, _, member = extract_batch(oracles, PauliGrid())[0]
-    member = member[5]
-    assert word == "CCCC"
+    oracle = standard_oracle(hypothesis_function(problem.hypotheses[5]))
+    word, _, member = search_counterparts(oracle, PauliGrid())[0]
+    assert word == "CCCC" and member._perm.base is not None
     data = pickle.dumps(member)
     assert pickle.loads(data) == member
     # a member built alone holds one row, so the same bytes mean one row
