@@ -21,14 +21,16 @@ once, and builds each admitted word's counterparts as tables in closed form
 in O(k 2^m).  No dense matrix is made.
 
 Matrix-backed actions, random product bases and other non-chi/eta words go
-to the dense engine, one oracle at a time.  It screens all the assignments
-of a space at once on a few product-state columns, in blocks of
+to the dense engine, one oracle at a time.  Column j of B†UB, for B the
+product of an assignment's single-qubit bases, is the oracle's image of the
+product state encoding j, read back in the same basis.  The engine screens
+all the assignments of a space at once on column 0, in blocks of
 assignments: one oracle application per block, then one 2x2 pass per qubit
 with each assignment's own basis change.  That rejects most of those that
-admit nothing.  It then conjugates, per assignment that passes, the
-oracle's dense matrix by the product of single-qubit basis changes, one
-2x2 pass per row or column qubit, and tests the result for being a
-generalized permutation.
+admit nothing.  Each assignment that passes is then decoded from blocks of
+a few dozen columns, in order, until a column fails; no 2^m x 2^m matrix is
+made.  The screen, the decoding and ``detect_generalized_permutation`` test
+each column by the same rule.
 
 The classification side computes the three local invariants of a 4x4
 unitary in the magic basis and matches them against the five possible
@@ -52,9 +54,10 @@ from .matrixcore import (
     NonUnitaryError,
     SizeLimitError,
     _checked_perms,
+    _column_rule,
+    _decode_columns,
     _unchecked,
     apply_single_qubit,
-    detect_generalized_permutation,
     is_unitary,
     num_bits,
 )
@@ -217,29 +220,13 @@ def _assignments(space, m: int):
             lambda i: (basis_word(space), space))
 
 
-def conjugate(action: OracleAction, bases) -> np.ndarray:
-    """B†UB for the matrix U of the action, as a new 2^m x 2^m array.
-
-    B is the product of the per-qubit bases; column j of B†UB is the oracle's
-    image of the product state encoding j, read in the same product basis.
-    """
-    m = action.m
-    if len(bases) != m:
-        raise ValueError(f"{len(bases)} bases given for an oracle on {m} qubits")
-    mat = action.as_matrix()
-    for j, basis in enumerate(bases):
-        if basis is not CHI:
-            # the matrix times D on column qubit j and D† on row qubit j
-            apply_single_qubit(mat, basis.matrix.T, m + j, 2 * m, out=mat)
-            apply_single_qubit(mat, basis.matrix.conj().T, j, 2 * m, out=mat)
-    return mat
-
-
-def _columns(action: OracleAction, bases: np.ndarray, chi: np.ndarray, c: int) -> np.ndarray:
-    """Columns 0 .. 2^c - 1 of B†UB for every assignment B of a block, given
-    as (A, m, 2, 2) basis matrices and an (A, m) CHI mask, as a
-    (2^m, 2^c, A) array: the oracle's images of the product states that
-    vary only the last c qubits, read back in each assignment's own product
+def _columns(action: OracleAction, bases: np.ndarray, chi: np.ndarray, c: int,
+             start: int) -> np.ndarray:
+    """Columns start .. start + 2^c - 1 of B†UB, with start a multiple of
+    2^c, for every assignment B of a block, given as (A, m, 2, 2) basis
+    matrices and an (A, m) CHI mask, as a (2^m, 2^c, A) array: the oracle's
+    images of the product states that encode start on the first m - c
+    qubits and vary the last c, read back in each assignment's own product
     basis, at O(m 2^(m+c)) per assignment.  All A * 2^c states go through
     the oracle at once, and a qubit gets no 2x2 pass where its basis is CHI
     in every assignment of the block."""
@@ -247,7 +234,8 @@ def _columns(action: OracleAction, bases: np.ndarray, chi: np.ndarray, c: int) -
     states = np.ones((1, 1, a), dtype=complex)
     for j in range(m):
         # the block's states of qubit j, as (2, w, A), times the states so far
-        mats = (bases[:, j] if j >= m - c else bases[:, j, :, :1]).transpose(1, 2, 0)
+        bit = (start >> (m - 1 - j)) & 1
+        mats = (bases[:, j] if j >= m - c else bases[:, j, :, bit:bit + 1]).transpose(1, 2, 0)
         states = (states[:, None, :, None] * mats[None, :, None]).reshape(2 * len(states), -1, a)
     cols = action.apply(states.reshape(1 << m, -1)).reshape(1 << m, 1 << c, a)
     back = bases.conj().swapaxes(-1, -2)
@@ -257,33 +245,17 @@ def _columns(action: OracleAction, bases: np.ndarray, chi: np.ndarray, c: int) -
     return cols
 
 
-def _columns_admit(cols: np.ndarray, tol: float) -> np.ndarray:
-    """Per assignment of a (2^m, n, A) array of columns, whether every column
-    holds exactly one entry of modulus above tol, itself within tol of one,
-    on a row no other column takes."""
-    mags = np.abs(cols)
-    big = mags > tol
-    rows = big.argmax(axis=0)
-    unit = np.abs(np.take_along_axis(mags, rows[None], axis=0)[0] - 1.0) <= tol
-    ok = ((big.sum(axis=0) == 1) & unit).all(axis=0)
-    return ok & ~(np.diff(np.sort(rows, axis=0), axis=0) == 0).any(axis=0)
-
-
 def _screen(action: OracleAction, bases: np.ndarray, chi: np.ndarray, tol: float) -> np.ndarray:
     """Which of A assignments, given as (A, m, 2, 2) basis matrices and an
-    (A, m) CHI mask, have B†UB pass on its first column, then on its first
-    2^(m//2) columns: the early exit of a column-by-column test, in two
-    vectorized steps over blocks of about ``_BLOCK`` entries.  Most
-    assignments that admit no counterpart fail here, before any O(m 4^m)
-    conjugation."""
+    (A, m) CHI mask, have column 0 of B†UB pass the column rule, in blocks
+    of about ``_BLOCK`` entries.  Most assignments that admit no counterpart
+    fail here, before any other column is computed."""
     m = chi.shape[1]
     keep = np.ones(len(chi), dtype=bool)
-    for c in (0, m // 2):
-        todo = np.flatnonzero(keep)
-        per = max(1, _BLOCK >> (m + c))
-        for start in range(0, len(todo), per):
-            blk = todo[start:start + per]
-            keep[blk] = _columns_admit(_columns(action, bases[blk], chi[blk], c), tol)
+    per = max(1, _BLOCK >> m)
+    for start in range(0, len(chi), per):
+        blk = np.s_[start:start + per]
+        keep[blk] = _column_rule(_columns(action, bases[blk], chi[blk], 0, 0)[:, 0], tol)[2]
     return keep
 
 
@@ -402,8 +374,9 @@ def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
 
     A permutation-backed action on the grid or a chi/eta word is decided
     and built from its bit-flip tables.  Otherwise all the assignments are
-    screened at once on their first columns, and the ones that pass are
-    conjugated and detected whole.
+    screened at once on column 0 of B†UB, and each one that passes is
+    decoded from blocks of its columns, as ``detect_generalized_permutation``
+    decodes a matrix, without building B†UB whole.
     """
     m = action.m
     _check_space(space, m)  # before any allocation
@@ -416,19 +389,21 @@ def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
     bases, chi, at = _assignments(space, m)
     found = []
     for i in np.flatnonzero(_screen(action, bases, chi, tol)).tolist():
-        name, assignment = at(i)
-        hit = detect_generalized_permutation(conjugate(action, assignment), tol)
+        one = np.s_[i:i + 1]
+        hit = _decode_columns(
+            lambda start, c: _columns(action, bases[one], chi[one], c, start)[..., 0], m, tol)
         if hit is not None:
-            found.append((name, assignment, hit))
+            found.append((*at(i), hit))
     return found
 
 
 def extract_counterpart(action: OracleAction, bases, tol: float = DEFAULT_TOL):
     """Classical counterpart induced by a basis assignment, or None.
 
-    The counterpart exists iff every conjugated column is a single basis
-    vector up to phase; the result collects the full permutation and its
-    output phases.
+    The counterpart exists iff every column of B†UB is a single basis
+    vector up to phase, on a row no other column takes; the result collects
+    the full permutation and its output phases.  It is one search, over a
+    space of this one assignment.
     """
     found = search_counterparts(action, tuple(bases), tol)
     return found[0][2] if found else None

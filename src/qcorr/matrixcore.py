@@ -90,8 +90,9 @@ def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    delta = a.conj().T @ a - np.eye(a.shape[0])
-    return bool(np.max(np.abs(delta)) <= tol)
+    with np.errstate(all="ignore"):  # overflow gives inf or NaN, which fail
+        delta = a.conj().T @ a - np.eye(a.shape[0])
+        return bool(np.max(np.abs(delta)) <= tol)
 
 
 def num_bits(dim: int) -> int:
@@ -101,9 +102,10 @@ def num_bits(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-# Pairs per block of the 2x2 kernel, and entries per block of the detector:
-# a block and its buffers stay in cache.  The buffers are allocated once per
-# call; allocating them per block would map and fault fresh pages each time.
+# Pairs per block of the 2x2 kernel and entries per block of the column
+# screen, so that a block stays in cache; the decoder widens its blocks to at
+# least _BLOCK >> 8 columns.  Buffers are allocated once per call; allocating
+# them per block would map and fault fresh pages each time.
 _BLOCK = 1 << 14
 
 
@@ -315,42 +317,56 @@ def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray) -> GeneralizedPermu
     return gp
 
 
+def _column_rule(cols: np.ndarray, tol: float):
+    """Per column of a (2^m, ...) array: the row of its first present entry,
+    that entry, and whether the column holds exactly one present entry,
+    within tol of unit modulus.  An entry counts as present unless its
+    modulus is at most tol, so a NaN entry is present and fails its column."""
+    mags = np.abs(cols)
+    present = ~(mags <= tol)
+    rows = present.argmax(axis=0)
+    entries = np.take_along_axis(cols, rows[None], axis=0)[0]
+    unit = np.abs(np.take_along_axis(mags, rows[None], axis=0)[0] - 1.0) <= tol
+    return rows, entries, unit & (np.count_nonzero(present, axis=0) == 1)
+
+
+def _decode_columns(columns, m: int, tol: float):
+    """The generalized permutation whose columns ``columns(start, c)`` gives,
+    2^c at a time from column start, as (2^m, 2^c) arrays, or None.  A block
+    holds about _BLOCK entries but at least _BLOCK >> 8 columns: narrower
+    ones cut the column reductions short.  Every column must pass the column
+    rule and no two may share a row; the first failing block ends the test."""
+    dim = 1 << m
+    c = min(m, max(1, _BLOCK >> m, _BLOCK >> 8).bit_length() - 1)
+    perm = np.empty(dim, dtype=np.intp)
+    phases = np.zeros(dim, dtype=complex)
+    for start in range(0, dim, 1 << c):
+        rows, entries, ok = _column_rule(columns(start, c), tol)
+        if not ok.all():
+            return None
+        perm[start:start + (1 << c)] = rows
+        phases[rows] = entries
+    if (np.bincount(perm, minlength=dim) != 1).any():
+        return None
+    # Those are the constructor's checks, and rows from argmax are intp and
+    # in range, so the map needs no second pass.
+    return _unchecked(m, perm, phases)
+
+
 def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):
     """Decompose a square matrix into permutation + phases, or None.
 
     A matrix qualifies when each column has exactly one entry of modulus
     above tol, that entry's modulus is within tol of one, and no two columns
     share a row.  An entry counts as present unless its modulus is at most
-    tol, so a NaN entry is present and its column fails.
+    tol, so a NaN entry is present and its column fails.  The columns are
+    decoded in blocks, as the dense engine decodes B†UB.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dim = mat.shape[0]
-    m = num_bits(dim)
-    # The presence pass runs over row strips of about _BLOCK entries, so its
-    # buffers stay small and its reductions run down whole columns.
-    counts = np.zeros(dim, dtype=np.intp)
-    rows = np.zeros(dim, dtype=np.intp)
-    step = min(dim, max(1, _BLOCK // dim))
-    mags = np.empty((step, dim))
-    big = np.empty((step, dim), dtype=bool)
-    for r in range(0, dim, step):
-        n = min(step, dim - r)
-        hit = big[:n]
-        np.less_equal(np.abs(mat[r:r + n], out=mags[:n]), tol, out=hit)
-        np.logical_not(hit, out=hit)
-        counts += hit.sum(axis=0)
-        np.copyto(rows, hit.argmax(axis=0) + r, where=hit.any(axis=0))
-    entries = mat[rows, np.arange(dim)]
-    if not ((counts == 1).all() and (np.abs(np.abs(entries) - 1.0) <= tol).all()
-            and (np.bincount(rows, minlength=dim) == 1).all()):
-        return None
-    phases = np.zeros_like(entries)
-    phases[rows] = entries
-    # Those are the constructor's checks, and rows from argmax are intp
-    # and in range, so the map needs no second pass.
-    return _unchecked(m, rows, phases)
+    return _decode_columns(lambda start, c: mat[:, start:start + (1 << c)],
+                           num_bits(mat.shape[0]), tol)
 
 
 def cycle_notation(perm) -> str:

@@ -128,8 +128,9 @@ class OracleAction:
         for _ in range(3):
             v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
             v /= np.linalg.norm(v)
-            if not abs(np.linalg.norm(self._matrix @ v) - 1.0) <= tol:
-                raise ValueError("matrix action does not preserve state norm")
+            with np.errstate(all="ignore"):  # overflow gives inf or NaN, which fail
+                if not abs(np.linalg.norm(self._matrix @ v) - 1.0) <= tol:
+                    raise ValueError("matrix action does not preserve state norm")
 
     @classmethod
     def from_permutation(cls, gp: GeneralizedPermutation) -> "OracleAction":

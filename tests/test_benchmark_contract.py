@@ -33,8 +33,8 @@ CALLED = [
 
 # Wrapped by the tracer (qbench/tracing.py SPANS and HOT).  The tracer skips
 # a missing name and its metrics read zero, so only this check notices.  The
-# per-column conjugate_column and detect_from_columns are gone: their spans
-# read zero since extraction became whole-matrix.
+# tracer's conjugate_column and detect_from_columns no longer exist, so
+# their spans read zero.
 TRACED = [
     (correspondence, "extract_counterpart"),
     (correspondence, "makhlin_invariants"),

@@ -7,6 +7,7 @@ import pytest
 from qcorr.matrixcore import (
     HADAMARD,
     NonUnitaryError,
+    SIGMA_X,
     SIGMA_Z,
     SizeLimitError,
     random_unitary,
@@ -22,6 +23,7 @@ from qcorr.oracleforge import (
     phase_oracle,
     standard_oracle,
 )
+from qcorr import correspondence
 from qcorr.correspondence import (
     CC_CNOT_FAMILY,
     CC_EMPTY,
@@ -38,7 +40,6 @@ from qcorr.correspondence import (
     basis_word,
     classify_cc,
     classify_triple,
-    conjugate,
     coset_of,
     extract_counterpart,
     general_basis,
@@ -127,16 +128,34 @@ def test_parse_basis_word():
         parse_basis_word("CC", m=3)
 
 
+def conjugated_columns(action, bases, c, start=0):
+    """Columns start .. start + 2^c - 1 of B†UB under one assignment."""
+    mats, chi, _ = correspondence._assignments(tuple(bases), action.m)
+    return correspondence._columns(action, mats, chi, c, start)[..., 0]
+
+
 def test_conjugate_column_examples():
     sz = OracleAction.from_matrix(SIGMA_Z)
-    assert np.allclose(conjugate(sz, (CHI,))[:, 0], [1, 0])
-    assert np.allclose(conjugate(sz, (ETA,))[:, 0], [0, 1])
+    assert np.allclose(conjugated_columns(sz, (CHI,), 0)[:, 0], [1, 0])
+    assert np.allclose(conjugated_columns(sz, (ETA,), 0)[:, 0], [0, 1])
+    # column 1 alone, at its offset, and both columns at once: H Z H = X
+    assert np.allclose(conjugated_columns(sz, (ETA,), 0, 1)[:, 0], [1, 0])
+    assert np.allclose(conjugated_columns(sz, (ETA,), 1), SIGMA_X)
     theta, phi = 0.4, 2.2
     phased = OracleAction.from_matrix(sigma_x_phased(theta, phi))
-    col0 = conjugate(phased, (CHI,))[:, 0]
-    assert np.allclose(col0, [0, np.exp(1j * phi)])
+    assert np.allclose(conjugated_columns(phased, (CHI,), 0)[:, 0], [0, np.exp(1j * phi)])
     with pytest.raises(ValueError):
-        conjugate(sz, (CHI, CHI))
+        extract_counterpart(sz, (CHI, CHI))
+    # every aligned block of every width, against B†UB built densely
+    rng = np.random.default_rng(3)
+    u = random_unitary(8, rng)
+    bases = (general_basis(random_unitary(2, rng)), CHI, ETA)
+    b = np.kron(np.kron(bases[0].matrix, bases[1].matrix), bases[2].matrix)
+    want = b.conj().T @ u @ b
+    for c in range(4):
+        for start in range(0, 8, 1 << c):
+            got = conjugated_columns(OracleAction.from_matrix(u), bases, c, start)
+            assert np.allclose(got, want[:, start:start + (1 << c)], atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -3,6 +3,7 @@ generalized-permutation detection, and the JSON matrix format."""
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qcorr.matrixcore import (
     SWAP,
     GeneralizedPermutation,
     _checked_perms,
+    _column_rule,
     apply_single_qubit,
     cycle_notation,
     detect_generalized_permutation,
@@ -88,6 +90,14 @@ def test_parametrized_gates_unitary():
 def test_is_unitary_rejects():
     assert not is_unitary(np.array([[1, 1], [0, 1]], dtype=complex), 1e-9)
     assert not is_unitary(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("mat", [1e200 * np.eye(4), np.full((2, 2), np.inf),
+                                 np.full((2, 2), np.nan)], ids=["overflow", "inf", "nan"])
+def test_is_unitary_answers_extreme_matrices_silently(mat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_unitary(mat) is False
     assert not is_unitary(2 * np.eye(2))
 
 
@@ -211,6 +221,50 @@ def test_detect_counts_nan_entries_as_present():
             (0, 2, 1, 3), (0, 1, 2, 3), (0, 2, 1, 3)]
 
 
+def random_gp_matrix(rng, m):
+    dim = 1 << m
+    return GeneralizedPermutation(m, rng.permutation(dim),
+                                  np.exp(1j * rng.uniform(0, 7, dim))).as_matrix()
+
+
+# (m, tol, scale): one column scaled so that its one present entry is off
+# unit modulus by more than tol, at strict and lax tolerances
+OFF_UNIT = [(1, 0.3, 0.6), (3, 1e-3, 1 - 2e-3), (6, 1e-9, 1 + 1e-8), (8, 0.3, 1.4)]
+
+
+@pytest.mark.parametrize("block", [1 << 14, 1 << 8, 1])
+@pytest.mark.parametrize("m, tol, scale", OFF_UNIT)
+def test_detect_rejects_on_unit_modulus_alone(m, tol, scale, block, monkeypatch):
+    monkeypatch.setattr("qcorr.matrixcore._BLOCK", block)
+    rng = np.random.default_rng([m, block])
+    for col in (0, (1 << m) - 1, int(rng.integers(0, 1 << m))):
+        mat = random_gp_matrix(rng, m)
+        mat[:, col] *= scale
+        rows, _, ok = _column_rule(mat, tol)
+        # each column has one present entry, on rows that are all distinct
+        assert len(set(rows.tolist())) == 1 << m
+        assert np.flatnonzero(~ok).tolist() == [col]
+        assert detect_generalized_permutation(mat, tol) is None
+        looser = abs(scale - 1) * 1.01
+        assert detect_generalized_permutation(mat, looser).perm == tuple(rows.tolist())
+
+
+@pytest.mark.parametrize("block", [1 << 14, 1 << 8, 1])
+@pytest.mark.parametrize("m, tol", [(1, 1e-9), (3, 0.3), (6, 1e-3), (8, 1e-9), (8, 0.3)])
+def test_detect_rejects_on_distinct_rows_alone(m, tol, block, monkeypatch):
+    # two columns copied onto one row, in one block or in the first and the
+    # last; at tol 0.3 the entries are of modulus 0.8
+    monkeypatch.setattr("qcorr.matrixcore._BLOCK", block)
+    rng = np.random.default_rng([m, block, 1])
+    dim = 1 << m
+    for a, b in [(0, dim - 1), (dim - 1, 0), tuple(rng.choice(dim, 2, replace=False))]:
+        mat = random_gp_matrix(rng, m) * (0.8 if tol == 0.3 else 1.0)
+        mat[:, b] = mat[:, a]
+        rows, _, ok = _column_rule(mat, tol)
+        assert ok.all() and rows[a] == rows[b]
+        assert detect_generalized_permutation(mat, tol) is None
+
+
 def planted_stack(rng, k, dim):
     """k generalized permutations with random phases; from each six, the
     second to fourth are spoiled and the fifth carries noise below tol."""
@@ -250,8 +304,9 @@ def assert_detect_stack_matches_one_pass(stack):
 
 @pytest.mark.parametrize("rows_per_block", [1, 2, 5, 16])
 def test_detect_stack_row_blocks_match_one_pass(monkeypatch, rows_per_block):
-    # strips of rows_per_block rows of a 16 x 16 matrix, the last one shorter
-    # where they do not divide 16
+    # a 16 x 16 matrix decoded in blocks of 1, 2, 4 and 16 columns: a
+    # _BLOCK of 16 * r entries gives blocks of the largest power of two up
+    # to r columns
     stack = planted_stack(np.random.default_rng(17), 6, 16)
     monkeypatch.setattr("qcorr.matrixcore._BLOCK", 16 * rows_per_block)
     assert assert_detect_stack_matches_one_pass(stack) == [True, False, False, False, True, True]
@@ -259,8 +314,9 @@ def test_detect_stack_row_blocks_match_one_pass(monkeypatch, rows_per_block):
 
 @pytest.mark.parametrize("k, m", [(260, 6), (3, 8)])
 def test_detect_stack_past_one_row_per_block(k, m, monkeypatch):
-    # at the default block size a 6-qubit matrix is one strip and an 8-qubit
-    # one four; at half a row per block every strip is one row
+    # at the default block size a 6-qubit matrix is one block of columns and
+    # an 8-qubit one four; at half a column per block every block is one
+    # column
     stack = planted_stack(np.random.default_rng([k, m]), k, 1 << m)
     want = [i % 6 in (0, 4, 5) for i in range(k)]
     assert assert_detect_stack_matches_one_pass(stack) == want

@@ -1,6 +1,8 @@
 """Unit tests for oracle construction: truth tables, promise instances, the
 standard and phase oracles, and the named classical oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,16 @@ def test_oracle_action_rejects_a_nan_entry():
     mat[2, 1] = np.nan
     with pytest.raises(ValueError, match="norm"):
         OracleAction.from_matrix(mat)
+
+
+@pytest.mark.parametrize("mat", [1e200 * np.eye(4), np.full((4, 4), np.inf)],
+                         ids=["overflow", "inf"])
+def test_oracle_action_refuses_extreme_entries_silently(mat):
+    # the norm spot-check overflows to inf or NaN, which fail it, unwarned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm"):
+            OracleAction.from_matrix(mat)
 
 
 def test_oracle_action_linearity():
