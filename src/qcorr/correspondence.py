@@ -23,14 +23,15 @@ in O(k 2^m).  No dense matrix is made.
 Matrix-backed actions, random product bases and other non-chi/eta words go
 to the dense engine, one oracle at a time.  Column j of B†UB, for B the
 product of an assignment's single-qubit bases, is the oracle's image of the
-product state encoding j, read back in the same basis.  The engine screens
-all the assignments of a space at once on column 0, in blocks of
-assignments: one oracle application per block, then one 2x2 pass per qubit
-with each assignment's own basis change.  That rejects most of those that
-admit nothing.  Each assignment that passes is then decoded from blocks of
-a few dozen columns, in order, until a column fails; no 2^m x 2^m matrix is
-made.  The screen, the decoding and ``detect_generalized_permutation`` test
-each column by the same rule.
+product state encoding j, read back in the same basis.  The engine runs one
+loop over blocks of assignments.  It screens each block at once on column 0:
+one oracle application per block, then one 2x2 pass per qubit with each
+assignment's own basis change, skipped on a qubit where every basis of the
+block is exactly the identity.  That rejects most of those that admit
+nothing.  Each assignment of the block that passes is then decoded on its
+own from blocks of a few dozen columns, in order, until a column fails; no
+2^m x 2^m matrix is made.  The screen, the decoding and
+``detect_generalized_permutation`` test each column by the same rule.
 
 The classification side computes the three local invariants of a 4x4
 unitary in the magic basis and matches them against the five possible
@@ -81,8 +82,10 @@ class QubitBasis:
     """Orthonormal pair of single-qubit states used as the 0/1 encoding.
 
     ``matrix`` holds the pair as columns.  ``label`` is 'C' for the standard
-    pair, 'H' for the Hadamard-rotated pair, '?' for anything else.  Only
-    ``CHI`` itself skips its 2x2 passes, not another identity matrix.
+    pair, 'H' for the Hadamard-rotated pair, '?' for anything else.  The
+    table engine knows the chi/eta words by identity, ``CHI`` and ``ETA``
+    themselves; the dense engine skips the 2x2 passes of any basis whose
+    matrix is exactly the identity.
     """
 
     __slots__ = ("label", "matrix")
@@ -203,34 +206,30 @@ def _sample_bases(space: RandomSample, m: int) -> np.ndarray:
 
 
 def _assignments(space, m: int):
-    """A checked space as (bases, chi, at): the basis matrices of its A
-    assignments as one (A, m, 2, 2) array, an (A, m) mask of the qubits
-    whose basis is CHI, and ``at(i)``, the name and QubitBasis tuple of
-    assignment i.  A random sample is drawn here, once per call; only ``at``
-    wraps its draws in QubitBasis objects."""
+    """A checked space as (bases, at): the basis matrices of its A
+    assignments as one (A, m, 2, 2) array, and ``at(i)``, the name and
+    QubitBasis tuple of assignment i.  A random sample is drawn here, once
+    per call; only ``at`` wraps its draws in QubitBasis objects."""
     if isinstance(space, PauliGrid):
-        eta = ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(bool)
-        return (np.where(eta[..., None, None], ETA.matrix, CHI.matrix), ~eta,
-                _grid_words(m).__getitem__)
+        eta = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+        return np.where(eta[..., None, None], ETA.matrix, CHI.matrix), _grid_words(m).__getitem__
     if isinstance(space, RandomSample):
         mats = _sample_bases(space, m)
-        return (mats, np.zeros(mats.shape[:2], dtype=bool),
-                lambda i: (f"random:{i}", tuple(map(general_basis, mats[i].copy()))))
-    return (np.array([b.matrix for b in space])[None], np.array([[b is CHI for b in space]]),
-            lambda i: (basis_word(space), space))
+        return mats, lambda i: (f"random:{i}", tuple(map(general_basis, mats[i].copy())))
+    return np.array([b.matrix for b in space])[None], lambda i: (basis_word(space), space)
 
 
-def _columns(action: OracleAction, bases: np.ndarray, chi: np.ndarray, c: int,
-             start: int) -> np.ndarray:
+def _columns(action: OracleAction, bases: np.ndarray, c: int, start: int) -> np.ndarray:
     """Columns start .. start + 2^c - 1 of B†UB, with start a multiple of
     2^c, for every assignment B of a block, given as (A, m, 2, 2) basis
-    matrices and an (A, m) CHI mask, as a (2^m, 2^c, A) array: the oracle's
-    images of the product states that encode start on the first m - c
-    qubits and vary the last c, read back in each assignment's own product
-    basis, at O(m 2^(m+c)) per assignment.  All A * 2^c states go through
-    the oracle at once, and a qubit gets no 2x2 pass where its basis is CHI
-    in every assignment of the block."""
-    a, m = chi.shape
+    matrices, as a (2^m, 2^c, A) array: the oracle's images of the product
+    states that encode start on the first m - c qubits and vary the last c,
+    read back in each assignment's own product basis, at O(m 2^(m+c)) per
+    assignment.  All A * 2^c states go through the oracle at once.  A qubit
+    gets no 2x2 pass where every assignment of the block has exactly the
+    identity on it: on finite entries such a pass could change only the
+    signs of zeros, and no result reads them."""
+    a, m = bases.shape[:2]
     states = np.ones((1, 1, a), dtype=complex)
     for j in range(m):
         # the block's states of qubit j, as (2, w, A), times the states so far
@@ -239,24 +238,9 @@ def _columns(action: OracleAction, bases: np.ndarray, chi: np.ndarray, c: int,
         states = (states[:, None, :, None] * mats[None, :, None]).reshape(2 * len(states), -1, a)
     cols = action.apply(states.reshape(1 << m, -1)).reshape(1 << m, 1 << c, a)
     back = bases.conj().swapaxes(-1, -2)
-    for j in range(m):
-        if not chi[:, j].all():
-            apply_single_qubit(cols, back[:, j], j, m + c, out=cols)
+    for j in np.flatnonzero((back != np.eye(2)).any(axis=(0, 2, 3))).tolist():
+        apply_single_qubit(cols, back[:, j], j, m + c, out=cols)
     return cols
-
-
-def _screen(action: OracleAction, bases: np.ndarray, chi: np.ndarray, tol: float) -> np.ndarray:
-    """Which of A assignments, given as (A, m, 2, 2) basis matrices and an
-    (A, m) CHI mask, have column 0 of B†UB pass the column rule, in blocks
-    of about ``_BLOCK`` entries.  Most assignments that admit no counterpart
-    fail here, before any other column is computed."""
-    m = chi.shape[1]
-    keep = np.ones(len(chi), dtype=bool)
-    per = max(1, _BLOCK >> m)
-    for start in range(0, len(chi), per):
-        blk = np.s_[start:start + per]
-        keep[blk] = _column_rule(_columns(action, bases[blk], chi[blk], 0, 0)[:, 0], tol)[2]
-    return keep
 
 
 def _by_bit(a: np.ndarray, b: int) -> np.ndarray:
@@ -353,7 +337,10 @@ def extract_tables(perms: np.ndarray, phases: np.ndarray, space, tol: float = DE
     """The table engine on k maps G = diag(phases) P given as (k, 2^m) perm
     and phase tables, over the grid or one chi/eta word: per word under which
     every G has a counterpart, in grid order, (name, assignment, perms,
-    phases) with the counterparts' tables.  None for any other space."""
+    phases) with the counterparts' tables.  None for any other space.  The
+    space is checked and the words decided at call time; each word's tables
+    are built as the result is iterated, so only one block of them is held
+    at a time."""
     m = num_bits(perms.shape[1])
     _check_space(space, m)
     if isinstance(space, PauliGrid):
@@ -364,7 +351,7 @@ def extract_tables(perms: np.ndarray, phases: np.ndarray, space, tol: float = DE
         return None
     tables = _FlipTables(perms, phases, tol)
     hits, names = tables.admitted(words), _grid_words(m)
-    return [(*names[code], *found) for code, found in zip(hits.tolist(), tables.counterparts(hits))]
+    return ((*names[code], *found) for code, found in zip(hits.tolist(), tables.counterparts(hits)))
 
 
 def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
@@ -373,10 +360,12 @@ def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
     order.
 
     A permutation-backed action on the grid or a chi/eta word is decided
-    and built from its bit-flip tables.  Otherwise all the assignments are
-    screened at once on column 0 of B†UB, and each one that passes is
-    decoded from blocks of its columns, as ``detect_generalized_permutation``
-    decodes a matrix, without building B†UB whole.
+    and built from its bit-flip tables.  Otherwise one loop takes the
+    assignments in blocks of about ``_BLOCK`` entries of column 0: it
+    screens a block at once on column 0 of B†UB, then decodes each
+    assignment that passes on its own from blocks of its columns, as
+    ``detect_generalized_permutation`` decodes a matrix, without building
+    B†UB whole.
     """
     m = action.m
     _check_space(space, m)  # before any allocation
@@ -386,14 +375,16 @@ def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
         if found is not None:
             return [(name, bases, _unchecked(m, perms[0], phases[0]))
                     for name, bases, perms, phases in found]
-    bases, chi, at = _assignments(space, m)
+    bases, at = _assignments(space, m)
     found = []
-    for i in np.flatnonzero(_screen(action, bases, chi, tol)).tolist():
-        one = np.s_[i:i + 1]
-        hit = _decode_columns(
-            lambda start, c: _columns(action, bases[one], chi[one], c, start)[..., 0], m, tol)
-        if hit is not None:
-            found.append((*at(i), hit))
+    per = max(1, _BLOCK >> m)
+    for first in range(0, len(bases), per):
+        passed = _column_rule(_columns(action, bases[first:first + per], 0, 0)[:, 0], tol)[2]
+        for i in (first + np.flatnonzero(passed)).tolist():
+            one = bases[i:i + 1]
+            hit = _decode_columns(lambda start, c: _columns(action, one, c, start)[..., 0], m, tol)
+            if hit is not None:
+                found.append((*at(i), hit))
     return found
 
 

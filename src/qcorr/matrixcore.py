@@ -102,9 +102,10 @@ def num_bits(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-# Pairs per block of the 2x2 kernel and entries per block of the column
-# screen, so that a block stays in cache; the decoder widens its blocks to at
-# least _BLOCK >> 8 columns.  Buffers are allocated once per call; allocating
+# Pairs per block of the 2x2 kernel, and entries of column 0 per block of
+# assignments in the dense engine's loop (_BLOCK >> m assignments), so that a
+# block stays in cache; the decoder widens its blocks to at least
+# _BLOCK >> 8 columns.  Buffers are allocated once per call; allocating
 # them per block would map and fault fresh pages each time.
 _BLOCK = 1 << 14
 

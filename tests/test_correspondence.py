@@ -130,8 +130,8 @@ def test_parse_basis_word():
 
 def conjugated_columns(action, bases, c, start=0):
     """Columns start .. start + 2^c - 1 of B†UB under one assignment."""
-    mats, chi, _ = correspondence._assignments(tuple(bases), action.m)
-    return correspondence._columns(action, mats, chi, c, start)[..., 0]
+    mats, _ = correspondence._assignments(tuple(bases), action.m)
+    return correspondence._columns(action, mats, c, start)[..., 0]
 
 
 def test_conjugate_column_examples():

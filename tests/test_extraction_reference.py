@@ -132,7 +132,7 @@ def reference_random(count, seed, m):
 def space_pairs(space, m):
     """(name, bases) of every assignment of a checked space, in its order."""
     correspondence._check_space(space, m)
-    bases, _, at = correspondence._assignments(space, m)
+    bases, at = correspondence._assignments(space, m)
     return [at(i) for i in range(len(bases))]
 
 
@@ -338,7 +338,7 @@ def test_family_extracted_stacks(problem, strategy):
         assert fam.perms.tolist() == [list(perm) for perm, _ in hits]
     assert admitted
     # the whole grid on the stacked tables, as speedup_report takes it
-    found = extract_tables(*stacked_tables(built), PauliGrid())
+    found = list(extract_tables(*stacked_tables(built), PauliGrid()))
     assert [name for name, _, _, _ in found] == [word for word, _ in admitted]
     for (_, _, perms, phases), (_, hits) in zip(found, admitted):
         for perm, ph, hit in zip(perms, phases, hits, strict=True):
@@ -353,19 +353,20 @@ def stacked_tables(actions):
 
 
 
-def assert_table_matches_dense(actions, space):
+def assert_table_matches_dense(actions, space, tol=DEFAULT_TOL):
     """Each permutation action's search against the dense engine's search
     of the same oracle as a matrix, then the table engine on the stacked
     tables of all the actions against the words that every dense search
     admits.  Returns the number of words the stack admits."""
     searches = []
     for action in actions:
-        found, want = search_counterparts(action, space), search_counterparts(dense(action), space)
+        found = search_counterparts(action, space, tol)
+        want = search_counterparts(dense(action), space, tol)
         assert [(name, bases) for name, bases, _ in found] == [(name, bases) for name, bases, _ in want]
         for (_, _, gp), (_, _, other) in zip(found, want):
             assert_same_hit(gp, (other.perm, other.phases))
         searches.append({name: (bases, gp) for name, bases, gp in want})
-    found = extract_tables(*stacked_tables(actions), space)
+    found = list(extract_tables(*stacked_tables(actions), space, tol))
     want = [(name, bases) for name, (bases, _) in searches[0].items()
             if all(name in search for search in searches)]
     assert [(name, bases) for name, bases, _, _ in found] == want
@@ -434,6 +435,28 @@ def test_table_engine_matches_dense_engine_on_hypothesis_stacks(problem):
 def test_table_matches_dense_on_bv_at_m8():
     inst = BVInstance(7, 1, (1, 0, 1, 1, 0, 0, 1))
     assert assert_table_matches_dense([standard_oracle(bv_function(inst))], PauliGrid()) > 100
+
+
+# The kinds whose every phase is +1 or -1, as on every oracle the command
+# line builds.
+SIGN_KINDS = [kind for kind in ORACLE_KINDS if kind[1] in ("unit", "sign", "f", "bv")]
+
+
+@pytest.mark.parametrize("lax", ["1e-3", "0.99*2^-m"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_table_engine_matches_dense_engine_at_lax_tolerance(m, lax):
+    """With ±1 phases every entry of H^S G H^S is a multiple of 2^-|S|, so
+    below 2^-m the dense rule is the exact test and the engines agree.  At
+    or above it they can part: the dense rule reads each entry of B†UB, the
+    table engine the ratios of the oracle's phases."""
+    tol = 1e-3 if lax == "1e-3" else 0.99 * 2.0 ** -m
+    rng = np.random.default_rng([m, len(lax)])
+    admitted = 0
+    for kind in SIGN_KINDS:
+        for k in (1, 2):
+            actions = [oracle_of_kind(rng, m, kind) for _ in range(k)]
+            admitted += assert_table_matches_dense(actions, PauliGrid(), tol)
+    assert admitted >= 2 * len(SIGN_KINDS)
 
 
 class ReferenceFlipTables:
@@ -541,6 +564,23 @@ def test_flip_tables_peak_near_one_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * table
+
+
+def test_extracted_tables_are_built_as_they_are_read():
+    # bv n = 6's O_S family: k = 128 maps on m = 7 bits, 65 admitted words.
+    # Each word's perms and phases are three (k, 2^m) intp tables' worth,
+    # so holding every word's took about 205 tables; built as they are read,
+    # one block of words at a time, the iteration peaks near 18.
+    perms = querylab.named_family(bv_problem(6), "OS").perms
+    phases = np.ones(perms.shape, dtype=complex)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in extract_tables(perms, phases, PauliGrid()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 65
+    assert peak < 32 * perms.nbytes
 
 
 def test_phases_off_the_unit_circle_admit_nothing():
@@ -652,9 +692,10 @@ def test_other_spaces_of_permutation_oracles_take_the_dense_engine(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_chi_is_known_by_identity(m, monkeypatch):
-    """The engines skip a qubit's 2x2 passes exactly when its basis is CHI.
-    The identity matrix wrapped as a general basis gets its passes, and
-    changes no bit of the result."""
+    """The dense engine skips a qubit's 2x2 passes exactly when every basis
+    of the block is the identity matrix on it: CHI, or the identity wrapped
+    as a general basis, whose twin word gets no more passes and gives the
+    same columns and results, bit for bit."""
     rng = np.random.default_rng([m, 29])
     passes = []
     kernel = correspondence.apply_single_qubit
@@ -677,12 +718,15 @@ def test_chi_is_known_by_identity(m, monkeypatch):
     def run(action, bases):
         """Those column blocks under ``bases``, each with the qubits its
         passes touched, then the search's answer."""
-        mats, chi, _ = correspondence._assignments(bases, m)
+        mats, _ = correspondence._assignments(bases, m)
         results = []
         for c, start in blocks:
             passes.clear()
-            results.append((correspondence._columns(action, mats, chi, c, start), sorted(passes)))
+            results.append((correspondence._columns(action, mats, c, start), sorted(passes)))
         return results, search_counterparts(action, bases)
+
+    def bits(gp):
+        return gp._perm.tobytes(), gp._phases.tobytes()
 
     for action in (perm, matrix):
         for word in words:
@@ -690,10 +734,10 @@ def test_chi_is_known_by_identity(m, monkeypatch):
             rotated = [j for j, b in enumerate(word) if b is not CHI]
             (got, found), (want, twin_found) = run(action, word), run(action, twin)
             assert [touched for _, touched in got] == [rotated] * 3
-            assert [touched for _, touched in want] == [list(range(m))] * 3
+            assert [touched for _, touched in want] == [rotated] * 3
             for (a, _), (b, _) in zip(got, want):
-                assert np.array_equal(a, b)
-            assert [gp for _, _, gp in found] == [gp for _, _, gp in twin_found]
+                assert a.tobytes() == b.tobytes()
+            assert [bits(gp) for _, _, gp in found] == [bits(gp) for _, _, gp in twin_found]
 
 
 @pytest.mark.parametrize("count, seed, m", [
@@ -755,26 +799,46 @@ def first_column_only(rng, m, bases):
     return b @ p @ b.conj().T
 
 
-def as_bases(mats, chi):
-    return tuple(CHI if is_chi else general_basis(mat) for mat, is_chi in zip(mats, chi))
+def as_bases(mats):
+    return tuple(map(general_basis, mats))
 
 
 def planted_batch(rng, m, count, rows):
-    """(mats, chi) of ``count`` random assignments, with row i replaced by
-    the QubitBasis tuple rows[i]."""
+    """The (count, m, 2, 2) basis matrices of ``count`` random assignments,
+    with row i replaced by the QubitBasis tuple rows[i]."""
     mats = correspondence._sample_bases(RandomSample(count, int(rng.integers(1 << 31))), m)
-    chi = np.zeros((count, m), dtype=bool)
     for i, bases in rows.items():
         mats[i] = [b.matrix for b in bases]
-        chi[i] = [b is CHI for b in bases]
-    return mats, chi
+    return mats
 
 
-def assert_screen_matches_reference(action, mats, chi):
-    got = correspondence._screen(action, mats, chi, DEFAULT_TOL)
-    want = [reference_screened(action, as_bases(row, flags)) for row, flags in zip(mats, chi)]
-    assert got.tolist() == want
-    return got
+def assert_screen_matches_reference(action, mats, monkeypatch):
+    """Search the assignments ``mats``, recording which pass the screen on
+    column 0 and how many reach the decoder: those that pass, as the
+    per-assignment reference screens them, and no other.  Returns the
+    passed mask and the admitted rows."""
+    passed, decoded = [np.zeros(0, dtype=bool)], []
+    rule, decode = correspondence._column_rule, correspondence._decode_columns
+
+    def screen_rule(cols, tol):
+        result = rule(cols, tol)
+        passed.append(result[2])
+        return result
+
+    def spied(columns, m, tol):
+        decoded.append(m)
+        return decode(columns, m, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(correspondence, "_assignments",
+                      lambda space, m: (mats, lambda i: (i, as_bases(mats[i]))))
+        patch.setattr(correspondence, "_column_rule", screen_rule)
+        patch.setattr(correspondence, "_decode_columns", spied)
+        found = search_counterparts(action, RandomSample(len(mats), 0))
+    got = np.concatenate(passed)
+    assert got.tolist() == [reference_screened(action, as_bases(row)) for row in mats]
+    assert len(decoded) == got.sum()
+    return got, [i for i, _, _ in found]
 
 
 SCREEN_CASES = [(m, k, backing) for m in (6, 7, 8, 9) for k in (1, 2, 3)
@@ -800,34 +864,38 @@ def test_batched_screen_keeps_the_reference_survivors(m, k, backing, monkeypatch
         choices = [CHI, ETA, same, flip]
         rows = {i: tuple(choices[c] for c in rng.integers(0, 4, m)) for i in spots}
         rows[spots[0]] = (same,) * m
-        mats, chi = planted_batch(rng, m, count, rows)
+        mats = planted_batch(rng, m, count, rows)
         for action in actions:
-            assert assert_screen_matches_reference(action, mats, chi)[spots[0]]
+            kept, admitted = assert_screen_matches_reference(action, mats, monkeypatch)
+            assert kept[spots[0]] and spots[0] in admitted
         return
     target = tuple(general_basis(random_unitary(2, rng)) for _ in range(m))
     rows = dict.fromkeys(spots[:4], target)
-    mats, chi = planted_batch(rng, m, count, rows)
+    mats = planted_batch(rng, m, count, rows)
     for _ in range(k):
         planted = OracleAction.from_matrix(dressed(rng, m, target))
-        kept = assert_screen_matches_reference(planted, mats, chi)
-        assert np.flatnonzero(kept).tolist() == sorted(spots[:4])
+        kept, admitted = assert_screen_matches_reference(planted, mats, monkeypatch)
+        assert np.flatnonzero(kept).tolist() == admitted == sorted(spots[:4])
     # an action that admits on the first column only: the planted rows pass
-    # the screen, and the search rejects each of them, as the reference does
+    # the screen and reach the decoder, which rejects each of them, as the
+    # reference does
     spoiled = OracleAction.from_matrix(first_column_only(rng, m, target))
-    kept = assert_screen_matches_reference(spoiled, mats, chi)
-    assert np.flatnonzero(kept).tolist() == sorted(spots[:4])
+    kept, admitted = assert_screen_matches_reference(spoiled, mats, monkeypatch)
+    assert np.flatnonzero(kept).tolist() == sorted(spots[:4]) and admitted == []
     assert search_counterparts(spoiled, target) == []
     assert reference_extract(spoiled, target) is None
     for _ in range(k):
         haar = OracleAction.from_matrix(random_unitary(1 << m, rng))
-        assert not assert_screen_matches_reference(haar, mats, chi).any()
+        kept, admitted = assert_screen_matches_reference(haar, mats, monkeypatch)
+        assert not kept.any() and admitted == []
 
 
-def test_batched_screen_of_no_assignment():
+def test_batched_screen_of_no_assignment(monkeypatch):
     action = OracleAction.from_matrix(random_unitary(8, np.random.default_rng(2)))
-    mats, chi, _ = correspondence._assignments(RandomSample(0, 3), 3)
+    mats, _ = correspondence._assignments(RandomSample(0, 3), 3)
     assert mats.shape == (0, 3, 2, 2)
-    assert correspondence._screen(action, mats, chi, DEFAULT_TOL).shape == (0,)
+    kept, admitted = assert_screen_matches_reference(action, mats, monkeypatch)
+    assert kept.shape == (0,) and admitted == []
     assert search_counterparts(action, RandomSample(0, 3)) == []
 
 
@@ -861,9 +929,9 @@ def test_lax_tolerance_under_random_samples(m, tol, block, monkeypatch):
     read = []
     columns = correspondence._columns
 
-    def spied(action, mats, chi, c, start):
+    def spied(action, mats, c, start):
         read.append((c, start))
-        return columns(action, mats, chi, c, start)
+        return columns(action, mats, c, start)
 
     monkeypatch.setattr(correspondence, "_columns", spied)
     if block == "one column":
