@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import HADAMARD, SizeLimitError, _checked_perms, apply_single_qubit, hadamard_layer
+from .matrixcore import (HADAMARD, GeneralizedPermutation, SizeLimitError, _checked_perms,
+                         apply_single_qubit, hadamard_layer)
 from .oracleforge import (
     BooleanFunction,
     BVInstance,
@@ -113,13 +114,13 @@ def hypothesis_function(h: Hypothesis) -> BooleanFunction:
     return h.instance
 
 
-# Compared by identity: the report keys its counts on the perms' bytes.
+# Compared by identity: numpy arrays have no dataclass equality.
 @dataclass(frozen=True, eq=False)
 class ClassicalOracleFamily:
     """One classical oracle per hypothesis, all over the same m bits, as a
     read-only (k, 2^m) intp table: row i maps hypothesis i's inputs to its
-    outputs, with no phases.  ``perms`` is given as an integer array or as k
-    GeneralizedPermutation maps, and is copied and checked once."""
+    outputs, with no phases.  ``perms`` is given as k rows, each a
+    GeneralizedPermutation or integers, and is copied and checked once."""
 
     name: str
     m: int
@@ -127,8 +128,8 @@ class ClassicalOracleFamily:
 
     def __post_init__(self):
         perms = self.perms
-        if not isinstance(perms, np.ndarray):  # k maps
-            perms = [gp._perm for gp in perms]
+        if not isinstance(perms, np.ndarray):
+            perms = [r._perm if isinstance(r, GeneralizedPermutation) else r for r in perms]
         object.__setattr__(self, "perms", _checked_perms(self.m, perms, 2))
 
 
@@ -181,32 +182,33 @@ def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
 def _extracted_families(standard: ClassicalOracleFamily, space, tol: float):
     """(word, family) per word of ``space``, the grid or one C/H word, that
     admits every hypothesis's standard oracle: the perms of the O_S family
-    ``standard``, with unit phases."""
+    ``standard``, with unit phases; each family is built as it is read."""
     found = extract_tables(standard.perms, np.ones(standard.perms.shape, dtype=complex), space, tol)
     if found is None:
         raise ValueError("a counterpart family needs the grid or a word over C and H")
-    return [(word, ClassicalOracleFamily(word, standard.m, table))
-            for word, _, table, _ in found]
+    return ((word, ClassicalOracleFamily(word, standard.m, table))
+            for word, _, table, _ in found)
 
 
 def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
     """The standard oracle's counterpart family under one C/H word, or None
     when extraction fails for any hypothesis; other bases raise ValueError."""
-    found = _extracted_families(named_family(problem, "OS"), tuple(bases), tol)
-    return found[0][1] if found else None
+    return next(_extracted_families(named_family(problem, "OS"), tuple(bases), tol),
+                (None, None))[1]
 
 
 def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     """The bitmask search behind the query count and its witness tree.
 
-    Returns ``(count, choices, labels)``.  The bits of a set mask are laid
-    out label by label (labels in order of first appearance, hypotheses in
-    order within a label), so each label is one run of adjacent bits, and
-    ``labels[i]`` is the label of bit i.  ``count`` is the exact cost of the
-    full set.  Each set the search solves is memoized by its mask, and
-    ``choices`` maps it to the first ``(query string, {output: mask})`` in
-    query order that attains its cost (None if none does).  A search too
-    deep to recurse raises SizeLimitError.
+    Returns ``(count, depth, memo, queries, labels)``.  The bits of a set
+    mask are laid out label by label (labels in order of first appearance,
+    hypotheses in order within a label), so each label is one run of
+    adjacent bits, and ``labels[i]`` is the label of bit i.  ``count`` is
+    the exact cost of the full set, ``depth(mask)`` that of any set, and
+    ``memo`` maps each set the search solved to its cost (a label-pure set
+    costs 0 and is not held).  ``queries`` holds ``(query string, {output:
+    mask})`` per distinct partition.  A search too deep to recurse raises
+    SizeLimitError.
     """
     hyps = problem.hypotheses
     if len(family.perms) != len(hyps):
@@ -253,7 +255,6 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     # leaves, and a set with L labels needs L label-pure leaves.
     branching = max((len(parts) for _, parts in queries), default=2)
     memo: dict[int, float] = {}
-    choices: dict[int, tuple | None] = {}
 
     def label_count(s: int) -> int:
         return ((((s & ones) + ones) | s) & tops).bit_count()
@@ -271,7 +272,7 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
         # A part with more than b^(bound-1) labels has the set's own bound,
         # so a query leaving one costs at least bound + 1.
         floor = leaves // branching
-        best, pick = math.inf, None
+        best = math.inf
         tried = set()
         for q, parts in queries:
             kids = [kid for kid in (s & mask for mask in parts.values()) if kid]
@@ -290,14 +291,14 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
                 if worst + 1 >= best:
                     break
             else:
-                best, pick = worst + 1, (q, parts)
+                best = worst + 1
                 if best <= bound:
                     break
-        memo[s], choices[s] = best, pick
+        memo[s] = best
         return best
 
     try:
-        return depth((1 << len(hyps)) - 1), choices, labels
+        return depth((1 << len(hyps)) - 1), depth, memo, queries, labels
     except RecursionError:
         # One frame per level of nested sets: a family whose queries peel off
         # one hypothesis at a time nests as deep as the hypothesis count.
@@ -335,19 +336,21 @@ def decision_tree(problem: ProblemSpec, family: ClassicalOracleFamily):
 
     A leaf is a label.  An inner node is ``(query, {output: subtree})``:
     submit the query string and follow the branch of the observed output.
-    The tree replays the choices of the count's search, with no search of
-    its own: at a set of depth d it asks the first query whose parts all
-    have depth at most d - 1, so the tree's depth is the query count.
+    The tree is read back from the depths the count's search memoized: at
+    a set of depth d it asks the first query that splits the set into two
+    or more parts, all of depth below d, so its depth is the query count.
     """
-    count, choices, labels = _minimax(problem, family)
+    count, depth, _, queries, labels = _minimax(problem, family)
 
-    def build(s: int):
-        if s not in choices:  # a label-pure set
+    def build(s: int, d):
+        if d == 0:
             return labels[(s & -s).bit_length() - 1]
-        q, parts = choices[s]
-        return q, {out: build(s & mask) for out, mask in parts.items() if s & mask}
+        for q, parts in queries:
+            kids = {out: s & mask for out, mask in parts.items() if s & mask}
+            if len(kids) > 1 and all(depth(kid) < d for kid in kids.values()):
+                return q, {out: build(kid, depth(kid)) for out, kid in kids.items()}
 
-    return None if math.isinf(count) else build((1 << len(labels)) - 1)
+    return None if math.isinf(count) else build((1 << len(labels)) - 1, count)
 
 
 def _assert_normalized(sq_norms, tol: float = DEFAULT_TOL):
@@ -455,16 +458,12 @@ def speedup_report(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> QueryRepor
     _, _, run_quantum, shown = PROBLEMS[problem.name]
     _, quantum = run_quantum(problem.hypotheses[0].instance)
     named = {oracle: named_family(problem, oracle) for oracle in shown}
-    families = [(ORACLES[oracle][0], fam) for oracle, fam in named.items()]
-    families += _extracted_families(named["OS"], PauliGrid(), tol)
-    # Families with the same perms (O_S and the all-chi word) share a count.
-    counts: dict[bytes, float] = {}
-    entries = []
-    for name, fam in families:
-        key = fam.perms.tobytes()
-        if key not in counts:
-            counts[key] = deterministic_query_complexity(problem, fam)
-        entries.append((name, counts[key]))
+    entries = [(ORACLES[oracle][0], deterministic_query_complexity(problem, fam))
+               for oracle, fam in named.items()]
+    # Counted as extracted; the all-chi word changes no basis, so it has O_S's count.
+    entries += ((word, entries[0][1] if "H" not in word else
+                 deterministic_query_complexity(problem, fam))
+                for word, fam in _extracted_families(named["OS"], PauliGrid(), tol))
 
     d_standard = entries[0][1]
     finite = [d for _, d in entries if not math.isinf(d)]

@@ -165,7 +165,7 @@ EXTRACTED = [("bv", n) for n in (1, 2, 3)] + [("parity", n) for n in (1, 2)]
 
 def extracted(name, n):
     problem = PROBLEMS[name](n)
-    return problem, _extracted_families(named_family(problem, "OS"), PauliGrid(), 1e-9)
+    return problem, list(_extracted_families(named_family(problem, "OS"), PauliGrid(), 1e-9))
 
 
 @pytest.mark.parametrize("name,n", EXTRACTED, ids=[f"{p}{n}" for p, n in EXTRACTED])
@@ -288,9 +288,9 @@ def test_bv_os_search_solves_one_set_per_tree_node(n):
     # The optimal tree has 2^(n+1) - 1 inner nodes; any other set the search
     # solved would only show that some query cannot beat the best so far.
     problem = bv_problem(n)
-    count, choices, labels = _minimax(problem, named_family(problem, "OS"))
+    count, _, memo, _, labels = _minimax(problem, named_family(problem, "OS"))
     assert count == n + 1
-    assert len(choices) == (1 << (n + 1)) - 1
+    assert len(memo) == (1 << (n + 1)) - 1
     assert sorted(labels) == sorted(problem.labels())
 
 

@@ -221,6 +221,31 @@ def test_named_family_peak_near_five_tables(monkeypatch):
     assert peak <= 5.5 * table
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2, 3], [1, 0, 3, 2]],
+    ((0, 1, 2, 3), (1, 0, 3, 2)),
+    [classical_OS(BooleanFunction(1, (0, 0))), (1, 0, 3, 2)],
+], ids=["list-of-lists", "tuple-of-tuples", "map-and-tuple"])
+def test_family_takes_rows_of_integers(rows):
+    family = ClassicalOracleFamily("x", 2, rows)
+    assert family.perms.tolist() == [[0, 1, 2, 3], [1, 0, 3, 2]]
+    assert not family.perms.flags.writeable
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2, 3], [0, 1]],
+    [[0, 1, 2, 3], [0, 1, 2]],
+    [[0, 1, 2, 3], ["0", "1", "2", "3"]],
+    [[0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0]],
+    [[0, 1, 2, 3], [0, 0, 2, 3]],
+    [[0, 1, 2, 3], None],
+], ids=["ragged", "short-row", "strings", "floats", "not-a-bijection", "none-row"])
+def test_family_refuses_a_malformed_table(rows):
+    # A nested list used to fail with AttributeError on a missing _perm.
+    with pytest.raises(ValueError):
+        ClassicalOracleFamily("x", 2, rows)
+
+
 def test_extracted_map_pickles_its_own_row():
     # the table engine builds many words' counterparts in one table, and
     # search_counterparts hands out its rows as maps
@@ -437,19 +462,50 @@ def test_speedup_report_parity(n):
     assert report.genuine_speedup == pytest.approx(1.0)
 
 
-def test_speedup_report_solves_each_distinct_family_once(monkeypatch):
-    problem = bv_problem(2)
+REPORTED = [("parity", n) for n in (1, 2)] + [("bv", n) for n in (1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("name,n", REPORTED, ids=[f"{p}{n}" for p, n in REPORTED])
+def test_speedup_report_solves_each_distinct_family_once(monkeypatch, name, n):
+    # Only O_S and the all-chi word share a table, and the report counts
+    # it once, for O_S.
+    problem = querylab.PROBLEMS[name][0](n)
     want = speedup_report(problem)
     calls = []
 
     def counting(problem, family):
-        calls.append(tuple(map(tuple, family.perms.tolist())))
+        calls.append(family.perms.tobytes())
         return deterministic_query_complexity(problem, family)
 
     monkeypatch.setattr(querylab, "deterministic_query_complexity", counting)
     got = speedup_report(problem)
     assert got == want
-    assert len(calls) == len(set(calls)) < len(want.entries)
+    assert len(calls) == len(set(calls)) == len(want.entries) - 1
+
+
+@pytest.mark.parametrize("name,n", REPORTED, ids=[f"{p}{n}" for p, n in REPORTED])
+def test_all_chi_family_is_the_standard_family(name, n):
+    # speedup_report gives the all-chi word O_S's count without a search.
+    problem = querylab.PROBLEMS[name][0](n)
+    standard = named_family(problem, "OS")
+    all_chi = family_extracted(problem, parse_basis_word("C" * standard.m))
+    assert np.array_equal(all_chi.perms, standard.perms)
+
+
+def test_speedup_report_holds_one_family_at_a_time():
+    # bv n = 6: 128 hypotheses on m = 7 bits, and 67 entries.  Holding every
+    # family, and a bytes copy of each table for a count cache, peaked at
+    # about 137 (k, 2^m) intp tables; counted as read, at about 22.
+    problem = bv_problem(6)
+    table = 128 * (1 << 7) * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        report = speedup_report(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.entries) == 67
+    assert peak < 40 * table
 
 
 def test_speedup_report_monotone_under_more_families():
