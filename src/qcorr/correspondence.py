@@ -316,7 +316,7 @@ class _FlipTables:
         x0 = P⁻¹(w) & ~s, Q⁻¹(w) is x0 | (B(w) & s) and the phase of output w
         is psi(x0) (-1)^parity(P(x0) & s & w), which ``unit`` has tested.
         Built in blocks of about ``_BLOCK`` entries, each block's perms
-        checked in one pass."""
+        checked once, in place."""
         k, dim = self.inv.shape
         w = np.arange(dim)
         per = max(1, _BLOCK // (k * dim))

@@ -195,10 +195,11 @@ def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
 
 
 def _checked_perms(m: int, perms, ndim: int) -> np.ndarray:
-    """A read-only intp copy of ``perms``, one perm (ndim 1) or k (ndim 2) of
-    2^m entries, once each is checked to be a bijection on 0 .. 2^m - 1."""
+    """``perms``, one perm (ndim 1) or k (ndim 2) of 2^m entries, as read-only
+    intp once each is checked to be a bijection on 0 .. 2^m - 1.  An intp
+    array is frozen in place: a caller with outside data copies it first."""
     dim = 1 << m
-    perms = np.array(perms)
+    perms = np.asarray(perms)
     if perms.ndim != ndim or perms.shape[-1] != dim:
         raise ValueError(f"expected {ndim}-D perms of length 2**m = {dim}, got shape {perms.shape}")
     if perms.dtype.kind not in "iu":
@@ -231,7 +232,7 @@ class GeneralizedPermutation:
     """
 
     def __init__(self, m: int, perm, phases, tol: float = DEFAULT_TOL):
-        perm = _checked_perms(m, perm, 1)
+        perm = _checked_perms(m, np.array(perm), 1)
         phases = np.array(phases, dtype=complex)
         if phases.shape != perm.shape:
             raise ValueError(f"phases length must be 2**m = {perm.size}")
@@ -311,7 +312,7 @@ class GeneralizedPermutation:
 
 def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray) -> GeneralizedPermutation:
     """A map from arrays already checked, as the detector, the extraction
-    engines and unpickling have."""
+    engines and unpickling have; its twin for families is in ``querylab``."""
     gp = object.__new__(GeneralizedPermutation)
     perm.flags.writeable = phases.flags.writeable = False
     gp.__dict__.update(m=m, _perm=perm, _phases=phases)

@@ -130,7 +130,14 @@ class ClassicalOracleFamily:
         perms = self.perms
         if not isinstance(perms, np.ndarray):
             perms = [r._perm if isinstance(r, GeneralizedPermutation) else r for r in perms]
-        object.__setattr__(self, "perms", _checked_perms(self.m, perms, 2))
+        object.__setattr__(self, "perms", _checked_perms(self.m, np.array(perms), 2))
+
+
+def _unchecked_family(name: str, m: int, perms: np.ndarray) -> ClassicalOracleFamily:
+    """A family on a read-only intp table already checked: ``_unchecked``'s twin."""
+    family = object.__new__(ClassicalOracleFamily)
+    family.__dict__.update(name=name, m=m, perms=perms)
+    return family
 
 
 def _truths(problem: ProblemSpec) -> np.ndarray:
@@ -168,26 +175,26 @@ PROBLEMS = {
 
 def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
     """The named classical oracle ``oracle`` (a key of ORACLES) of every
-    hypothesis, as one family: its perms are built as one (k, 2^m) table,
-    which the family checks in one pass."""
+    hypothesis, as one family: its perms are built as one fresh (k, 2^m)
+    table, checked in one pass and held as the family's own, with no copy."""
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")
     name, perms_of, domain = ORACLES[oracle]
     if problem.name not in domain:
         raise ValueError(f"{oracle} is only defined for the {' and '.join(domain)} problem")
     perms = perms_of(problem)
-    return ClassicalOracleFamily(name, perms.shape[1].bit_length() - 1, perms)
+    m = perms.shape[1].bit_length() - 1
+    return _unchecked_family(name, m, _checked_perms(m, perms, 2))
 
 
 def _extracted_families(standard: ClassicalOracleFamily, space, tol: float):
     """(word, family) per word of ``space``, the grid or one C/H word, that
     admits every hypothesis's standard oracle: the perms of the O_S family
-    ``standard``, with unit phases; each family is built as it is read."""
+    ``standard``, with unit phases; each wraps the engine's checked table as it is read."""
     found = extract_tables(standard.perms, np.ones(standard.perms.shape, dtype=complex), space, tol)
     if found is None:
         raise ValueError("a counterpart family needs the grid or a word over C and H")
-    return ((word, ClassicalOracleFamily(word, standard.m, table))
-            for word, _, table, _ in found)
+    return ((word, _unchecked_family(word, standard.m, table)) for word, _, table, _ in found)
 
 
 def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
@@ -467,6 +474,8 @@ def speedup_report(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> QueryRepor
 
     d_standard = entries[0][1]
     finite = [d for _, d in entries if not math.isinf(d)]
+    if not finite:
+        raise ValueError("no classical family can separate the labels of this problem")
     return QueryReport(
         problem=problem.name,
         n=problem.n,

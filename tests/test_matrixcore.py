@@ -447,6 +447,16 @@ def test_batch_rejects_exactly_when_some_row_is_rejected(how):
         assert all(maps) == (how == "none")
 
 
+def test_generalized_permutation_copies_the_callers_perm():
+    # The check freezes the array it is given, so the constructor copies first.
+    perm = np.array([2, 0, 3, 1], dtype=np.intp)
+    gp = GeneralizedPermutation(2, perm, np.ones(4))
+    assert perm.flags.writeable and not gp._perm.flags.writeable
+    assert not np.shares_memory(perm, gp._perm)
+    perm[:] = perm[::-1]
+    assert gp.perm == (2, 0, 3, 1)
+
+
 def test_generalized_permutation_rejects_nan_and_non_integer_perms():
     with pytest.raises(ValueError, match="unit modulus"):
         GeneralizedPermutation(1, (0, 1), (1, np.nan))

@@ -203,11 +203,12 @@ def test_named_family_checks_its_table_in_one_pass(monkeypatch):
         assert calls == [(16, 1 << family.m)], oracle
 
 
-def test_named_family_peak_near_five_tables(monkeypatch):
+def test_named_family_peak_near_four_tables(monkeypatch):
     # bv n = 9's O_S family: k = 1024 perms on m = 10 bits.  The perms, the
-    # family's copy, its row offsets and its bin counts are four (k, 2^m)
-    # intp tables; building the perms from the truth tables adds about one.
-    # Built as k maps through a complex table of ones, the peak was 8.
+    # check's row offsets and its bin counts are three (k, 2^m) intp tables;
+    # building the perms from the truth tables adds about one.  The family
+    # holds the perms it checked: a copy of them made the peak 5.  Built as
+    # k maps through a complex table of ones, it was 8.
     monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 9)
     problem = bv_problem(9)
     table = (1 << 10) * (1 << 10) * np.dtype(np.intp).itemsize
@@ -218,7 +219,33 @@ def test_named_family_peak_near_five_tables(monkeypatch):
     finally:
         tracemalloc.stop()
     assert family.perms.nbytes == table
-    assert peak <= 5.5 * table
+    assert peak <= 4.5 * table
+
+
+@pytest.mark.parametrize("name,n", [("bv", 3), ("bv", 6), ("parity", 2)])
+def test_extracted_families_check_each_table_once(name, n, monkeypatch):
+    # Each block of words the engine builds is checked once, in place, and
+    # each family holds its rows of that block: no second check, no copy.
+    # bv n = 6 (k = 128, m = 7) takes one word per block.
+    checked = []
+    checked_perms = matrixcore._checked_perms
+
+    def counting(m, perms, ndim):
+        checked.append(checked_perms(m, perms, ndim))
+        return checked[-1]
+
+    problem = querylab.PROBLEMS[name][0](n)
+    standard = named_family(problem, "OS")
+    for module in (correspondence, querylab):
+        monkeypatch.setattr(module, "_checked_perms", counting)
+    families = [fam for _, fam in querylab._extracted_families(standard, PauliGrid(), 1e-9)]
+    k, dim = standard.perms.shape
+    per = max(1, matrixcore._BLOCK // (k * dim))
+    assert len(checked) == -(-len(families) // per) > 0
+    assert sum(len(block) for block in checked) == len(families) * k
+    for i, fam in enumerate(families):
+        assert not fam.perms.flags.writeable
+        assert np.shares_memory(fam.perms, checked[i // per])
 
 
 @pytest.mark.parametrize("rows", [
@@ -538,6 +565,15 @@ def test_speedup_report_builds_no_map_per_hypothesis(monkeypatch):
     report = speedup_report(bv_problem(3))
     assert built == ["init"]
     assert report.genuine_speedup == 1.0
+
+
+def test_speedup_report_refuses_labels_no_family_separates():
+    # Two hypotheses on one instance with different labels: every family
+    # has identical rows for them, so every count is infinite.
+    inst = BVInstance(1, 0, (1,))
+    problem = ProblemSpec("bv", 1, (Hypothesis(0, inst, (0,)), Hypothesis(1, inst, (1,))))
+    with pytest.raises(ValueError, match="separate the labels"):
+        speedup_report(problem)
 
 
 def test_speedup_report_unknown_problem():
