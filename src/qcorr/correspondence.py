@@ -1,31 +1,31 @@
 """Classical counterparts of quantum oracles under per-qubit computational
 basis choices, and the complete two-qubit classification.
 
-Extraction has two engines.  The backend of ``OracleAction`` and the
-search space pick one together: a permutation oracle takes the table engine
-on the grid or a chi/eta word, but the dense engine on a ``RandomSample``
-(``random:`` on the command line).
+Extraction has two engines, which the backend of ``OracleAction`` and the
+search space pick together.  ``_check_space`` checks a space once and hands
+over the grid codes of its words when it is the grid or a chi/eta word: on
+those a permutation oracle takes the table engine, whose one entry is
+``_FlipTables.counterparts``.  Every other search, a ``RandomSample``
+(``random:`` on the command line) among them, takes the dense engine.
 
-A generalized permutation G = diag(phases) P on a chi/eta grid or a single
-chi/eta word goes to the table engine.  With S the eta qubits of a word and
-psi(x) the phase G puts on input x, H^S G H^S is again a generalized
-permutation exactly when P is affine over GF(2) on each S-fibre (the inputs
-that differ only on S) and maps it onto an output fibre, and psi is a
-character there times a constant: the affine-character criterion of
-Walsh-Hadamard analysis (O'Donnell, *Analysis of Boolean Functions*, 2014),
-which matches the affine/quadratic form of Clifford maps (Dehaene and
-De Moor, PRA 68, 042318, 2003).  The engine takes the k oracles on m
-qubits as (k, 2^m) perm and phase tables, reduces the criterion to bit-flip
-tables built from them in O(k m^2 2^m), decides every word of the grid at
-once, and builds each admitted word's counterparts as tables in closed form
-in O(k 2^m).  No dense matrix is made.
+For G = diag(phases) P, with S the eta qubits of a word and psi(x) the
+phase G puts on input x, H^S G H^S is again a generalized permutation
+exactly when P is affine over GF(2) on each S-fibre (the inputs that differ
+only on S) and maps it onto an output fibre, and psi is a character there
+times a constant: the affine-character criterion of Walsh-Hadamard analysis
+(O'Donnell, *Analysis of Boolean Functions*, 2014), which matches the
+affine/quadratic form of Clifford maps (Dehaene and De Moor, PRA 68,
+042318, 2003).  The engine takes the k oracles on m qubits as (k, 2^m) perm
+and phase tables, reduces the criterion to bit-flip tables built from them
+in O(k m^2 2^m), decides every word of the grid at once, and builds each
+admitted word's counterparts as tables in closed form in O(k 2^m).  No
+dense matrix is made.
 
-Matrix-backed actions, random product bases and other non-chi/eta words go
-to the dense engine, one oracle at a time.  Column j of B†UB, for B the
+The dense engine takes one oracle at a time.  Column j of B†UB, for B the
 product of an assignment's single-qubit bases, is the oracle's image of the
 product state encoding j, read back in the same basis.  The engine runs one
-loop over blocks of assignments.  It screens each block at once on column 0:
-one oracle application per block, then one 2x2 pass per qubit with each
+loop over blocks of assignments.  It screens each block at once on column
+0: one oracle application per block, then one 2x2 pass per qubit with each
 assignment's own basis change, skipped on a qubit where every basis of the
 block is exactly the identity.  That rejects most of those that admit
 nothing.  Each assignment of the block that passes is then decoded on its
@@ -164,13 +164,15 @@ def _grid_words(m: int) -> tuple:
                     itertools.product((CHI, ETA), repeat=m)))
 
 
-def _check_space(space, m: int) -> None:
+def _check_space(space, m: int):
     """Raise unless ``space`` is a search space whose assignments on m qubits
-    lie within the size limits.  Extraction calls it before any allocation."""
+    lie within the size limits; extraction calls it once, before any
+    allocation.  Returns the grid codes (eta masks) of the grid's words or
+    of a tuple of ``CHI`` and ``ETA`` themselves; None for any other space."""
     if m > GRID_QUBIT_LIMIT:
         raise SizeLimitError(f"extraction on {m} qubits exceeds the {GRID_QUBIT_LIMIT}-qubit limit")
     if isinstance(space, PauliGrid):
-        return
+        return np.arange(1 << m)
     if isinstance(space, RandomSample):
         if space.count < 0:
             raise ValueError(f"random sample count must be >= 0, got {space.count}")
@@ -178,11 +180,13 @@ def _check_space(space, m: int) -> None:
             raise SizeLimitError(
                 f"random sample of {space.count} exceeds {1 << GRID_QUBIT_LIMIT} assignments"
             )
-        return
+        return None
     if isinstance(space, tuple) and all(isinstance(b, QubitBasis) for b in space):
         if len(space) != m:
             raise ValueError(f"{len(space)} bases given for an oracle on {m} qubits")
-        return
+        if all(b is CHI or b is ETA for b in space):
+            return np.array([sum(1 << (m - 1 - j) for j, b in enumerate(space) if b is ETA)])
+        return None
     raise ValueError(f"unknown search space {space!r}")
 
 
@@ -311,47 +315,29 @@ class _FlipTables:
         return words[self.unit & (fine | ((s & bit) == 0)).all(axis=1)]
 
     def counterparts(self, words: np.ndarray):
-        """Per eta mask s of ``words``, the (k, 2^m) perm and phase tables of
-        the k counterparts Q of H^S G H^S, in closed form: with
-        x0 = P⁻¹(w) & ~s, Q⁻¹(w) is x0 | (B(w) & s) and the phase of output w
-        is psi(x0) (-1)^parity(P(x0) & s & w), which ``unit`` has tested.
-        Built in blocks of about ``_BLOCK`` entries, each block's perms
-        checked once, in place."""
+        """The table engine's one entry: per grid code of ``words`` under which
+        every G has a counterpart, in order, (name, assignment, perms, phases)
+        with the (k, 2^m) tables of the k counterparts Q of H^S G H^S.  In
+        closed form, with x0 = P⁻¹(w) & ~s, Q⁻¹(w) is x0 | (B(w) & s) and the
+        phase of output w is psi(x0) (-1)^parity(P(x0) & s & w), which
+        ``unit`` has tested.  Built as it is read, in blocks of about
+        ``_BLOCK`` entries; each block's Q⁻¹ is checked once, then inverted."""
+        hits, names = self.admitted(words), _grid_words(self.m)
         k, dim = self.inv.shape
         w = np.arange(dim)
         per = max(1, _BLOCK // (k * dim))
-        for start in range(0, len(words), per):
-            s = words[start:start + per, None, None]
+        for start in range(0, len(hits), per):
+            s = hits[start:start + per, None, None]
             x0 = self.inv & ~s
             qinv = x0 | (self.back & s)
             odd = (np.bitwise_count(self.p[self.rows, x0] & s & w) & 1).astype(bool)
             phases = self.psi[self.rows, x0]
             np.negative(phases, out=phases, where=odd)
+            qinv = _checked_perms(self.m, qinv.reshape(-1, dim), 2).reshape(qinv.shape)
             perm = np.empty_like(qinv)
             np.put_along_axis(perm, qinv, np.broadcast_to(w, qinv.shape), axis=-1)
-            perm = _checked_perms(self.m, perm.reshape(-1, dim), 2).reshape(perm.shape)
-            yield from zip(perm, phases)
-
-
-def extract_tables(perms: np.ndarray, phases: np.ndarray, space, tol: float = DEFAULT_TOL):
-    """The table engine on k maps G = diag(phases) P given as (k, 2^m) perm
-    and phase tables, over the grid or one chi/eta word: per word under which
-    every G has a counterpart, in grid order, (name, assignment, perms,
-    phases) with the counterparts' tables.  None for any other space.  The
-    space is checked and the words decided at call time; each word's tables
-    are built as the result is iterated, so only one block of them is held
-    at a time."""
-    m = num_bits(perms.shape[1])
-    _check_space(space, m)
-    if isinstance(space, PauliGrid):
-        words = np.arange(1 << m)
-    elif isinstance(space, tuple) and all(b is CHI or b is ETA for b in space):
-        words = np.array([sum(1 << (m - 1 - j) for j, b in enumerate(space) if b is ETA)])
-    else:
-        return None
-    tables = _FlipTables(perms, phases, tol)
-    hits, names = tables.admitted(words), _grid_words(m)
-    return ((*names[code], *found) for code, found in zip(hits.tolist(), tables.counterparts(hits)))
+            perm.flags.writeable = False
+            yield from ((*names[c], q, ph) for c, q, ph in zip(s.ravel().tolist(), perm, phases))
 
 
 def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
@@ -359,22 +345,21 @@ def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
     counterpart, as (name, assignment, counterpart) triples in the space's
     order.
 
-    A permutation-backed action on the grid or a chi/eta word is decided
-    and built from its bit-flip tables.  Otherwise one loop takes the
-    assignments in blocks of about ``_BLOCK`` entries of column 0: it
-    screens a block at once on column 0 of B†UB, then decodes each
+    The space is checked once.  A permutation-backed action on the grid or
+    a chi/eta word goes to ``_FlipTables.counterparts``.  Otherwise one loop
+    takes the assignments in blocks of about ``_BLOCK`` entries of column 0:
+    it screens a block at once on column 0 of B†UB, then decodes each
     assignment that passes on its own from blocks of its columns, as
     ``detect_generalized_permutation`` decodes a matrix, without building
     B†UB whole.
     """
     m = action.m
-    _check_space(space, m)  # before any allocation
+    words = _check_space(space, m)  # before any allocation
     gp = action.permutation
-    if gp is not None:
-        found = extract_tables(gp._perm[None], gp._phases[None], space, tol)
-        if found is not None:
-            return [(name, bases, _unchecked(m, perms[0], phases[0]))
-                    for name, bases, perms, phases in found]
+    if gp is not None and words is not None:
+        found = _FlipTables(gp._perm[None], gp._phases[None], tol).counterparts(words)
+        return [(name, bases, _unchecked(m, perms[0], phases[0]))
+                for name, bases, perms, phases in found]
     bases, at = _assignments(space, m)
     found = []
     per = max(1, _BLOCK >> m)

@@ -29,7 +29,7 @@ from .oracleforge import (
     phase_oracle,
     standard_oracle,
 )
-from .correspondence import DEFAULT_TOL, PauliGrid, extract_tables
+from .correspondence import DEFAULT_TOL, PauliGrid, _check_space, _FlipTables
 
 MAX_HYPOTHESES = 65536
 MAX_QUERY_BITS = 12
@@ -190,10 +190,13 @@ def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
 def _extracted_families(standard: ClassicalOracleFamily, space, tol: float):
     """(word, family) per word of ``space``, the grid or one C/H word, that
     admits every hypothesis's standard oracle: the perms of the O_S family
-    ``standard``, with unit phases; each wraps the engine's checked table as it is read."""
-    found = extract_tables(standard.perms, np.ones(standard.perms.shape, dtype=complex), space, tol)
-    if found is None:
+    ``standard``, with unit phases.  The space is checked once, and each
+    family wraps its rows of a table ``_FlipTables.counterparts`` builds."""
+    words = _check_space(space, standard.m)
+    if words is None:
         raise ValueError("a counterpart family needs the grid or a word over C and H")
+    tables = _FlipTables(standard.perms, np.ones(standard.perms.shape, dtype=complex), tol)
+    found = tables.counterparts(words)
     return ((word, _unchecked_family(word, standard.m, table)) for word, _, table, _ in found)
 
 
@@ -371,7 +374,8 @@ def _assert_normalized(sq_norms, tol: float = DEFAULT_TOL):
 
 def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     """One-query identification of k: H on all qubits, the phase oracle,
-    H again; the final state is exactly the basis state for k.
+    H again; the final state is exactly the basis state for k: one amplitude
+    within tol of unit modulus, every other within tol of zero.
 
     H^n|0...0> is written directly as the uniform state.  At even n every
     amplitude is a dyadic rational, so the run is exact."""
@@ -383,8 +387,9 @@ def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     _assert_normalized(np.vecdot(state, state).real, tol)
     state = hadamard_layer(state, n)
     _assert_normalized(np.vecdot(state, state).real, tol)
-    idx = int(np.argmax(np.abs(state)))
-    if not abs(abs(state[idx]) - 1.0) <= tol:
+    mags = np.abs(state)
+    idx = int(np.argmax(mags))
+    if not (abs(mags[idx] - 1.0) <= tol and np.count_nonzero(mags > tol) <= 1):
         raise RuntimeError("final state is not a computational basis state")
     k = tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
     return k, 1

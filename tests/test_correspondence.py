@@ -1,11 +1,14 @@
 """Unit tests for counterpart extraction, the local invariants of two-qubit
 unitaries, the counterpart classification, and the coset structure."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qcorr.matrixcore import (
     HADAMARD,
+    GeneralizedPermutation,
     NonUnitaryError,
     SIGMA_X,
     SIGMA_Z,
@@ -321,6 +324,41 @@ def test_classification_agrees_with_extraction():
             assert found.perm == perm
             assert coset_of(found.perm) == rep
             assert rep in classify_cc(u)
+
+
+def grid_cosets(gp):
+    """(word, coset) of every grid counterpart of a two-qubit map, from the
+    table engine on its tables and from the dense engine on its matrix."""
+    actions = OracleAction.from_permutation(gp), OracleAction.from_matrix(gp.as_matrix())
+    return [[(name, coset_of(hit.perm)) for name, _, hit in search_counterparts(a, PauliGrid())]
+            for a in actions]
+
+
+def test_grid_counterparts_lie_in_the_local_class():
+    # classify_cc reads local equivalence, K1 U K2 with independent local
+    # unitaries on each side; the grid conjugates by one product basis on
+    # both sides, B†UB.  So every coset the grid reaches is in the class,
+    # which can hold more.  Every two-qubit generalized permutation with
+    # first phase 1 and the others in {±1, ±i}: 24 perms, 64 phase choices.
+    equal = 0
+    for perm in itertools.permutations(range(4)):
+        for rest in itertools.product((1, -1, 1j, -1j), repeat=3):
+            gp = GeneralizedPermutation(2, perm, (1, *rest))
+            table, dense = grid_cosets(gp)
+            assert table == dense, gp
+            found, cc = {coset for _, coset in table}, classify_cc(gp.as_matrix())
+            assert found <= cc, gp
+            equal += found == cc
+    assert equal == 432
+
+
+def test_grid_reaches_less_than_the_local_class():
+    # diag(1, 1, i, -i) is locally a CNOT, but no chi/eta word reaches CNOT21.
+    gp = GeneralizedPermutation(2, range(4), (1, 1, 1j, -1j))
+    assert classify_cc(gp.as_matrix()) == CC_CNOT_FAMILY
+    table, dense = grid_cosets(gp)
+    assert table == dense
+    assert {coset for _, coset in table} == {CosetId.I, CosetId.CNOT12}
 
 
 def test_makhlin_errors():

@@ -43,7 +43,6 @@ from qcorr.correspondence import (
     RandomSample,
     basis_word,
     extract_counterpart,
-    extract_tables,
     general_basis,
     search_counterparts,
 )
@@ -338,7 +337,7 @@ def test_family_extracted_stacks(problem, strategy):
         assert fam.perms.tolist() == [list(perm) for perm, _ in hits]
     assert admitted
     # the whole grid on the stacked tables, as speedup_report takes it
-    found = list(extract_tables(*stacked_tables(built), PauliGrid()))
+    found = list(table_search(*stacked_tables(built), PauliGrid()))
     assert [name for name, _, _, _ in found] == [word for word, _ in admitted]
     for (_, _, perms, phases), (_, hits) in zip(found, admitted):
         for perm, ph, hit in zip(perms, phases, hits, strict=True):
@@ -349,6 +348,13 @@ def stacked_tables(actions):
     """The (k, 2^m) perm and phase tables of k permutation-backed actions."""
     maps = [action.permutation for action in actions]
     return np.stack([gp._perm for gp in maps]), np.stack([gp._phases for gp in maps])
+
+
+def table_search(perms, phases, space, tol=DEFAULT_TOL):
+    """The table engine on (k, 2^m) perm and phase tables over the grid or a
+    chi/eta word: (name, assignment, perms, phases) per admitted word."""
+    words = correspondence._check_space(space, num_bits(perms.shape[1]))
+    return correspondence._FlipTables(perms, phases, tol).counterparts(words)
 
 
 
@@ -366,7 +372,7 @@ def assert_table_matches_dense(actions, space, tol=DEFAULT_TOL):
         for (_, _, gp), (_, _, other) in zip(found, want):
             assert_same_hit(gp, (other.perm, other.phases))
         searches.append({name: (bases, gp) for name, bases, gp in want})
-    found = list(extract_tables(*stacked_tables(actions), space, tol))
+    found = list(table_search(*stacked_tables(actions), space, tol))
     want = [(name, bases) for name, (bases, _) in searches[0].items()
             if all(name in search for search in searches)]
     assert [(name, bases) for name, bases, _, _ in found] == want
@@ -542,8 +548,9 @@ def test_flip_tables_match_the_reference(m):
                 assert np.array_equal(hits, want.admitted(words))
                 admitted += len(hits)
                 for found, ref in zip(got.counterparts(hits), want.counterparts(hits), strict=True):
-                    assert all(a.shape == (k, 1 << m) for a in found)
-                    assert all(np.array_equal(a, b) for a, b in zip(found, ref, strict=True))
+                    assert found[:2] == ref[:2]
+                    assert all(a.shape == (k, 1 << m) for a in found[2:])
+                    assert all(np.array_equal(a, b) for a, b in zip(found[2:], ref[2:], strict=True))
     # the affine maps with unit, sign and character phases admit words
     assert admitted >= 3 * 5
 
@@ -575,12 +582,50 @@ def test_extracted_tables_are_built_as_they_are_read():
     phases = np.ones(perms.shape, dtype=complex)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in extract_tables(perms, phases, PauliGrid()))
+        count = sum(1 for _ in table_search(perms, phases, PauliGrid()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count == 65
     assert peak < 32 * perms.nbytes
+
+
+def test_engine_checks_each_inverse_before_it_inverts(monkeypatch):
+    # Q⁻¹ = [1, 1, 2, 3] collides, so its scatter never writes slot 0 of the
+    # perm.  Where that slot's memory holds 0 the perm is the identity, a
+    # bijection: only a check of Q⁻¹ itself refuses it.
+    gp = phase_oracle(BVInstance(2, 0, (0, 0))).permutation
+    tables = correspondence._FlipTables(gp._perm[None], gp._phases[None], DEFAULT_TOL)
+    tables.inv = np.array([[1, 1, 2, 3]])
+    monkeypatch.setattr(np, "empty_like", np.zeros_like)
+    with pytest.raises(ValueError, match="bijection"):
+        next(tables.counterparts(np.array([0])))
+
+
+def test_each_search_checks_its_space_once(monkeypatch):
+    # The space check hands the table engine its words: no caller checks a
+    # space twice, whichever engine it takes.
+    calls = []
+    check_space = correspondence._check_space
+
+    def counting(space, m):
+        calls.append(space)
+        return check_space(space, m)
+
+    monkeypatch.setattr(correspondence, "_check_space", counting)
+    rng = np.random.default_rng(16)
+    oracle = standard_oracle(BooleanFunction(2, random_truth(rng, 2)))
+    for action in (oracle, phase_oracle(BVInstance(3, 1, (1, 0, 1))), dense(oracle)):
+        for space in (PauliGrid(), (ETA, CHI, ETA), RandomSample(2, 0)):
+            calls.clear()
+            search_counterparts(action, space)
+            assert calls == [space], (action, space)
+    monkeypatch.setattr(querylab, "_check_space", counting)
+    standard = querylab.named_family(bv_problem(2), "OS")
+    for space in (PauliGrid(), (CHI, ETA, ETA)):
+        calls.clear()
+        assert list(querylab._extracted_families(standard, space, DEFAULT_TOL))
+        assert calls == [space], space
 
 
 def test_phases_off_the_unit_circle_admit_nothing():

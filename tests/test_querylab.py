@@ -224,9 +224,10 @@ def test_named_family_peak_near_four_tables(monkeypatch):
 
 @pytest.mark.parametrize("name,n", [("bv", 3), ("bv", 6), ("parity", 2)])
 def test_extracted_families_check_each_table_once(name, n, monkeypatch):
-    # Each block of words the engine builds is checked once, in place, and
-    # each family holds its rows of that block: no second check, no copy.
-    # bv n = 6 (k = 128, m = 7) takes one word per block.
+    # Each block of words the engine builds is checked once, as Q⁻¹ before
+    # it is inverted, and the families of a block hold rows of one read-only
+    # table, its inverse: no second check, no copy.  bv n = 6 (k = 128,
+    # m = 7) takes one word per block.
     checked = []
     checked_perms = matrixcore._checked_perms
 
@@ -243,9 +244,14 @@ def test_extracted_families_check_each_table_once(name, n, monkeypatch):
     per = max(1, matrixcore._BLOCK // (k * dim))
     assert len(checked) == -(-len(families) // per) > 0
     assert sum(len(block) for block in checked) == len(families) * k
+    outputs = np.broadcast_to(np.arange(dim), (k, dim))
     for i, fam in enumerate(families):
+        row = i % per * k
+        qinv = checked[i // per][row:row + k]
+        assert np.array_equal(np.take_along_axis(fam.perms, qinv, axis=1), outputs)
         assert not fam.perms.flags.writeable
-        assert np.shares_memory(fam.perms, checked[i // per])
+        assert fam.perms.base is not None
+        assert fam.perms.base is families[i - i % per].perms.base
 
 
 @pytest.mark.parametrize("rows", [
@@ -440,6 +446,23 @@ def test_bv_quantum_exhaustive(n):
 def test_bv_quantum_size_limit():
     with pytest.raises(SizeLimitError):
         run_bv_quantum(BVInstance(17, 0, (0,) * 17))
+
+
+def test_bv_readout_refuses_a_second_amplitude(monkeypatch):
+    # A state that keeps its norm and its largest amplitude within tol of
+    # unit modulus, but puts 1e-6 on a second basis state, is no basis state.
+    layer = querylab.hadamard_layer
+
+    def leaky(state, n):
+        out = layer(state, n)
+        top = int(np.argmax(np.abs(out)))
+        out[top] *= np.sqrt(1.0 - 1e-12)
+        out[top ^ 1] = 1e-6
+        return out
+
+    monkeypatch.setattr(querylab, "hadamard_layer", leaky)
+    with pytest.raises(RuntimeError, match="basis state"):
+        run_bv_quantum(BVInstance(3, 0, (1, 0, 1)))
 
 
 def test_parity_quantum_examples():
