@@ -44,10 +44,10 @@ from .correspondence import (
     PauliGrid,
     RandomSample,
     _check_space,
+    _counterparts,
     classify_triple,
     makhlin_invariants,
     parse_basis_word,
-    search_counterparts,
 )
 from . import querylab
 
@@ -150,14 +150,13 @@ def cmd_counterparts(args) -> list:
     m, build = _oracle_input(args)
     space = _parse_space(args.bases, m)
     _check_space(space, m)  # before the 2^m entries of the oracle are built
-    found = search_counterparts(build(), space, tol)
     return [
         {
             "bases": name,
             "perm": cycle_notation(gp._perm.tolist()),
             "phases_present": bool((np.abs(gp._phases - 1.0) > tol).any()),
         }
-        for name, _, gp in found
+        for name, _, gp in _counterparts(build(), space, tol)
     ]
 
 

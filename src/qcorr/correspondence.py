@@ -340,10 +340,31 @@ class _FlipTables:
             yield from ((*names[c], q, ph) for c, q, ph in zip(s.ravel().tolist(), perm, phases))
 
 
+def _counterparts(action: OracleAction, space, tol: float):
+    """``search_counterparts`` as a generator: each triple as it is found."""
+    m = action.m
+    words = _check_space(space, m)  # before any allocation
+    gp = action.permutation
+    if gp is not None and words is not None:
+        found = _FlipTables(gp._perm[None], gp._phases[None], tol).counterparts(words)
+        for name, bases, perms, phases in found:
+            yield name, bases, _unchecked(m, perms[0], phases[0])
+        return
+    bases, at = _assignments(space, m)
+    per = max(1, _BLOCK >> m)
+    for first in range(0, len(bases), per):
+        passed = _column_rule(_columns(action, bases[first:first + per], 0, 0)[:, 0], tol)[2]
+        for i in (first + np.flatnonzero(passed)).tolist():
+            one = bases[i:i + 1]
+            hit = _decode_columns(lambda start, c: _columns(action, one, c, start)[..., 0], m, tol)
+            if hit is not None:
+                yield (*at(i), hit)
+
+
 def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
     """All assignments of a space under which the action has a classical
     counterpart, as (name, assignment, counterpart) triples in the space's
-    order.
+    order: the list of what ``_counterparts`` yields.
 
     The space is checked once.  A permutation-backed action on the grid or
     a chi/eta word goes to ``_FlipTables.counterparts``.  Otherwise one loop
@@ -353,24 +374,7 @@ def search_counterparts(action: OracleAction, space, tol: float = DEFAULT_TOL):
     ``detect_generalized_permutation`` decodes a matrix, without building
     B†UB whole.
     """
-    m = action.m
-    words = _check_space(space, m)  # before any allocation
-    gp = action.permutation
-    if gp is not None and words is not None:
-        found = _FlipTables(gp._perm[None], gp._phases[None], tol).counterparts(words)
-        return [(name, bases, _unchecked(m, perms[0], phases[0]))
-                for name, bases, perms, phases in found]
-    bases, at = _assignments(space, m)
-    found = []
-    per = max(1, _BLOCK >> m)
-    for first in range(0, len(bases), per):
-        passed = _column_rule(_columns(action, bases[first:first + per], 0, 0)[:, 0], tol)[2]
-        for i in (first + np.flatnonzero(passed)).tolist():
-            one = bases[i:i + 1]
-            hit = _decode_columns(lambda start, c: _columns(action, one, c, start)[..., 0], m, tol)
-            if hit is not None:
-                found.append((*at(i), hit))
-    return found
+    return list(_counterparts(action, space, tol))
 
 
 def extract_counterpart(action: OracleAction, bases, tol: float = DEFAULT_TOL):
@@ -381,8 +385,7 @@ def extract_counterpart(action: OracleAction, bases, tol: float = DEFAULT_TOL):
     the full permutation and its output phases.  It is one search, over a
     space of this one assignment.
     """
-    found = search_counterparts(action, tuple(bases), tol)
-    return found[0][2] if found else None
+    return next((gp for _, _, gp in _counterparts(action, tuple(bases), tol)), None)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import DEFAULT_TOL, GeneralizedPermutation, _json_int, num_bits
+from .matrixcore import (DEFAULT_TOL, GeneralizedPermutation, _checked_perms, _json_int, _unchecked,
+                         num_bits)
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,8 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
     and is dropped."""
     # The signs are taken in floats, where 1 - 2 * 1 is -1 and not 255.
     signs = 1.0 - 2.0 * _dot_parities(inst.n, inst.k_int)
-    gp = GeneralizedPermutation(inst.n, np.arange(1 << inst.n), signs)
-    return OracleAction.from_permutation(gp)
+    perm = _checked_perms(inst.n, np.arange(1 << inst.n), 1)
+    return OracleAction.from_permutation(_unchecked(inst.n, perm, signs.astype(complex)))
 
 
 # Each named oracle's perm is written once, over any leading axes: one

@@ -4,14 +4,16 @@ contract (0 success, 2 malformed input, 3 non-unitary, 4 size limit)."""
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcorr import cli, querylab
 from qcorr.cli import build_parser, main
-from qcorr.correspondence import MakhlinTriple
-from qcorr.matrixcore import matrix_to_json
+from qcorr.correspondence import MakhlinTriple, PauliGrid, search_counterparts
+from qcorr.matrixcore import cycle_notation, matrix_to_json
+from qcorr.oracleforge import BVInstance, bv_function, standard_oracle
 
 CNOT12 = [
     [1, 0, 0, 0],
@@ -234,6 +236,34 @@ def test_counterparts_limit_comes_before_the_oracle(tmp_path, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: extraction on {m} qubits exceeds the 13-qubit limit\n"
+
+
+def test_counterparts_holds_one_counterpart_at_a_time(tmp_path, capsys):
+    # The grid on m = 10 qubits admits 520 words, each a map of 1024 intp
+    # perm entries and 1024 complex phases (24 KiB): 12 MiB if all are held
+    # at once, against about 1 MiB of stdout.  Formatted as the engine
+    # yields them, the run peaks near the size of its output.
+    inst = BVInstance(9, 1, (1, 0, 1, 1, 0, 0, 1, 1, 1))
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps(inst.to_json()))
+    argv = ["counterparts", "--oracle", "standard", "--bv", str(bv), "--bases", "GRID"]
+    assert main(argv) == 0  # warm: imports and the grid's words
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert peak < 8 << 20
+    found = search_counterparts(standard_oracle(bv_function(inst)), PauliGrid())
+    assert json.loads(out) == [
+        {"bases": name, "perm": cycle_notation(gp.perm),
+         "phases_present": any(abs(p - 1.0) > 1e-9 for p in gp.phases)}
+        for name, _, gp in found
+    ]
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,32 @@ def test_grid_reaches_less_than_the_local_class():
     assert {coset for _, coset in table} == {CosetId.I, CosetId.CNOT12}
 
 
+def test_dressed_two_qubit_gates_keep_their_counterparts():
+    # Matrix-backed oracles that are not themselves permutations: for a
+    # chi/eta word B the grid on U = B G B† (the dense engine) admits B with
+    # G as its counterpart, and every coset it finds is in U's local class.
+    # A Haar local dressing K G K† keeps G's class, and the grid's cosets on
+    # it lie in that class too.  G: random perms, 8th-root-of-unity phases.
+    rng = np.random.default_rng(2301)
+    for _ in range(40):
+        phases = np.exp(1j * np.pi / 4 * rng.integers(8, size=4))
+        gp = GeneralizedPermutation(2, rng.permutation(4), phases)
+        g = gp.as_matrix()
+        for word in ("CC", "CH", "HC", "HH"):
+            b = np.kron(*(basis.matrix for basis in parse_basis_word(word)))
+            u = b @ g @ b.conj().T
+            found = search_counterparts(OracleAction.from_matrix(u), PauliGrid())
+            hits = {name: hit for name, _, hit in found}
+            assert hits[word].perm == gp.perm
+            assert np.abs(np.subtract(hits[word].phases, gp.phases)).max() <= 1e-9
+            assert {coset_of(hit.perm) for hit in hits.values()} <= classify_cc(u)
+        k = local_dressing(rng)
+        u = k @ g @ k.conj().T
+        assert classify_cc(u) == classify_cc(g)
+        found = search_counterparts(OracleAction.from_matrix(u), PauliGrid())
+        assert {coset_of(hit.perm) for _, _, hit in found} <= classify_cc(g)
+
+
 def test_makhlin_errors():
     with pytest.raises(NonUnitaryError):
         makhlin_invariants(np.ones((4, 4)))

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcorr import correspondence, matrixcore
+from qcorr import correspondence, matrixcore, oracleforge
 from qcorr.matrixcore import GeneralizedPermutation, SizeLimitError
 from qcorr.oracleforge import (
     BooleanFunction,
@@ -583,10 +583,10 @@ def test_speedup_report_builds_no_map_per_hypothesis(monkeypatch):
 
     unchecked = matrixcore._unchecked
     monkeypatch.setattr(GeneralizedPermutation, "__init__", counting_init)
-    for module in (matrixcore, correspondence):
+    for module in (matrixcore, correspondence, oracleforge):
         monkeypatch.setattr(module, "_unchecked", counting_unchecked)
     report = speedup_report(bv_problem(3))
-    assert built == ["init"]
+    assert built == ["unchecked"]
     assert report.genuine_speedup == 1.0
 
 
