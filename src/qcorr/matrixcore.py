@@ -153,10 +153,13 @@ def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
     return res
 
 
-# Qubits per pass of hadamard_layer.  A pass costs 2^g multiply-adds per
-# entry and one transpose; at 6 the products stay small and 16 qubits take
-# three passes.
-_HADAMARD_PASS = 6
+# Qubits per pass of hadamard_layer, and multiply-adds per matrix product in
+# it.  OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
+# thread.  A block's output holds at most _BLOCK floats, so a pass of g <= 4
+# qubits (2^g multiply-adds per float) stays within that; the last pass
+# (2^(g+1) per float) takes fewer floats per block where it must.
+_HADAMARD_PASS = 4
+_PRODUCT = 1 << 18
 
 
 @functools.cache
@@ -169,28 +172,63 @@ def _sylvester(g: int) -> np.ndarray:
     return s
 
 
-def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
-    """H on every qubit of an m-qubit statevector, as a new array.
+@functools.cache
+def _last_pass(m: int) -> np.ndarray:
+    """kron(S, I2) for the last g = (m - 1) % _HADAMARD_PASS + 1 qubits of an
+    m-qubit layer, scaled by 2^(-m/2), as read-only floats: it acts by right
+    multiplication on rows of 2^g complex entries, each a (re, im) pair."""
+    k = np.kron(_sylvester((m - 1) % _HADAMARD_PASS + 1), np.eye(2)) * 2.0 ** (-m / 2)
+    k.flags.writeable = False
+    return k
 
-    Each pass multiplies the leading (most significant) g <= _HADAMARD_PASS
-    qubits by the ±1 Sylvester matrix, one real matrix product on the
-    complex entries viewed as float pairs, and a transpose moves those
-    qubits to the low end.  The passes cover the m qubits once, so the order
-    ends where it began; the one scale by 2^(-m/2) comes last.
+
+def hadamard_layer(state: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """H on every qubit of an m-qubit statevector, into ``out``: a C-ordered
+    complex array of 2^m entries, which may be ``state`` itself, by default a
+    new copy.
+
+    Each pass but the last takes the next g = _HADAMARD_PASS qubits from the
+    most significant, on the (A, 2^g, B) float view of the entries: one real
+    product with the ±1 Sylvester matrix per block of that view, through one
+    small scratch block, so no transpose and no second buffer the size of
+    the state.  The last pass takes the g <= _HADAMARD_PASS qubits left,
+    where B is one (re, im) pair: it multiplies rows of 2^(g+1) floats by
+    kron(S, I2) instead, and also applies the one scale by 2^(-m/2).  Every
+    product stays within _PRODUCT multiply-adds, so BLAS runs on the calling
+    thread.
     """
-    psi = np.ascontiguousarray(state, dtype=complex)
+    psi = np.asarray(state)
     if m < 1 or psi.shape != (1 << m,):
         raise ValueError(f"expected a statevector of 2**{m} entries, got shape {psi.shape}")
-    # Two buffers for all passes: fresh pages cost more than a pass's copy.
-    prod, out = np.empty_like(psi), np.empty_like(psi)
-    src = psi
-    for done in range(0, m, _HADAMARD_PASS):
-        g = min(_HADAMARD_PASS, m - done)
-        np.matmul(_sylvester(g), src.view(float).reshape(1 << g, -1),
-                  out=prod.view(float).reshape(1 << g, -1))
-        out.reshape(-1, 1 << g)[...] = prod.reshape(1 << g, -1).T
-        src = out
-    out *= 2.0 ** (-m / 2)
+    if out is None:
+        out = psi.astype(complex)
+    elif not (isinstance(out, np.ndarray) and out.shape == psi.shape and out.dtype == complex
+              and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-ordered complex array of 2**{m} entries")
+    elif out is not psi:
+        out[...] = psi
+    f = out.view(float)
+    scratch = np.empty(min(f.size, _BLOCK))
+    g, s = _HADAMARD_PASS, _sylvester(_HADAMARD_PASS)
+    for done in range(0, m - g, g):
+        grid = f.reshape(-1, 1 << g, 2 << (m - done - g))
+        # A block is `per` slices along A, each `cols` floats of B wide.
+        cols = min(grid.shape[2], _BLOCK >> g)
+        per = (_BLOCK >> g) // cols
+        for a in range(0, grid.shape[0], per):
+            for c in range(0, grid.shape[2], cols):
+                blk = grid[a:a + per, :, c:c + cols]
+                tmp = scratch[:blk.size].reshape(blk.shape)
+                np.matmul(s, blk, out=tmp)
+                blk[...] = tmp
+    k = _last_pass(m)
+    rows = f.reshape(-1, len(k))
+    step = min(_BLOCK, _PRODUCT // len(k)) // len(k)
+    for r in range(0, len(rows), step):
+        blk = rows[r:r + step]
+        tmp = scratch[:blk.size].reshape(blk.shape)
+        np.matmul(blk, k, out=tmp)
+        blk[...] = tmp
     return out
 
 
@@ -298,7 +336,7 @@ class GeneralizedPermutation:
         them, without materializing the matrix.  Output string i gathers
         input string inv[i], which is faster than scattering inputs."""
         inv, phases = self._arrays
-        out = np.take(np.asarray(state, dtype=complex), inv, axis=0)
+        out = np.asarray(state, dtype=complex)[inv]
         # Phase first: the operand order fixes the rounding of the product.
         return np.multiply(phases.reshape((-1,) + (1,) * (out.ndim - 1)), out, out=out)
 
@@ -310,12 +348,17 @@ class GeneralizedPermutation:
         return np.array_equal(self._perm[self._perm], np.arange(self.dim))
 
 
-def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray) -> GeneralizedPermutation:
+def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray,
+               inv: np.ndarray | None = None) -> GeneralizedPermutation:
     """A map from arrays already checked, as the detector, the extraction
-    engines and unpickling have; its twin for families is in ``querylab``."""
+    engines and unpickling have; its twin for families is in ``querylab``.
+    A caller that holds the inverse of ``perm`` read-only passes it as
+    ``inv``, so the map builds none."""
     gp = object.__new__(GeneralizedPermutation)
     perm.flags.writeable = phases.flags.writeable = False
     gp.__dict__.update(m=m, _perm=perm, _phases=phases)
+    if inv is not None:
+        gp.__dict__["_arrays"] = inv, phases
     return gp
 
 

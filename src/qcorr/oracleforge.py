@@ -8,6 +8,7 @@ the query/target bit last (least significant).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,13 +163,29 @@ def standard_oracle(f: BooleanFunction) -> OracleAction:
     return OracleAction.from_permutation(classical_OS(f))
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The identity perm on n bits, checked once and shared read-only."""
+    return _checked_perms(n, np.arange(1 << n), 1)
+
+
 def phase_oracle(inst: BVInstance) -> OracleAction:
     """|x> |-> (-1)^(x.k) |x> on n qubits; k0 only shifts the global phase
     and is dropped."""
-    # The signs are taken in floats, where 1 - 2 * 1 is -1 and not 255.
-    signs = 1.0 - 2.0 * _dot_parities(inst.n, inst.k_int)
-    perm = _checked_perms(inst.n, np.arange(1 << inst.n), 1)
-    return OracleAction.from_permutation(_unchecked(inst.n, perm, signs.astype(complex)))
+    # The signs go straight into the real parts: the sign of x on its last
+    # j + 1 bits is that on its last j, flipped where bit j of x and k is set.
+    phases = np.zeros(1 << inst.n, dtype=complex)
+    signs = phases.real
+    signs[0] = 1.0
+    for j, bit in enumerate(reversed(inst.k)):
+        half = signs[:1 << j]
+        if bit:
+            np.negative(half, out=signs[1 << j:2 << j])
+        else:
+            signs[1 << j:2 << j] = half
+    # The identity is its own inverse.
+    perm = _identity(inst.n)
+    return OracleAction.from_permutation(_unchecked(inst.n, perm, phases, inv=perm))
 
 
 # Each named oracle's perm is written once, over any leading axes: one

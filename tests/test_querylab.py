@@ -453,8 +453,8 @@ def test_bv_readout_refuses_a_second_amplitude(monkeypatch):
     # unit modulus, but puts 1e-6 on a second basis state, is no basis state.
     layer = querylab.hadamard_layer
 
-    def leaky(state, n):
-        out = layer(state, n)
+    def leaky(state, n, out=None):
+        out = layer(state, n, out=out)
         top = int(np.argmax(np.abs(out)))
         out[top] *= np.sqrt(1.0 - 1e-12)
         out[top ^ 1] = 1e-6
@@ -577,9 +577,9 @@ def test_speedup_report_builds_no_map_per_hypothesis(monkeypatch):
         built.append("init")
         init(self, *args, **kwargs)
 
-    def counting_unchecked(m, perm, phases):
+    def counting_unchecked(*args, **kwargs):
         built.append("unchecked")
-        return unchecked(m, perm, phases)
+        return unchecked(*args, **kwargs)
 
     unchecked = matrixcore._unchecked
     monkeypatch.setattr(GeneralizedPermutation, "__init__", counting_init)

@@ -9,6 +9,8 @@ Bernstein-Vazirani with a fresh state per Hadamard, and parity with one
 ``np.kron``-built input state and one oracle call per kickback query.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,14 +195,55 @@ def test_hadamard_layer_matches_per_qubit_passes(m):
         got = hadamard_layer(state, m)
         assert np.array_equal(state, kept)
         assert got.shape == (dim,) and got.dtype == complex
-        assert np.abs(got - reference_hadamard_layer(state, m)).max() <= 1e-12
+        want = reference_hadamard_layer(state, m)
+        assert np.abs(got - want).max() <= 1e-12
         assert np.abs(hadamard_layer(got, m) - state).max() <= 1e-12
+        # In place: the result is written over the input and returned.
+        inplace = state.copy()
+        assert hadamard_layer(inplace, m, out=inplace) is inplace
+        assert np.abs(inplace - want).max() <= 1e-12
+        # Into another array, from a strided input that is left as it was.
+        wide = np.repeat(state, 2)
+        into = np.empty(dim, dtype=complex)
+        assert hadamard_layer(wide[::2], m, out=into) is into
+        assert np.array_equal(wide[::2], state)
+        assert np.abs(into - want).max() <= 1e-12
+        assert np.abs(hadamard_layer(wide[1::2], m) - want).max() <= 1e-12
 
 
 def test_hadamard_layer_rejects_a_state_of_the_wrong_size():
     for state, m in ((np.ones(8), 2), (np.ones((4, 2)), 2), (np.ones(1), 0)):
         with pytest.raises(ValueError, match="statevector"):
             hadamard_layer(state, m)
+
+
+def test_hadamard_layer_rejects_an_out_of_the_wrong_shape_or_dtype():
+    state = np.ones(8, dtype=complex)
+    for out in (np.empty(4, dtype=complex), np.empty((2, 4), dtype=complex),
+                np.empty(8), np.empty(8, dtype=np.complex64), np.empty(16, dtype=complex)[::2],
+                [0j] * 8):
+        with pytest.raises(ValueError, match="out must be"):
+            hadamard_layer(state, 3, out=out)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bv_at_n16_peaks_below_four_mib():
+    inst = random_bv(16, np.random.default_rng(16))
+    assert _peak_bytes(lambda: querylab.run_bv_quantum(inst)) < 4 << 20
+
+
+def test_hadamard_layer_in_place_at_m16_peaks_below_256_kib():
+    state = np.full(1 << 16, 2.0 ** -8, dtype=complex)
+    assert _peak_bytes(lambda: hadamard_layer(state, 16, out=state)) < 256 << 10
+    assert state[0] == 1 and np.count_nonzero(state) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 17))
