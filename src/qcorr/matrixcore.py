@@ -154,10 +154,11 @@ def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
 
 
 # Qubits per pass of hadamard_layer, and multiply-adds per matrix product in
-# it.  OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
-# thread.  A block's output holds at most _BLOCK floats, so a pass of g <= 4
-# qubits (2^g multiply-adds per float) stays within that; the last pass
-# (2^(g+1) per float) takes fewer floats per block where it must.
+# it: OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
+# thread.  The layer's blocks are sized from these two alone.  A block holds
+# at most _PRODUCT >> _HADAMARD_PASS floats (128 KiB), at 2^g multiply-adds
+# each in a pass of g qubits; the last pass, at w multiply-adds per float on
+# rows of w floats, takes fewer rows where w exceeds 2^_HADAMARD_PASS.
 _HADAMARD_PASS = 4
 _PRODUCT = 1 << 18
 
@@ -182,10 +183,9 @@ def _last_pass(m: int) -> np.ndarray:
     return k
 
 
-def hadamard_layer(state: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    """H on every qubit of an m-qubit statevector, into ``out``: a C-ordered
-    complex array of 2^m entries, which may be ``state`` itself, by default a
-    new copy.
+def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
+    """H on every qubit of an m-qubit statevector, in place: ``state`` must be
+    a C-ordered complex array of 2^m entries.  It is returned.
 
     Each pass but the last takes the next g = _HADAMARD_PASS qubits from the
     most significant, on the (A, 2^g, B) float view of the entries: one real
@@ -197,39 +197,33 @@ def hadamard_layer(state: np.ndarray, m: int, out: np.ndarray | None = None) -> 
     product stays within _PRODUCT multiply-adds, so BLAS runs on the calling
     thread.
     """
-    psi = np.asarray(state)
-    if m < 1 or psi.shape != (1 << m,):
-        raise ValueError(f"expected a statevector of 2**{m} entries, got shape {psi.shape}")
-    if out is None:
-        out = psi.astype(complex)
-    elif not (isinstance(out, np.ndarray) and out.shape == psi.shape and out.dtype == complex
-              and out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-ordered complex array of 2**{m} entries")
-    elif out is not psi:
-        out[...] = psi
-    f = out.view(float)
-    scratch = np.empty(min(f.size, _BLOCK))
-    g, s = _HADAMARD_PASS, _sylvester(_HADAMARD_PASS)
+    if not (isinstance(state, np.ndarray) and m >= 1 and state.shape == (1 << m,)
+            and state.dtype == complex and state.flags.c_contiguous):
+        raise ValueError(f"expected a C-ordered complex statevector of 2**{m} entries, "
+                         f"got {type(state).__name__} of shape {np.shape(state)}")
+    f = state.view(float)
+    g, s, k = _HADAMARD_PASS, _sylvester(_HADAMARD_PASS), _last_pass(m)
+    block = _PRODUCT >> g
+    step = min(block, _PRODUCT // len(k)) // len(k)
+    scratch = np.empty(min(f.size, block))
     for done in range(0, m - g, g):
         grid = f.reshape(-1, 1 << g, 2 << (m - done - g))
         # A block is `per` slices along A, each `cols` floats of B wide.
-        cols = min(grid.shape[2], _BLOCK >> g)
-        per = (_BLOCK >> g) // cols
+        cols = min(grid.shape[2], block >> g)
+        per = (block >> g) // cols
         for a in range(0, grid.shape[0], per):
             for c in range(0, grid.shape[2], cols):
                 blk = grid[a:a + per, :, c:c + cols]
                 tmp = scratch[:blk.size].reshape(blk.shape)
                 np.matmul(s, blk, out=tmp)
                 blk[...] = tmp
-    k = _last_pass(m)
     rows = f.reshape(-1, len(k))
-    step = min(_BLOCK, _PRODUCT // len(k)) // len(k)
     for r in range(0, len(rows), step):
         blk = rows[r:r + step]
         tmp = scratch[:blk.size].reshape(blk.shape)
         np.matmul(blk, k, out=tmp)
         blk[...] = tmp
-    return out
+    return state
 
 
 def _checked_perms(m: int, perms, ndim: int) -> np.ndarray:

@@ -164,9 +164,15 @@ def standard_oracle(f: BooleanFunction) -> OracleAction:
 
 
 @functools.cache
-def _identity(n: int) -> np.ndarray:
-    """The identity perm on n bits, checked once and shared read-only."""
+def _small_identity(n: int) -> np.ndarray:
     return _checked_perms(n, np.arange(1 << n), 1)
+
+
+def _identity(n: int) -> np.ndarray:
+    """The identity perm on n bits, to be shared read-only.  Up to the
+    16-qubit simulation limit it is checked once and kept, at most 1 MiB
+    over every n; a larger one is built and checked per call."""
+    return _small_identity(n) if n <= 16 else _checked_perms(n, np.arange(1 << n), 1)
 
 
 def phase_oracle(inst: BVInstance) -> OracleAction:

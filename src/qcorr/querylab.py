@@ -395,7 +395,7 @@ def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     uniform = np.broadcast_to(np.complex128(2.0 ** (-n / 2)), 1 << n)
     state = phase_oracle(inst).apply(uniform)
     _assert_normalized(_squared_norm(state), tol)
-    hadamard_layer(state, n, out=state)
+    hadamard_layer(state, n)
     _assert_normalized(_squared_norm(state), tol)
     mags = np.abs(state)
     idx = int(np.argmax(mags))

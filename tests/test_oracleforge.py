@@ -190,6 +190,15 @@ def test_phase_oracle_diagonal_pm_one_and_k0_free(n):
         assert gp0.phases == gp1.phases
 
 
+def test_phase_oracle_keeps_its_identity_perm_only_up_to_16_qubits():
+    # Above the simulation limit no 2^n table outlives the oracles using it.
+    for n, kept in ((16, True), (17, False)):
+        a, b = (phase_oracle(BVInstance(n, 0, (1,) * n)).permutation for _ in range(2))
+        assert (a._perm is b._perm) is kept
+        assert not a._perm.flags.writeable
+        assert a._arrays[0] is a._perm and np.array_equal(a._perm, np.arange(1 << n))
+
+
 def test_oracle_action_matrix_checks():
     with pytest.raises(ValueError):
         OracleAction.from_matrix(np.array([[1, 1], [0, 1]], dtype=complex))

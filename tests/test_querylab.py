@@ -453,8 +453,8 @@ def test_bv_readout_refuses_a_second_amplitude(monkeypatch):
     # unit modulus, but puts 1e-6 on a second basis state, is no basis state.
     layer = querylab.hadamard_layer
 
-    def leaky(state, n, out=None):
-        out = layer(state, n, out=out)
+    def leaky(state, n):
+        out = layer(state, n)
         top = int(np.argmax(np.abs(out)))
         out[top] *= np.sqrt(1.0 - 1e-12)
         out[top ^ 1] = 1e-6

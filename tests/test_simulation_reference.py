@@ -191,39 +191,40 @@ def test_hadamard_layer_matches_per_qubit_passes(m):
     for _ in range(2):
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
-        kept = state.copy()
-        got = hadamard_layer(state, m)
-        assert np.array_equal(state, kept)
-        assert got.shape == (dim,) and got.dtype == complex
         want = reference_hadamard_layer(state, m)
+        # In place: the result is written over the input and returned.
+        got = state.copy()
+        assert hadamard_layer(got, m) is got
         assert np.abs(got - want).max() <= 1e-12
         assert np.abs(hadamard_layer(got, m) - state).max() <= 1e-12
-        # In place: the result is written over the input and returned.
-        inplace = state.copy()
-        assert hadamard_layer(inplace, m, out=inplace) is inplace
-        assert np.abs(inplace - want).max() <= 1e-12
-        # Into another array, from a strided input that is left as it was.
-        wide = np.repeat(state, 2)
-        into = np.empty(dim, dtype=complex)
-        assert hadamard_layer(wide[::2], m, out=into) is into
-        assert np.array_equal(wide[::2], state)
-        assert np.abs(into - want).max() <= 1e-12
-        assert np.abs(hadamard_layer(wide[1::2], m) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 1 << 20])
+def test_hadamard_layer_does_not_size_its_blocks_from_the_kernel_block(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    cases = []
+    for m in (1, 4, 5, 13, 14, 16):
+        state = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        state /= np.linalg.norm(state)
+        cases.append((m, state, reference_hadamard_layer(state, m)))
+    monkeypatch.setattr(matrixcore, "_BLOCK", block)
+    for m, state, want in cases:
+        assert np.abs(hadamard_layer(state, m) - want).max() <= 1e-12
 
 
 def test_hadamard_layer_rejects_a_state_of_the_wrong_size():
-    for state, m in ((np.ones(8), 2), (np.ones((4, 2)), 2), (np.ones(1), 0)):
+    for state, m in ((np.ones(8, dtype=complex), 2), (np.ones((4, 2), dtype=complex), 2),
+                     (np.ones(1, dtype=complex), 0)):
         with pytest.raises(ValueError, match="statevector"):
             hadamard_layer(state, m)
 
 
-def test_hadamard_layer_rejects_an_out_of_the_wrong_shape_or_dtype():
-    state = np.ones(8, dtype=complex)
-    for out in (np.empty(4, dtype=complex), np.empty((2, 4), dtype=complex),
-                np.empty(8), np.empty(8, dtype=np.complex64), np.empty(16, dtype=complex)[::2],
-                [0j] * 8):
-        with pytest.raises(ValueError, match="out must be"):
-            hadamard_layer(state, 3, out=out)
+def test_hadamard_layer_rejects_a_state_it_cannot_transform_in_place():
+    wide = np.ones(16, dtype=complex)
+    for state in (np.ones(8), np.ones(8, dtype=np.complex64), wide[::2], [1j] * 8):
+        with pytest.raises(ValueError, match="statevector"):
+            hadamard_layer(state, 3)
+    assert np.array_equal(wide, np.ones(16))
 
 
 def _peak_bytes(fn):
@@ -242,7 +243,7 @@ def test_bv_at_n16_peaks_below_four_mib():
 
 def test_hadamard_layer_in_place_at_m16_peaks_below_256_kib():
     state = np.full(1 << 16, 2.0 ** -8, dtype=complex)
-    assert _peak_bytes(lambda: hadamard_layer(state, 16, out=state)) < 256 << 10
+    assert _peak_bytes(lambda: hadamard_layer(state, 16)) < 256 << 10
     assert state[0] == 1 and np.count_nonzero(state) == 1
 
 
