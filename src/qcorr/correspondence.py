@@ -51,6 +51,7 @@ import numpy as np
 from .matrixcore import (
     _BLOCK,
     DEFAULT_TOL,
+    HADAMARD,
     MAGIC_Q,
     NonUnitaryError,
     SizeLimitError,
@@ -58,6 +59,7 @@ from .matrixcore import (
     _column_rule,
     _decode_columns,
     _unchecked,
+    _unit_modulus,
     apply_single_qubit,
     is_unitary,
     num_bits,
@@ -82,10 +84,10 @@ class QubitBasis:
     """Orthonormal pair of single-qubit states used as the 0/1 encoding.
 
     ``matrix`` holds the pair as columns.  ``label`` is 'C' for the standard
-    pair, 'H' for the Hadamard-rotated pair, '?' for anything else.  The
-    table engine knows the chi/eta words by identity, ``CHI`` and ``ETA``
-    themselves; the dense engine skips the 2x2 passes of any basis whose
-    matrix is exactly the identity.
+    pair and 'H' for the Hadamard-rotated pair, each within BASIS_TOL, or '?'
+    for anything else.  The table engine knows the chi/eta words by identity,
+    ``CHI`` and ``ETA`` themselves; the dense engine skips the 2x2 passes of
+    any basis whose matrix is exactly the identity.
     """
 
     __slots__ = ("label", "matrix")
@@ -95,6 +97,9 @@ class QubitBasis:
         if matrix.shape != (2, 2):
             raise ValueError("basis matrix must be 2x2")
         _check_orthonormal(matrix)
+        named = {"C": np.eye(2), "H": HADAMARD}.get(label)
+        if named is not None and not np.abs(matrix - named).max() <= BASIS_TOL:
+            raise ValueError(f"a basis labelled {label!r} must be within {BASIS_TOL} of that pair")
         self.label = label
         self.matrix = matrix
 
@@ -243,7 +248,7 @@ def _columns(action: OracleAction, bases: np.ndarray, c: int, start: int) -> np.
     cols = action.apply(states.reshape(1 << m, -1)).reshape(1 << m, 1 << c, a)
     back = bases.conj().swapaxes(-1, -2)
     for j in np.flatnonzero((back != np.eye(2)).any(axis=(0, 2, 3))).tolist():
-        apply_single_qubit(cols, back[:, j], j, m + c, out=cols)
+        apply_single_qubit(cols, back[:, j], j, m + c)
     return cols
 
 
@@ -272,17 +277,13 @@ class _FlipTables:
     """
 
     def __init__(self, perms: np.ndarray, phases: np.ndarray, tol: float):
-        self.p = perms
         k, dim = perms.shape
         self.m = m = num_bits(dim)
+        self.p, self.inv = _checked_perms(m, perms, 2)
         self.rows = rows = np.arange(k)[:, None]
-        self.inv = np.empty_like(perms)
-        self.inv[rows, perms] = np.arange(dim)
-        self.psi = phases[rows, perms]
-        # Every entry of a counterpart is some psi(x) or -psi(x), so each must
-        # pass the dense detector's test: modulus above tol and within tol of 1.
-        mags = np.abs(self.psi)
-        self.unit = bool(((mags > tol) & (np.abs(mags - 1.0) <= tol)).all())
+        self.psi = phases[rows, self.p]
+        # Every entry of a counterpart is ±psi(x): each must pass as a phase.
+        self.unit = bool(_unit_modulus(phases, tol).all())
         key = np.empty((m, k, dim), dtype=self.p.dtype)
         minus, plus = np.empty((2, m, k, dim), dtype=bool)
         for b in range(m):
@@ -316,12 +317,13 @@ class _FlipTables:
 
     def counterparts(self, words: np.ndarray):
         """The table engine's one entry: per grid code of ``words`` under which
-        every G has a counterpart, in order, (name, assignment, perms, phases)
-        with the (k, 2^m) tables of the k counterparts Q of H^S G H^S.  In
-        closed form, with x0 = P⁻¹(w) & ~s, Q⁻¹(w) is x0 | (B(w) & s) and the
-        phase of output w is psi(x0) (-1)^parity(P(x0) & s & w), which
-        ``unit`` has tested.  Built as it is read, in blocks of about
-        ``_BLOCK`` entries; each block's Q⁻¹ is checked once, then inverted."""
+        every G has a counterpart, in order, (name, assignment, perms,
+        inverses, phases) with the (k, 2^m) tables of the k counterparts Q
+        of H^S G H^S.  In closed form, with x0 = P⁻¹(w) & ~s, Q⁻¹(w) is
+        x0 | (B(w) & s) and the phase of output w is psi(x0)
+        (-1)^parity(P(x0) & s & w), which ``unit`` has tested.  Built as it
+        is read, in blocks of about ``_BLOCK`` entries; checking a block's
+        Q⁻¹ gives its Q."""
         hits, names = self.admitted(words), _grid_words(self.m)
         k, dim = self.inv.shape
         w = np.arange(dim)
@@ -333,11 +335,10 @@ class _FlipTables:
             odd = (np.bitwise_count(self.p[self.rows, x0] & s & w) & 1).astype(bool)
             phases = self.psi[self.rows, x0]
             np.negative(phases, out=phases, where=odd)
-            qinv = _checked_perms(self.m, qinv.reshape(-1, dim), 2).reshape(qinv.shape)
-            perm = np.empty_like(qinv)
-            np.put_along_axis(perm, qinv, np.broadcast_to(w, qinv.shape), axis=-1)
-            perm.flags.writeable = False
-            yield from ((*names[c], q, ph) for c, q, ph in zip(s.ravel().tolist(), perm, phases))
+            qinv, perm = (a.reshape(s.shape[0], k, dim)
+                          for a in _checked_perms(self.m, qinv.reshape(-1, dim), 2))
+            yield from ((*names[c], q, qi, ph)
+                        for c, q, qi, ph in zip(s.ravel().tolist(), perm, qinv, phases))
 
 
 def _counterparts(action: OracleAction, space, tol: float):
@@ -347,8 +348,8 @@ def _counterparts(action: OracleAction, space, tol: float):
     gp = action.permutation
     if gp is not None and words is not None:
         found = _FlipTables(gp._perm[None], gp._phases[None], tol).counterparts(words)
-        for name, bases, perms, phases in found:
-            yield name, bases, _unchecked(m, perms[0], phases[0])
+        for name, bases, perms, invs, phases in found:
+            yield name, bases, _unchecked(m, perms[0], invs[0], phases[0])
         return
     bases, at = _assignments(space, m)
     per = max(1, _BLOCK >> m)

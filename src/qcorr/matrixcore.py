@@ -102,31 +102,29 @@ def num_bits(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-# Pairs per block of the 2x2 kernel, and entries of column 0 per block of
-# assignments in the dense engine's loop (_BLOCK >> m assignments), so that a
+# Pairs per block of the 2x2 kernel, entries of column 0 per block of
+# assignments in the dense engine's loop (_BLOCK >> m assignments), and
+# entries per block of words that _FlipTables.counterparts builds, so that a
 # block stays in cache; the decoder widens its blocks to at least
 # _BLOCK >> 8 columns.  Buffers are allocated once per call; allocating
 # them per block would map and fault fresh pages each time.
 _BLOCK = 1 << 14
 
 
-def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of an m-qubit statevector.
+def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int) -> np.ndarray:
+    """Apply a 2x2 matrix to one qubit of an m-qubit statevector, in place:
+    ``state`` must be a C-ordered complex array.  It is returned.
 
     ``qubit`` counts from 0 at the most significant bit.  Any leading batch
     axes of ``state`` are kept, so a (k, 2^a, 2^b) stack of matrices is m =
     a + b qubits with the rows first.  ``u2`` may also be an (n, 2, 2) stack:
     then ``state`` ends in one more axis, of length n, after its m qubits,
-    and matrix i acts on the states at index i of that axis.  The result
-    goes to ``out`` (C-ordered, and may be ``state`` itself), by default to a
-    new array.
+    and matrix i acts on the states at index i of that axis.
     """
-    psi = np.asarray(state, dtype=complex)
+    if not (isinstance(state, np.ndarray) and state.dtype == complex and state.flags.c_contiguous):
+        raise ValueError("expected a C-ordered complex array, to be written in place")
     u = np.asarray(u2, dtype=complex).reshape(-1, 4)
-    pairs = psi.reshape(-1, 2, 1 << (m - 1 - qubit), len(u))
-    res = np.empty(psi.shape, dtype=complex) if out is None else out
-    dst = res.reshape(pairs.shape)
+    pairs = state.reshape(-1, 2, 1 << (m - 1 - qubit), len(u))
     rows, _, cols, n = pairs.shape
     step_c = min(cols, max(1, _BLOCK // n))
     step_r = max(1, _BLOCK // (step_c * n))
@@ -138,8 +136,8 @@ def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
     bufs = np.empty((3, min(rows, step_r), step_c, n), dtype=complex)
     for r in range(0, rows, step_r):
         for c in range(0, cols, step_c):
-            blk = np.s_[r:r + step_r, :, c:c + step_c]
-            a, b = pairs[blk][:, 0], pairs[blk][:, 1]
+            blk = pairs[r:r + step_r, :, c:c + step_c]
+            a, b = blk[:, 0], blk[:, 1]
             x, y, t = bufs[:, :a.shape[0], :a.shape[1]]
             u00, u01, u10, u11 = coef if n == 1 else coef[:, :a.shape[1]]
             np.multiply(a, u00, out=x)
@@ -148,9 +146,9 @@ def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int,
             np.multiply(a, u10, out=y)
             np.multiply(b, u11, out=t)
             y += t
-            dst[blk][:, 0] = x
-            dst[blk][:, 1] = y
-    return res
+            a[...] = x
+            b[...] = y
+    return state
 
 
 # Qubits per pass of hadamard_layer, and multiply-adds per matrix product in
@@ -226,10 +224,11 @@ def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
     return state
 
 
-def _checked_perms(m: int, perms, ndim: int) -> np.ndarray:
+def _checked_perms(m: int, perms, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """``perms``, one perm (ndim 1) or k (ndim 2) of 2^m entries, as read-only
-    intp once each is checked to be a bijection on 0 .. 2^m - 1.  An intp
-    array is frozen in place: a caller with outside data copies it first."""
+    intp, and its inverse row by row, read-only too, once each row is checked
+    to be a bijection on 0 .. 2^m - 1.  An intp array is frozen in place: a
+    caller with outside data copies it first."""
     dim = 1 << m
     perms = np.asarray(perms)
     if perms.ndim != ndim or perms.shape[-1] != dim:
@@ -237,18 +236,24 @@ def _checked_perms(m: int, perms, ndim: int) -> np.ndarray:
     if perms.dtype.kind not in "iu":
         raise ValueError(f"perm entries must be integers, not {perms.dtype}")
     perms = perms.astype(np.intp, copy=False)
-    if perms.size:
-        # Read as unsigned, a negative entry is too large as well.  Once all
-        # lie in 0 .. dim - 1, row r counts its entries in bins r*dim ..
-        # r*dim + dim - 1, and every bin is hit exactly when every row is a
-        # bijection.
-        size = perms.size
-        flat = perms if ndim == 1 else perms + np.arange(0, size, dim)[:, None]
-        if not (perms.view(np.uintp).max() < dim
-                and np.count_nonzero(np.bincount(flat.ravel(), minlength=size)) == size):
-            raise ValueError("perm is not a bijection on the m-bit strings")
-    perms.flags.writeable = False
-    return perms
+    inv = np.full(perms.shape, -1, dtype=np.intp)
+    # Read as unsigned, a negative entry is too large as well.  Once all lie
+    # in 0 .. dim - 1, a row is a bijection exactly when scattering its
+    # positions through it writes every slot of its inverse.
+    if perms.view(np.uintp).max(initial=0) < dim:
+        rows = (np.arange(len(perms))[:, None],) if ndim == 2 else ()
+        inv[rows + (perms,)] = np.arange(dim)
+    if inv.min(initial=0) < 0:
+        raise ValueError("perm is not a bijection on the m-bit strings")
+    perms.flags.writeable = inv.flags.writeable = False
+    return perms, inv
+
+
+def _unit_modulus(z: np.ndarray, tol: float) -> np.ndarray:
+    """Per entry of ``z``: whether its modulus is above tol and within tol of
+    one, which NaN fails.  The one test of a phase, wherever it is made."""
+    mags = np.abs(z)
+    return (mags > tol) & (np.abs(mags - 1.0) <= tol)
 
 
 class GeneralizedPermutation:
@@ -257,24 +262,22 @@ class GeneralizedPermutation:
     The matrix form is ``diag(phases) @ P`` with ``P[perm[j], j] = 1``, i.e.
     basis state ``j`` maps to ``phases[perm[j]] * |perm[j]>``.
 
-    A map is stored as two read-only arrays of 2^m entries, copied from the
-    input and checked once.  ``perm`` and ``phases`` are tuples of Python
-    ints and complexes, built from them on first access; equality, hashing
-    and repr mean what they would on those tuples.  Instances are immutable.
+    A map is stored as three read-only arrays of 2^m entries: the perm, its
+    inverse and the phases, copied from the input and checked once.
+    ``perm`` and ``phases`` are tuples of Python ints and complexes, built
+    from them on first access; equality, hashing and repr mean what they
+    would on those tuples.  Instances are immutable.
     """
 
     def __init__(self, m: int, perm, phases, tol: float = DEFAULT_TOL):
-        perm = _checked_perms(m, np.array(perm), 1)
+        perm, inv = _checked_perms(m, np.array(perm), 1)
         phases = np.array(phases, dtype=complex)
         if phases.shape != perm.shape:
             raise ValueError(f"phases length must be 2**m = {perm.size}")
-        # Modulus within tol of one implies above tol while tol < 1/2, so only a
-        # larger tol pays for the second test, which the detector also makes.
-        if not (np.abs(np.abs(phases) - 1.0).max() <= tol
-                and (tol < 0.5 or np.abs(phases).min() > tol)):
+        if not _unit_modulus(phases, tol).all():
             raise ValueError("phases must all have unit modulus within tol, and modulus above tol")
         phases.flags.writeable = False
-        self.__dict__.update(m=m, _perm=perm, _phases=phases)
+        self.__dict__.update(m=m, _perm=perm, _inv=inv, _phases=phases)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -283,7 +286,7 @@ class GeneralizedPermutation:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return _unchecked, (self.m, self._perm, self._phases)
+        return _unchecked, (self.m, self._perm, self._inv, self._phases)
 
     # A cached property writes the instance dict directly, past __setattr__.
     @functools.cached_property
@@ -311,62 +314,47 @@ class GeneralizedPermutation:
     def dim(self) -> int:
         return 1 << self.m
 
-    @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The inverse of ``perm`` and the phases, as read-only arrays."""
-        inv = np.empty(self.dim, dtype=np.intp)
-        inv[self._perm] = np.arange(self.dim)
-        inv.flags.writeable = False
-        return inv, self._phases
-
     def as_matrix(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
-        inv, phases = self._arrays
-        mat[np.arange(self.dim), inv] = phases
+        mat[np.arange(self.dim), self._inv] = self._phases
         return mat
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Action on a statevector, or on each column of a (2^m, n) array of
         them, without materializing the matrix.  Output string i gathers
         input string inv[i], which is faster than scattering inputs."""
-        inv, phases = self._arrays
-        out = np.asarray(state, dtype=complex)[inv]
+        out = np.asarray(state, dtype=complex)[self._inv]
         # Phase first: the operand order fixes the rounding of the product.
-        return np.multiply(phases.reshape((-1,) + (1,) * (out.ndim - 1)), out, out=out)
+        return np.multiply(self._phases.reshape((-1,) + (1,) * (out.ndim - 1)), out, out=out)
 
     def bit_map(self, x: int) -> int:
         """Phase-free classical action on an input string."""
         return self.perm[x]
 
     def is_involution(self) -> bool:
-        return np.array_equal(self._perm[self._perm], np.arange(self.dim))
+        return np.array_equal(self._perm, self._inv)
 
 
-def _unchecked(m: int, perm: np.ndarray, phases: np.ndarray,
-               inv: np.ndarray | None = None) -> GeneralizedPermutation:
-    """A map from arrays already checked, as the detector, the extraction
-    engines and unpickling have; its twin for families is in ``querylab``.
-    A caller that holds the inverse of ``perm`` read-only passes it as
-    ``inv``, so the map builds none."""
+def _unchecked(m: int, perm: np.ndarray, inv: np.ndarray,
+               phases: np.ndarray) -> GeneralizedPermutation:
+    """A map from a perm, its inverse and phases already checked, as the
+    detector, the extraction engines, ``phase_oracle`` and unpickling have;
+    its twin for families is in ``querylab``."""
     gp = object.__new__(GeneralizedPermutation)
-    perm.flags.writeable = phases.flags.writeable = False
-    gp.__dict__.update(m=m, _perm=perm, _phases=phases)
-    if inv is not None:
-        gp.__dict__["_arrays"] = inv, phases
+    perm.flags.writeable = inv.flags.writeable = phases.flags.writeable = False
+    gp.__dict__.update(m=m, _perm=perm, _inv=inv, _phases=phases)
     return gp
 
 
 def _column_rule(cols: np.ndarray, tol: float):
     """Per column of a (2^m, ...) array: the row of its first present entry,
-    that entry, and whether the column holds exactly one present entry,
-    within tol of unit modulus.  An entry counts as present unless its
-    modulus is at most tol, so a NaN entry is present and fails its column."""
-    mags = np.abs(cols)
-    present = ~(mags <= tol)
+    that entry, and whether the column holds exactly one present entry, of
+    unit modulus.  An entry counts as present unless its modulus is at most
+    tol, so a NaN entry is present and fails its column."""
+    present = ~(np.abs(cols) <= tol)
     rows = present.argmax(axis=0)
     entries = np.take_along_axis(cols, rows[None], axis=0)[0]
-    unit = np.abs(np.take_along_axis(mags, rows[None], axis=0)[0] - 1.0) <= tol
-    return rows, entries, unit & (np.count_nonzero(present, axis=0) == 1)
+    return rows, entries, _unit_modulus(entries, tol) & (np.count_nonzero(present, axis=0) == 1)
 
 
 def _decode_columns(columns, m: int, tol: float):
@@ -385,11 +373,11 @@ def _decode_columns(columns, m: int, tol: float):
             return None
         perm[start:start + (1 << c)] = rows
         phases[rows] = entries
-    if (np.bincount(perm, minlength=dim) != 1).any():
+    try:
+        perm, inv = _checked_perms(m, perm, 1)
+    except ValueError:
         return None
-    # Those are the constructor's checks, and rows from argmax are intp and
-    # in range, so the map needs no second pass.
-    return _unchecked(m, perm, phases)
+    return _unchecked(m, perm, inv, phases)
 
 
 def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):

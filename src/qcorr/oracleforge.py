@@ -165,14 +165,14 @@ def standard_oracle(f: BooleanFunction) -> OracleAction:
 
 @functools.cache
 def _small_identity(n: int) -> np.ndarray:
-    return _checked_perms(n, np.arange(1 << n), 1)
+    return _checked_perms(n, np.arange(1 << n), 1)[0]
 
 
 def _identity(n: int) -> np.ndarray:
     """The identity perm on n bits, to be shared read-only.  Up to the
     16-qubit simulation limit it is checked once and kept, at most 1 MiB
     over every n; a larger one is built and checked per call."""
-    return _small_identity(n) if n <= 16 else _checked_perms(n, np.arange(1 << n), 1)
+    return _small_identity(n) if n <= 16 else _checked_perms(n, np.arange(1 << n), 1)[0]
 
 
 def phase_oracle(inst: BVInstance) -> OracleAction:
@@ -191,7 +191,7 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
             signs[1 << j:2 << j] = half
     # The identity is its own inverse.
     perm = _identity(inst.n)
-    return OracleAction.from_permutation(_unchecked(inst.n, perm, phases, inv=perm))
+    return OracleAction.from_permutation(_unchecked(inst.n, perm, perm, phases))
 
 
 # Each named oracle's perm is written once, over any leading axes: one

@@ -130,7 +130,7 @@ class ClassicalOracleFamily:
         perms = self.perms
         if not isinstance(perms, np.ndarray):
             perms = [r._perm if isinstance(r, GeneralizedPermutation) else r for r in perms]
-        object.__setattr__(self, "perms", _checked_perms(self.m, np.array(perms), 2))
+        object.__setattr__(self, "perms", _checked_perms(self.m, np.array(perms), 2)[0])
 
 
 def _unchecked_family(name: str, m: int, perms: np.ndarray) -> ClassicalOracleFamily:
@@ -184,7 +184,7 @@ def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
         raise ValueError(f"{oracle} is only defined for the {' and '.join(domain)} problem")
     perms = perms_of(problem)
     m = perms.shape[1].bit_length() - 1
-    return _unchecked_family(name, m, _checked_perms(m, perms, 2))
+    return _unchecked_family(name, m, _checked_perms(m, perms, 2)[0])
 
 
 def _extracted_families(standard: ClassicalOracleFamily, space, tol: float):
@@ -197,7 +197,7 @@ def _extracted_families(standard: ClassicalOracleFamily, space, tol: float):
         raise ValueError("a counterpart family needs the grid or a word over C and H")
     tables = _FlipTables(standard.perms, np.ones(standard.perms.shape, dtype=complex), tol)
     found = tables.counterparts(words)
-    return ((word, _unchecked_family(word, standard.m, table)) for word, _, table, _ in found)
+    return ((word, _unchecked_family(word, standard.m, table)) for word, _, table, _, _ in found)
 
 
 def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
@@ -432,7 +432,7 @@ def run_parity_quantum(f: BooleanFunction, tol: float = DEFAULT_TOL):
     # p[a, r] is the probability of first bit a in query r.
     p = np.vecdot(out, out).real
     _assert_normalized(p[0] + p[1], tol)
-    apply_single_qubit(out, HADAMARD, 0, n + 1, out=out)
+    apply_single_qubit(out, HADAMARD, 0, n + 1)
     p = np.vecdot(out, out).real
     _assert_normalized(p[0] + p[1], tol)
     if not (np.minimum(p[1], 1.0 - p[1]) <= tol).all():

@@ -99,6 +99,23 @@ def test_qubit_basis_pairs():
         QubitBasis("C", np.eye(3))
 
 
+def test_qubit_basis_label_must_name_its_matrix():
+    # A word names an assignment by its labels: an H matrix labelled C would
+    # report HHH's counterpart (0, 7, 2, 5, 4, 3, 6, 1) under the name CCC,
+    # whose own perm is (0, 1, 3, 2, 5, 4, 6, 7).
+    for label, matrix in (("C", ETA.matrix), ("H", CHI.matrix), ("C", SIGMA_X),
+                          ("H", HADAMARD * 1j), ("C", np.diag([1, -1]))):
+        with pytest.raises(ValueError, match=f"labelled '{label}'"):
+            QubitBasis(label, matrix)
+    # within BASIS_TOL of its pair, and any orthonormal pair as '?'
+    assert QubitBasis("C", np.eye(2) * (1 + 1e-13)).label == "C"
+    assert QubitBasis("H", HADAMARD).label == "H"
+    assert QubitBasis("?", ETA.matrix).label == "?"
+    oracle = standard_oracle(bv_function(BVInstance(2, 0, (1, 1))))
+    assert [gp.perm for _, _, gp in search_counterparts(oracle, (CHI,) * 3)] == [
+        (0, 1, 3, 2, 5, 4, 6, 7)]
+
+
 def test_qubit_basis_rejects_nan():
     with pytest.raises(ValueError, match="orthonormal"):
         general_basis(np.array([[np.nan, 0], [0, 1]]))

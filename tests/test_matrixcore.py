@@ -30,6 +30,8 @@ from qcorr.matrixcore import (
     random_unitary,
     sigma_x_phased,
 )
+from qcorr.correspondence import PauliGrid, search_counterparts
+from qcorr.oracleforge import OracleAction
 
 ALL_GATE_NAMES = [
     "sigma_x",
@@ -389,17 +391,21 @@ def random_tables(rng, m, k):
 
 
 # The batch is a (k, 2^m) perm table, as a classical family holds it: its
-# one check must take the same perms as one map at a time.
+# one check must take the same perms as one map at a time, and return each
+# row's inverse.
 @pytest.mark.parametrize("m", range(1, 9))
 def test_batch_equals_one_map_at_a_time(m):
     rng = np.random.default_rng(700 + m)
     for k in range(1, 6):
         perms, phases = random_tables(rng, m, k)
-        got = _checked_perms(m, perms, 2)
+        got, inv = _checked_perms(m, perms, 2)
         want = [GeneralizedPermutation(m, tuple(p.tolist()), tuple(ph.tolist()))
                 for p, ph in zip(perms, phases)]
-        assert got.dtype == np.intp and not got.flags.writeable
+        for a in (got, inv):
+            assert a.dtype == np.intp and not a.flags.writeable
         assert got.tolist() == [list(w.perm) for w in want]
+        assert np.array_equal(inv, np.argsort(perms, axis=-1))
+        assert inv.tolist() == [w._inv.tolist() for w in want]
 
 
 def _spoiled(rng, m, k, how):
@@ -470,14 +476,16 @@ def test_generalized_permutation_rejects_nan_and_non_integer_perms():
 
 def test_generalized_permutation_pickles_and_copies():
     perms, phases = random_tables(np.random.default_rng(43), 3, 2)
-    # and the maps the detector builds from its own arrays
+    # and the maps the detector builds from its own arrays, and the table
+    # engine's, whose arrays are rows of its block tables
     stack = np.stack([GeneralizedPermutation(3, p, ph).as_matrix() for p, ph in zip(perms, phases)])
-    for gp in [GeneralizedPermutation(3, perms[0], phases[0]), *detect_each(stack)]:
-        gp.apply(np.eye(8))  # fills the cached inverse
+    oracle = OracleAction.from_permutation(GeneralizedPermutation(3, perms[0], np.ones(8)))
+    engine = [gp for _, _, gp in search_counterparts(oracle, PauliGrid())]
+    for gp in [GeneralizedPermutation(3, perms[0], phases[0]), *detect_each(stack), *engine]:
         for twin in (pickle.loads(pickle.dumps(gp)), copy.copy(gp), copy.deepcopy(gp)):
             assert twin == gp and hash(twin) == hash(gp) and repr(twin) == repr(gp)
-            inv, gained = twin._arrays
-            assert not inv.flags.writeable and not gained.flags.writeable
+            assert not any(a.flags.writeable for a in (twin._perm, twin._inv, twin._phases))
+            assert np.array_equal(twin._inv, gp._inv)
             assert np.array_equal(twin.apply(np.eye(8)), gp.apply(np.eye(8)))
 
 
@@ -515,7 +523,7 @@ def test_generalized_permutation_apply_matches_matrix():
     assert gp.dim == 4
 
 
-def test_generalized_permutation_cached_arrays_stay_out_of_identity():
+def test_generalized_permutation_arrays_stay_out_of_identity():
     phases = (1j, -1 + 0j, 1 + 0j, -1j)
     gp = GeneralizedPermutation(2, (2, 0, 3, 1), phases)
     before = repr(gp), hash(gp)
@@ -523,8 +531,8 @@ def test_generalized_permutation_cached_arrays_stay_out_of_identity():
     assert np.array_equal(gp.apply(np.eye(4, dtype=complex)), first)
     assert (repr(gp), hash(gp)) == before
     assert gp == GeneralizedPermutation(2, (2, 0, 3, 1), phases)
-    idx, gained = gp._arrays
-    assert not idx.flags.writeable and not gained.flags.writeable
+    assert gp._inv.tolist() == [1, 3, 0, 2]
+    assert not gp._inv.flags.writeable and not gp._phases.flags.writeable
     with pytest.raises(Exception):
         gp.perm = (0, 1, 2, 3)
 
@@ -539,14 +547,13 @@ def test_generalized_permutation_involutions():
 def test_apply_single_qubit():
     zero2 = np.array([1, 0, 0, 0], dtype=complex)
     root2 = np.sqrt(2.0)
-    out = apply_single_qubit(zero2, HADAMARD, 0, 2)
+    out = apply_single_qubit(zero2.copy(), HADAMARD, 0, 2)
     assert np.allclose(out * root2, [1, 0, 1, 0])
-    out = apply_single_qubit(zero2, HADAMARD, 1, 2)
+    out = apply_single_qubit(zero2.copy(), HADAMARD, 1, 2)
     assert np.allclose(out * root2, [1, 1, 0, 0])
     # qubit 0 is the most significant index bit
-    out = apply_single_qubit(zero2, SIGMA_X, 0, 2)
+    out = apply_single_qubit(zero2.copy(), SIGMA_X, 0, 2)
     assert np.array_equal(out, [0, 0, 1, 0])
-    assert np.array_equal(zero2, [1, 0, 0, 0])
 
 
 def test_apply_single_qubit_on_a_stack_in_place():
@@ -555,9 +562,18 @@ def test_apply_single_qubit_on_a_stack_in_place():
     stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     # column qubit 1 of a 2-qubit matrix is qubit 3 of the 4-qubit stack
     want = stack @ np.kron(np.eye(2), u.T)
-    got = apply_single_qubit(stack, u, 3, 4, out=stack)
+    got = apply_single_qubit(stack, u, 3, 4)
     assert got is stack
     assert np.allclose(stack, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("state", [
+    np.ones(8, dtype=complex)[::2], np.ones((4, 4), dtype=complex).T, np.ones(4), [1, 0, 0, 0]],
+    ids=["strided", "fortran", "real", "list"])
+def test_apply_single_qubit_refuses_what_it_cannot_write_in_place(state):
+    # A strided view would be reshaped into a copy and left unchanged.
+    with pytest.raises(ValueError, match="C-ordered complex"):
+        apply_single_qubit(state, HADAMARD, 0, 2)
 
 
 @pytest.mark.parametrize("block", [1 << 14, 1 << 4, 3])
@@ -570,9 +586,10 @@ def test_apply_single_qubit_with_a_stack_of_matrices(monkeypatch, block):
     state = rng.normal(size=(2, 1 << m, n)) + 1j * rng.normal(size=(2, 1 << m, n))
     us = np.array([random_unitary(2, rng) for _ in range(n)])
     for qubit in range(m):
-        got = apply_single_qubit(state, us, qubit, m)
+        got = apply_single_qubit(state.copy(), us, qubit, m)
         for i in range(n):
-            assert np.array_equal(got[..., i], apply_single_qubit(state[..., i], us[i], qubit, m))
+            one = apply_single_qubit(state[..., i].copy(), us[i], qubit, m)
+            assert np.array_equal(got[..., i], one)
 
 
 def test_cycle_notation():

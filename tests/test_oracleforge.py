@@ -196,7 +196,8 @@ def test_phase_oracle_keeps_its_identity_perm_only_up_to_16_qubits():
         a, b = (phase_oracle(BVInstance(n, 0, (1,) * n)).permutation for _ in range(2))
         assert (a._perm is b._perm) is kept
         assert not a._perm.flags.writeable
-        assert a._arrays[0] is a._perm and np.array_equal(a._perm, np.arange(1 << n))
+        # the identity is its own inverse: the map holds one table for both
+        assert a._inv is a._perm and np.array_equal(a._perm, np.arange(1 << n))
 
 
 def test_oracle_action_matrix_checks():

@@ -203,12 +203,13 @@ def test_named_family_checks_its_table_in_one_pass(monkeypatch):
         assert calls == [(16, 1 << family.m)], oracle
 
 
-def test_named_family_peak_near_four_tables(monkeypatch):
-    # bv n = 9's O_S family: k = 1024 perms on m = 10 bits.  The perms, the
-    # check's row offsets and its bin counts are three (k, 2^m) intp tables;
-    # building the perms from the truth tables adds about one.  The family
-    # holds the perms it checked: a copy of them made the peak 5.  Built as
-    # k maps through a complex table of ones, it was 8.
+def test_named_family_peak_below_three_tables(monkeypatch):
+    # bv n = 9's O_S family: k = 1024 perms on m = 10 bits.  The perms and
+    # the inverse their check fills are two (k, 2^m) intp tables; building
+    # the perms from the truth tables adds about half of one.  The check's
+    # row offsets and bin counts made the peak 4.  The family holds the perms
+    # it checked: a copy of them made the peak 5.  Built as k maps through a
+    # complex table of ones, it was 8.
     monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 9)
     problem = bv_problem(9)
     table = (1 << 10) * (1 << 10) * np.dtype(np.intp).itemsize
@@ -219,15 +220,15 @@ def test_named_family_peak_near_four_tables(monkeypatch):
     finally:
         tracemalloc.stop()
     assert family.perms.nbytes == table
-    assert peak <= 4.5 * table
+    assert peak <= 3 * table
 
 
 @pytest.mark.parametrize("name,n", [("bv", 3), ("bv", 6), ("parity", 2)])
 def test_extracted_families_check_each_table_once(name, n, monkeypatch):
-    # Each block of words the engine builds is checked once, as Q⁻¹ before
-    # it is inverted, and the families of a block hold rows of one read-only
-    # table, its inverse: no second check, no copy.  bv n = 6 (k = 128,
-    # m = 7) takes one word per block.
+    # The engine checks the family's perms once, for their inverse, then
+    # each block of words it builds once, as Q⁻¹, whose check gives Q; the
+    # families of a block hold rows of that one read-only table: no second
+    # check, no copy.  bv n = 6 (k = 128, m = 7) takes one word per block.
     checked = []
     checked_perms = matrixcore._checked_perms
 
@@ -242,15 +243,17 @@ def test_extracted_families_check_each_table_once(name, n, monkeypatch):
     families = [fam for _, fam in querylab._extracted_families(standard, PauliGrid(), 1e-9)]
     k, dim = standard.perms.shape
     per = max(1, matrixcore._BLOCK // (k * dim))
-    assert len(checked) == -(-len(families) // per) > 0
-    assert sum(len(block) for block in checked) == len(families) * k
+    first, blocks = checked[0], checked[1:]
+    assert first[0] is standard.perms
+    assert len(blocks) == -(-len(families) // per) > 0
+    assert sum(len(qinv) for qinv, _ in blocks) == len(families) * k
     outputs = np.broadcast_to(np.arange(dim), (k, dim))
     for i, fam in enumerate(families):
         row = i % per * k
-        qinv = checked[i // per][row:row + k]
-        assert np.array_equal(np.take_along_axis(fam.perms, qinv, axis=1), outputs)
+        qinv, perms = blocks[i // per]
+        assert np.array_equal(np.take_along_axis(fam.perms, qinv[row:row + k], axis=1), outputs)
         assert not fam.perms.flags.writeable
-        assert fam.perms.base is not None
+        assert fam.perms.base is perms
         assert fam.perms.base is families[i - i % per].perms.base
 
 

@@ -57,8 +57,9 @@ def _reference_assert_normalized(state, tol=1e-9):
 
 
 def reference_hadamard_layer(state, m):
+    state = np.array(state, dtype=complex)
     for j in range(m):
-        state = apply_single_qubit(state, HADAMARD, j, m)
+        apply_single_qubit(state, HADAMARD, j, m)
     return state
 
 
