@@ -262,6 +262,8 @@ class _FlipTables:
     """Bit-flip tables of k generalized permutations G = diag(phases) P on
     the same m bits, built from their (k, 2^m) perm and phase tables at once;
     building them peaks at one (m, k, 2^m) intp table and two bool ones.
+    ``phases=None`` stands for plain permutations, every phase 1: then T is
+    all False, every bit is signed, and the tables peak at the intp one.
 
     Bit b of an index is qubit m - 1 - b, so the eta qubits of a chi/eta word
     form the mask s whose grid code is the word.  With psi(x) the phase G
@@ -276,32 +278,40 @@ class _FlipTables:
     - ``back``, bit b of B(w) = parity(D_b(x) & w) ^ T_b(x) with x = P⁻¹(w).
     """
 
-    def __init__(self, perms: np.ndarray, phases: np.ndarray, tol: float):
+    def __init__(self, perms: np.ndarray, phases: np.ndarray | None, tol: float):
         k, dim = perms.shape
         self.m = m = num_bits(dim)
         self.p, self.inv = _checked_perms(m, perms, 2)
         self.rows = rows = np.arange(k)[:, None]
-        self.psi = phases[rows, self.p]
-        # Every entry of a counterpart is ±psi(x): each must pass as a phase.
-        self.unit = bool(_unit_modulus(phases, tol).all())
+        # Every entry of a counterpart is ±psi(x): each must pass as a phase,
+        # a 1 included, so no tol of 1 or more admits a word.
+        self.unit = bool(_unit_modulus(np.ones(1) if phases is None else phases, tol).all())
         key = np.empty((m, k, dim), dtype=self.p.dtype)
-        minus, plus = np.empty((2, m, k, dim), dtype=bool)
         for b in range(m):
-            pb, sb = _by_bit(self.p, b), _by_bit(self.psi, b)
+            pb = _by_bit(self.p, b)
             np.bitwise_xor(pb, pb[:, :, ::-1], out=_by_bit(key[b], b))
-            ratio = sb[:, :, ::-1] / sb
-            np.less_equal(np.abs(ratio + 1.0), tol, out=_by_bit(minus[b], b))
-            np.less_equal(np.abs(ratio - 1.0), tol, out=_by_bit(plus[b], b))
-        self.signed = np.logical_or(plus, minus, out=plus).reshape(m, -1).all(axis=1)
         self.reach = np.bitwise_or.reduce(key.reshape(m, -1), axis=1)
-        key <<= 1  # key = D << 1 | T: one compare of x with x ^ e_j tests both
-        key |= minus
+        self.psi = None
+        self.signed = np.ones(m, dtype=bool)
+        if phases is not None:
+            self.psi = phases[rows, self.p]
+            minus, plus = np.empty((2, m, k, dim), dtype=bool)
+            for b in range(m):
+                sb = _by_bit(self.psi, b)
+                ratio = sb[:, :, ::-1] / sb
+                np.less_equal(np.abs(ratio + 1.0), tol, out=_by_bit(minus[b], b))
+                np.less_equal(np.abs(ratio - 1.0), tol, out=_by_bit(plus[b], b))
+            self.signed = np.logical_or(plus, minus, out=plus).reshape(m, -1).all(axis=1)
+            del plus
+            key <<= 1  # key = D << 1 | T: one compare of x with x ^ e_j tests both
+            key |= minus
+            del minus
         self.clash = np.zeros(m, dtype=self.p.dtype)
         for j in range(m - 1):
             kj = _by_bit(key[j + 1:], j)
             self.clash[j + 1:] |= (kj[:, :, 0] != kj[:, :, 1]).any(axis=(1, 2)) << j
         # parity(D_b(x) & P(x)) ^ T_b(x) is the parity of key & (P(x) << 1 | 1)
-        key &= (self.p << 1) | 1
+        key &= self.p if phases is None else (self.p << 1) | 1
         np.bitwise_and(np.bitwise_count(key, out=key), 1, out=key)
         self.back = ((1 << np.arange(m)) @ key.reshape(m, -1)).reshape(k, dim)[rows, self.inv]
 
@@ -321,9 +331,10 @@ class _FlipTables:
         inverses, phases) with the (k, 2^m) tables of the k counterparts Q
         of H^S G H^S.  In closed form, with x0 = P⁻¹(w) & ~s, Q⁻¹(w) is
         x0 | (B(w) & s) and the phase of output w is psi(x0)
-        (-1)^parity(P(x0) & s & w), which ``unit`` has tested.  Built as it
-        is read, in blocks of about ``_BLOCK`` entries; checking a block's
-        Q⁻¹ gives its Q."""
+        (-1)^parity(P(x0) & s & w), which ``unit`` has tested; with no
+        phases given, phases is None and none is built.  Built as it is
+        read, in blocks of about ``_BLOCK`` entries; checking a block's Q⁻¹
+        gives its Q."""
         hits, names = self.admitted(words), _grid_words(self.m)
         k, dim = self.inv.shape
         w = np.arange(dim)
@@ -332,9 +343,11 @@ class _FlipTables:
             s = hits[start:start + per, None, None]
             x0 = self.inv & ~s
             qinv = x0 | (self.back & s)
-            odd = (np.bitwise_count(self.p[self.rows, x0] & s & w) & 1).astype(bool)
-            phases = self.psi[self.rows, x0]
-            np.negative(phases, out=phases, where=odd)
+            phases = itertools.repeat(None)
+            if self.psi is not None:
+                odd = (np.bitwise_count(self.p[self.rows, x0] & s & w) & 1).astype(bool)
+                phases = self.psi[self.rows, x0]
+                np.negative(phases, out=phases, where=odd)
             qinv, perm = (a.reshape(s.shape[0], k, dim)
                           for a in _checked_perms(self.m, qinv.reshape(-1, dim), 2))
             yield from ((*names[c], q, qi, ph)

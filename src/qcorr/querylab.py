@@ -190,12 +190,14 @@ def named_family(problem: ProblemSpec, oracle: str) -> ClassicalOracleFamily:
 def _extracted_families(standard: ClassicalOracleFamily, space, tol: float):
     """(word, family) per word of ``space``, the grid or one C/H word, that
     admits every hypothesis's standard oracle: the perms of the O_S family
-    ``standard``, with unit phases.  The space is checked once, and each
-    family wraps its rows of a table ``_FlipTables.counterparts`` builds."""
+    ``standard``, plain permutations.  The space is checked once, the
+    tables are built with no phases, since a family keeps none, and each
+    family wraps its rows of a perm table ``_FlipTables.counterparts``
+    builds."""
     words = _check_space(space, standard.m)
     if words is None:
         raise ValueError("a counterpart family needs the grid or a word over C and H")
-    tables = _FlipTables(standard.perms, np.ones(standard.perms.shape, dtype=complex), tol)
+    tables = _FlipTables(standard.perms, None, tol)
     found = tables.counterparts(words)
     return ((word, _unchecked_family(word, standard.m, table)) for word, _, table, _, _ in found)
 
@@ -210,15 +212,20 @@ def family_extracted(problem: ProblemSpec, bases, tol: float = DEFAULT_TOL):
 def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     """The bitmask search behind the query count and its witness tree.
 
-    Returns ``(count, depth, memo, queries, labels)``.  The bits of a set
-    mask are laid out label by label (labels in order of first appearance,
-    hypotheses in order within a label), so each label is one run of
-    adjacent bits, and ``labels[i]`` is the label of bit i.  ``count`` is
-    the exact cost of the full set, ``depth(mask)`` that of any set, and
-    ``memo`` maps each set the search solved to its cost (a label-pure set
-    costs 0 and is not held).  ``queries`` holds ``(query string, {output:
-    mask})`` per distinct partition.  A search too deep to recurse raises
-    SizeLimitError.
+    Returns ``(count, depth, memo, queries, labels)``.  Hypotheses with
+    identical rows answer every query alike, so the family is infinite
+    exactly when two of them have different labels: then ``(inf, None, {},
+    [], [])`` comes back at once, with no partition built and no search.
+    Otherwise a hypothesis whose row repeats an earlier one's, under the
+    same label, changes no depth and no tree and is dropped.  The bits of a
+    set mask are laid out label by label over the hypotheses kept (labels in
+    order of first appearance, hypotheses in order within a label), so each
+    label is one run of adjacent bits, and ``labels[i]`` is the label of bit
+    i.  ``count`` is the exact cost of the full set, ``depth(mask)`` that of
+    any set, and ``memo`` maps each set the search solved to its cost (a
+    label-pure set costs 0 and is not held).  ``queries`` holds ``(query
+    string, {output: mask})`` per distinct partition.  A search too deep to
+    recurse raises SizeLimitError.
     """
     hyps = problem.hypotheses
     if len(family.perms) != len(hyps):
@@ -228,10 +235,28 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     if family.m > MAX_QUERY_BITS:
         raise SizeLimitError(f"query width {family.m} exceeds {MAX_QUERY_BITS} bits")
 
+    # The quotient: each row as one bytes object, and a set of them to see
+    # at C speed whether any two rows are equal.  Every entry is below
+    # 2^MAX_QUERY_BITS, so two bytes an entry keep rows apart exactly.
+    key = np.ascontiguousarray(family.perms, dtype=np.uint16)
+    rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel().tolist()
+    perms, hyp_labels = family.perms, problem.labels()
+    if len(set(rows)) < len(rows):
+        first: dict = {}
+        keep = []
+        for i, (row, label) in enumerate(zip(rows, hyp_labels)):
+            j = first.setdefault(row, i)
+            if j == i:
+                keep.append(i)
+            elif hyp_labels[j] != label:
+                return math.inf, None, {}, [], []
+        perms = perms[keep]
+        hyp_labels = [hyp_labels[i] for i in keep]
+
     by_label: dict = {}
-    for i, h in enumerate(hyps):
-        by_label.setdefault(h.label, []).append(i)
-    bits = [0] * len(hyps)
+    for i, label in enumerate(hyp_labels):
+        by_label.setdefault(label, []).append(i)
+    bits = [0] * len(hyp_labels)
     labels, run_of = [], []
     # tops holds the last bit of each label's run and ones every other bit,
     # so (s & ones) + ones carries into a run's top bit iff s meets the run
@@ -253,7 +278,7 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     # hypothesis order, which the tree's branches follow.
     queries = []
     seen = set()
-    for q, column in enumerate(family.perms.T.tolist()):
+    for q, column in enumerate(perms.T.tolist()):
         parts: dict[int, int] = {}
         for bit, out in zip(bits, column):
             parts[out] = parts.get(out, 0) | bit
@@ -308,12 +333,12 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
         return best
 
     try:
-        return depth((1 << len(hyps)) - 1), depth, memo, queries, labels
+        return depth((1 << len(labels)) - 1), depth, memo, queries, labels
     except RecursionError:
         # One frame per level of nested sets: a family whose queries peel off
         # one hypothesis at a time nests as deep as the hypothesis count.
         raise SizeLimitError(
-            f"minimax search over {len(hyps)} hypotheses nests deeper "
+            f"minimax search over {len(labels)} hypotheses nests deeper "
             f"than Python's recursion limit ({sys.getrecursionlimit()})"
         ) from None
 
@@ -321,7 +346,11 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
 def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracleFamily):
     """Depth of the best adaptive deterministic decision tree.
 
-    Minimax over hypothesis sets held as int bitmasks, with the bits laid
+    First the identical-row quotient: the family is infinite exactly when
+    two hypotheses with different labels have the same row, which one pass
+    over the rows' bytes decides with no search, and a row repeated under
+    one label is searched once.  Then minimax over hypothesis sets held as
+    int bitmasks, with the bits laid
     out so that each label is one run of adjacent bits: a set costs 0 when
     it lies in one run, else 1 plus the best worst-case cost over the
     nonempty parts ``S & mask`` of some query's output partition.  Each
@@ -473,7 +502,9 @@ def speedup_report(problem: ProblemSpec, tol: float = DEFAULT_TOL) -> QueryRepor
     family the chi/eta grid yields over the standard oracle (a word is
     admissible only if extraction succeeds for every hypothesis); families
     that cannot separate the labels appear with an infinite count and do not
-    enter the genuine-speed-up minimum.
+    enter the genuine-speed-up minimum.  The families are extracted as plain
+    perm tables, with no phases, one at a time, and most are infinite: the
+    count's identical-row quotient decides each of those with no search.
     """
     if problem.name not in PROBLEMS:
         raise ValueError(f"unknown problem {problem.name!r}")

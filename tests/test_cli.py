@@ -413,6 +413,28 @@ def test_speedup_parity(capsys):
     assert min(queries) == 1
 
 
+BV3_NAMED_ONLY = ('{"problem": "bv", "n": 3, "entries": [{"oracle": "O_S", "queries": 4}, '
+                  '{"oracle": "O_B", "queries": 1}], "quantum_queries": 1, '
+                  '"naive_speedup": 4.0, "genuine_speedup": 1.0}\n')
+
+
+@pytest.mark.parametrize("tol", ["1", "2.5"])
+def test_no_counterpart_family_at_a_tolerance_of_one_or_more(tol, capsys):
+    # The family tables carry no phases, yet a 1 must still pass the phase
+    # test at tol: at tol >= 1 no grid word admits, so the report holds the
+    # named families alone and an extracted family is malformed input.
+    assert main(["speedup", "--problem", "bv", "--n", "3", "--tol", tol]) == 0
+    assert capsys.readouterr().out == BV3_NAMED_ONLY
+    args = ["complexity", "--problem", "bv", "--n", "3", "--oracle", "extracted:HHHH", "--tol", tol]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: extraction fails for some hypothesis under those bases\n"
+    args[-1] = "0.999999"
+    assert main(args) == 0
+    assert capsys.readouterr().out == '{"queries": 1}\n'
+
+
 def test_speedup_size_limit(capsys):
     assert main(["speedup", "--problem", "parity", "--n", "3"]) == 4
     capsys.readouterr()

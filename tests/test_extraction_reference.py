@@ -562,6 +562,46 @@ def test_flip_tables_match_the_reference(m):
     assert admitted >= 3 * 5
 
 
+FREE_TOLS = [0.0, 1e-9, 0.5, 1 - 1e-6, 1.0, 2.5]
+
+
+def free_tables():
+    """Perm tables of plain permutations: the named O_S tables of bv n <= 4
+    and parity n <= 2, and seeded random and affine tables of k <= 5 rows on
+    m <= 6 bits."""
+    tables = {f"bv{n}": querylab.named_family(bv_problem(n), "OS").perms for n in (1, 2, 3, 4)}
+    tables |= {f"parity{n}": querylab.named_family(parity_problem(n), "OS").perms for n in (1, 2)}
+    rng = np.random.default_rng(26)
+    for m in range(1, 7):
+        for maps in ("random", "affine"):
+            rows = [permutation_action(rng, m, maps, "unit").permutation._perm
+                    for _ in range(int(rng.integers(1, 6)))]
+            tables[f"{maps}{m}"] = np.stack(rows)
+    return tables
+
+
+@pytest.mark.parametrize("tol", FREE_TOLS)
+def test_phase_free_tables_match_unit_phases(tol):
+    """Given no phases, the engine admits the words and builds the perm
+    tables that it does given every phase 1, at every tolerance: past 2 a
+    ratio of 1 is within tol of -1 as well, and from 1 on no phase passes,
+    so nothing is admitted.  It builds no phase table."""
+    admitted = 0
+    for name, perms in free_tables().items():
+        words = np.arange(perms.shape[1])
+        free = correspondence._FlipTables(perms, None, tol)
+        unit = correspondence._FlipTables(perms, np.ones(perms.shape, dtype=complex), tol)
+        assert free.psi is None
+        hits = free.admitted(words)
+        assert np.array_equal(hits, unit.admitted(words)), name
+        admitted += len(hits)
+        for got, want in zip(free.counterparts(words), unit.counterparts(words), strict=True):
+            assert got[:2] == want[:2], name
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3]), name
+            assert got[4] is None
+    assert (admitted > 0) == (tol < 1)
+
+
 def test_flip_tables_peak_near_one_table(monkeypatch):
     # bv n = 7's O_S family: k = 256 maps on m = 8 bits.  At its peak the
     # engine holds one (m, k, 2^m) intp table and two bool ones, next to the
@@ -578,6 +618,22 @@ def test_flip_tables_peak_near_one_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * table
+
+
+def test_phase_free_tables_peak_near_one_table(monkeypatch):
+    # The same family given no phases: the bit loop builds D alone, so the
+    # peak is the one (m, k, 2^m) intp table next to the inputs and the back
+    # table's temporaries, about 1.4 such tables (2.25 given unit phases).
+    monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
+    perms = querylab.named_family(bv_problem(7), "OS").perms
+    table = 8 * perms.nbytes
+    tracemalloc.start()
+    try:
+        correspondence._FlipTables(perms, None, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table
 
 
 def test_extracted_tables_are_built_as_they_are_read():

@@ -231,6 +231,82 @@ def test_random_families():
     assert all(count >= 10 for count in seen.values()), seen
 
 
+def quotient_case(rng):
+    """m <= 4 bits and 2 to 12 hypotheses whose rows come from a pool of at
+    most six near-copies of one perm, so rows repeat.  Half the cases take
+    each label from the row, so that equal rows share a label; the others
+    draw a label per hypothesis, so that equal rows often clash."""
+    m = int(rng.integers(1, 5))
+    k = int(rng.integers(2, 13))
+    base = rng.permutation(1 << m)
+    pool = sorted({near(rng, base) for _ in range(int(rng.integers(1, 7)))})
+    picks = rng.integers(0, len(pool), k)
+    nlabels = int(rng.integers(2, 5))
+    if rng.random() < 0.5:
+        labels = rng.integers(0, nlabels, len(pool))[picks]
+    else:
+        labels = rng.integers(0, nlabels, k)
+    hyps = tuple(Hypothesis(i, None, int(label)) for i, label in enumerate(labels))
+    perms = np.array([pool[i] for i in picks])
+    return ProblemSpec("quotient", m, hyps), ClassicalOracleFamily("quotient", m, perms)
+
+
+def identical_rows(problem, family):
+    """(whether some row repeats, whether two hypotheses with different
+    labels have the same row)."""
+    seen = {}
+    clash = False
+    for h, row in zip(problem.hypotheses, map(tuple, family.perms.tolist())):
+        clash |= seen.setdefault(row, h.label) != h.label
+    return len(seen) < len(problem.hypotheses), clash
+
+
+def test_quotient_matches_the_reference():
+    # The reference searches every hypothesis, equal rows or not.
+    rng = np.random.default_rng(20050426)
+    seen = {"clash": 0, "same-label repeats": 0, "finite > 1 with repeats": 0}
+    for _ in range(300):
+        problem, family = quotient_case(rng)
+        want = reference_complexity(problem, family)
+        assert deterministic_query_complexity(problem, family) == want
+        tree = decision_tree(problem, family)
+        check_tree(problem, family, tree, want)
+        assert tree == reference_tree(problem, family)
+        repeats, clash = identical_rows(problem, family)
+        assert clash == math.isinf(want)
+        if clash:
+            # decided before any partition is built or any set searched
+            assert _minimax(problem, family) == (math.inf, None, {}, [], [])
+            seen["clash"] += 1
+            continue
+        # one bit per distinct row: a repeat under one label is searched once
+        rows = len({tuple(row) for row in family.perms.tolist()})
+        assert len(_minimax(problem, family)[4]) == rows
+        if repeats:
+            seen["same-label repeats"] += 1
+            seen["finite > 1 with repeats"] += want > 1
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+GRIDS = [("bv", n) for n in (1, 2, 3, 4, 5)] + [("parity", n) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name,n", GRIDS, ids=[f"{p}{n}" for p, n in GRIDS])
+def test_infinite_families_are_those_with_clashing_rows(name, n):
+    # Two equal rows under different labels certify a family infinite, and
+    # a checked decision tree certifies it finite.
+    problem, families = extracted(name, n)
+    named = [(o, named_family(problem, o)) for o, (_, _, domain) in ORACLES.items()
+             if name in domain]
+    infinite = 0
+    for word, family in named + families:
+        count = deterministic_query_complexity(problem, family)
+        assert identical_rows(problem, family)[1] == math.isinf(count), word
+        check_tree(problem, family, decision_tree(problem, family), count)
+        infinite += math.isinf(count)
+    assert infinite > 0
+
+
 def many_label_case(rng):
     """m <= 4 bits, at most 12 hypotheses and up to one label each.  Every
     label has one hypothesis and the rest go to labels drawn with unequal

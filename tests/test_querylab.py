@@ -406,6 +406,8 @@ def test_minimax_width_limit():
 
 
 def test_minimax_hypothesis_limit():
+    # Every row is equal and the labels alternate, so the identical-row
+    # quotient would call this family infinite: it runs after the limits.
     f = BooleanFunction(1, (0, 1))
     gp = classical_OS(f)
     count = 65537
