@@ -172,46 +172,49 @@ def _sylvester(g: int) -> np.ndarray:
 
 
 @functools.cache
-def _last_pass(m: int) -> np.ndarray:
-    """kron(S, I2) for the last g = (m - 1) % _HADAMARD_PASS + 1 qubits of an
-    m-qubit layer, scaled by 2^(-m/2), as read-only floats: it acts by right
-    multiplication on rows of 2^g complex entries, each a (re, im) pair."""
-    k = np.kron(_sylvester((m - 1) % _HADAMARD_PASS + 1), np.eye(2)) * 2.0 ** (-m / 2)
+def _last_pass(m: int, c: int) -> np.ndarray:
+    """kron(S, I_c) for the last g = (m - 1) % _HADAMARD_PASS + 1 qubits of
+    an m-qubit layer, scaled by 2^(-m/2), as read-only floats: it acts by
+    right multiplication on rows of 2^g entries of c floats each, a real
+    amplitude (c = 1) or a (re, im) pair (c = 2)."""
+    k = np.kron(_sylvester((m - 1) % _HADAMARD_PASS + 1), np.eye(c)) * 2.0 ** (-m / 2)
     k.flags.writeable = False
     return k
 
 
 def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
     """H on every qubit of an m-qubit statevector, in place: ``state`` must be
-    a C-ordered complex array of 2^m entries.  It is returned.
+    a C-ordered float64 or complex128 array of 2^m entries.  It is returned.
 
-    Each pass but the last takes the next g = _HADAMARD_PASS qubits from the
-    most significant, on the (A, 2^g, B) float view of the entries: one real
-    product with the ±1 Sylvester matrix per block of that view, through one
-    small scratch block, so no transpose and no second buffer the size of
-    the state.  The last pass takes the g <= _HADAMARD_PASS qubits left,
-    where B is one (re, im) pair: it multiplies rows of 2^(g+1) floats by
-    kron(S, I2) instead, and also applies the one scale by 2^(-m/2).  Every
-    product stays within _PRODUCT multiply-adds, so BLAS runs on the calling
-    thread.
+    The layer works on the float view of the entries, c = 1 (real) or 2
+    (complex) floats per amplitude.  Each pass but the last takes the next
+    g = _HADAMARD_PASS qubits from the most significant, on the (A, 2^g, B)
+    float view: one real product with the ±1 Sylvester matrix per block of
+    that view, through one small scratch block, so no transpose and no
+    second buffer the size of the state.  The last pass takes the
+    g <= _HADAMARD_PASS qubits left, where B is one amplitude of c floats:
+    it multiplies rows of c 2^g floats by kron(S, I_c) instead, and also
+    applies the one scale by 2^(-m/2).  Every product stays within _PRODUCT
+    multiply-adds, so BLAS runs on the calling thread.
     """
     if not (isinstance(state, np.ndarray) and m >= 1 and state.shape == (1 << m,)
-            and state.dtype == complex and state.flags.c_contiguous):
-        raise ValueError(f"expected a C-ordered complex statevector of 2**{m} entries, "
-                         f"got {type(state).__name__} of shape {np.shape(state)}")
+            and state.dtype in (float, complex) and state.flags.c_contiguous):
+        raise ValueError(f"expected a C-ordered float64 or complex128 statevector of 2**{m} "
+                         f"entries, got {type(state).__name__} of shape {np.shape(state)}")
     f = state.view(float)
-    g, s, k = _HADAMARD_PASS, _sylvester(_HADAMARD_PASS), _last_pass(m)
+    c = f.size >> m
+    g, s, k = _HADAMARD_PASS, _sylvester(_HADAMARD_PASS), _last_pass(m, c)
     block = _PRODUCT >> g
     step = min(block, _PRODUCT // len(k)) // len(k)
     scratch = np.empty(min(f.size, block))
     for done in range(0, m - g, g):
-        grid = f.reshape(-1, 1 << g, 2 << (m - done - g))
+        grid = f.reshape(-1, 1 << g, c << (m - done - g))
         # A block is `per` slices along A, each `cols` floats of B wide.
         cols = min(grid.shape[2], block >> g)
         per = (block >> g) // cols
         for a in range(0, grid.shape[0], per):
-            for c in range(0, grid.shape[2], cols):
-                blk = grid[a:a + per, :, c:c + cols]
+            for b in range(0, grid.shape[2], cols):
+                blk = grid[a:a + per, :, b:b + cols]
                 tmp = scratch[:blk.size].reshape(blk.shape)
                 np.matmul(s, blk, out=tmp)
                 blk[...] = tmp
@@ -322,10 +325,19 @@ class GeneralizedPermutation:
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Action on a statevector, or on each column of a (2^m, n) array of
         them, without materializing the matrix.  Output string i gathers
-        input string inv[i], which is faster than scattering inputs."""
-        out = np.asarray(state, dtype=complex)[self._inv]
+        input string inv[i], which is faster than scattering inputs.
+
+        A float64 state gives float64 output when every phase is real (its
+        imaginary part exactly 0), decided on each call; any other state, or
+        any phase off the real line, gives complex128 output."""
+        state, phases = np.asarray(state), self._phases
+        if state.dtype == float and not phases.imag.any():
+            phases = phases.real
+        else:
+            state = state.astype(complex, copy=False)
+        out = state[self._inv]
         # Phase first: the operand order fixes the rounding of the product.
-        return np.multiply(self._phases.reshape((-1,) + (1,) * (out.ndim - 1)), out, out=out)
+        return np.multiply(phases.reshape((-1,) + (1,) * (out.ndim - 1)), out, out=out)
 
     def bit_map(self, x: int) -> int:
         """Phase-free classical action on an input string."""

@@ -195,13 +195,14 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
 
 
 # Each named oracle's perm is written once, over any leading axes: one
-# truth table (or one packed k) gives one perm, a (k, 2^n) table gives k.
+# truth table (or one packed k) gives one perm, a (k, 2^n) table gives k,
+# as a C-ordered table: the family code reads it row by row.
 def perms_OS(truth) -> np.ndarray:
     """(x, y) |-> (x, y XOR f(x)) on n+1 bits, per truth table of f along
     the last axis."""
-    truth = np.asarray(truth, dtype=np.intp)
-    xy = np.arange(2 * truth.shape[-1])
-    return xy ^ truth[..., xy >> 1]
+    perms = np.repeat(np.asarray(truth, dtype=np.intp), 2, axis=-1)
+    perms ^= np.arange(perms.shape[-1])
+    return perms
 
 
 def perms_OA(truth) -> np.ndarray:
@@ -211,8 +212,10 @@ def perms_OA(truth) -> np.ndarray:
     n = num_bits(truth.shape[-1])
     top = 1 << (n - 1)
     xy = np.arange(2 << n)
-    rest = (xy >> 1) & (top - 1)
-    return xy ^ ((truth[..., rest] ^ truth[..., rest | top]) << n)
+    perms = np.take(truth[..., :top] ^ truth[..., top:], (xy >> 1) & (top - 1), axis=-1)
+    perms <<= n
+    perms ^= xy
+    return perms
 
 
 def perms_OB(n: int, k_int) -> np.ndarray:

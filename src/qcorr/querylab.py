@@ -402,10 +402,12 @@ def _assert_normalized(sq_norms, tol: float = DEFAULT_TOL):
 
 
 def _squared_norm(state: np.ndarray) -> float:
-    """The squared norm of a C-ordered complex statevector, as dot products
-    over rows of at most 2^13 floats, summed: OpenBLAS runs a dot product of
-    up to 10000 entries on the calling thread."""
-    rows = state.view(float).reshape(-1, min(2 * state.size, 1 << 13))
+    """The squared norm of a C-ordered float64 or complex128 statevector, as
+    dot products over rows of at most 2^13 floats of its float view, summed:
+    OpenBLAS runs a dot product of up to 10000 entries on the calling
+    thread."""
+    f = state.view(float)
+    rows = f.reshape(-1, min(f.size, 1 << 13))
     return np.vecdot(rows, rows).sum()
 
 
@@ -414,14 +416,15 @@ def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     H again; the final state is exactly the basis state for k: one amplitude
     within tol of unit modulus, every other within tol of zero.
 
-    H^n|0...0> is the uniform amplitude broadcast over 2^n entries, so the
-    oracle's output is the one state buffer of the run: the Hadamard layer
-    runs on it in place.  At even n every amplitude is a dyadic rational, so
-    the run is exact."""
+    Every amplitude of the run is real: H^n|0...0> is the uniform float64
+    amplitude broadcast over 2^n entries, and the oracle's phases are ±1, so
+    its output is a float64 state, the one state buffer of the run (512 KiB
+    at n = 16): the Hadamard layer runs on it in place.  At even n every
+    amplitude is a dyadic rational, so the run is exact."""
     if inst.n > 16:
         raise SizeLimitError(f"bv simulation limited to n <= 16 (got n={inst.n})")
     n = inst.n
-    uniform = np.broadcast_to(np.complex128(2.0 ** (-n / 2)), 1 << n)
+    uniform = np.broadcast_to(2.0 ** (-n / 2), 1 << n)
     state = phase_oracle(inst).apply(uniform)
     _assert_normalized(_squared_norm(state), tol)
     hadamard_layer(state, n)

@@ -203,6 +203,18 @@ def test_named_family_checks_its_table_in_one_pass(monkeypatch):
         assert calls == [(16, 1 << family.m)], oracle
 
 
+@pytest.mark.parametrize("name,n", DIFFERENTIAL, ids=[f"{p}{n}" for p, n in DIFFERENTIAL])
+def test_named_family_tables_are_c_ordered(name, n, monkeypatch):
+    # The family code reads the tables row by row; an F-ordered O_S or O_A
+    # table made each such reader copy it first.
+    monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
+    monkeypatch.setattr(querylab, "PARITY_SEARCH_LIMIT", 3)
+    problem = querylab.PROBLEMS[name][0](n)
+    for oracle, (_, _, domain) in querylab.ORACLES.items():
+        if name in domain:
+            assert named_family(problem, oracle).perms.flags.c_contiguous, oracle
+
+
 def test_named_family_peak_below_three_tables(monkeypatch):
     # bv n = 9's O_S family: k = 1024 perms on m = 10 bits.  The perms and
     # the inverse their check fills are two (k, 2^m) intp tables; building

@@ -189,15 +189,54 @@ def test_bv_matches_reference(n):
 def test_hadamard_layer_matches_per_qubit_passes(m):
     rng = np.random.default_rng(6000 + m)
     dim = 1 << m
-    for _ in range(2):
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    states = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2)]
+    states.append(rng.normal(size=dim))
+    for state in states:
         state /= np.linalg.norm(state)
         want = reference_hadamard_layer(state, m)
-        # In place: the result is written over the input and returned.
+        # In place: the result is written over the input and returned, and
+        # a real state stays real.
         got = state.copy()
-        assert hadamard_layer(got, m) is got
+        assert hadamard_layer(got, m) is got and got.dtype == state.dtype
         assert np.abs(got - want).max() <= 1e-12
         assert np.abs(hadamard_layer(got, m) - state).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_hadamard_layer_on_a_real_state_matches_the_complex_layer(m):
+    # Small integers scaled by a power of two are dyadic, and so is every
+    # sum and scaled sum the layer forms at even m: there the two layers
+    # must agree exactly, and the complex one must leave its imaginary
+    # parts at zero.
+    rng = np.random.default_rng(6200 + m)
+    x = rng.integers(-8, 9, size=1 << m) * 2.0 ** -m
+    real, cplx = hadamard_layer(x.copy(), m), hadamard_layer(x + 0j, m)
+    if m % 2 == 0:
+        assert np.array_equal(real, cplx.real) and not cplx.imag.any()
+    else:
+        assert np.abs(real - cplx.real).max() <= 1e-15 and not cplx.imag.any()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_apply_keeps_a_real_state_real_under_real_phases(m):
+    rng = np.random.default_rng(4100 + m)
+    dim = 1 << m
+    perm = tuple(int(x) for x in rng.permutation(dim))
+    signs = GeneralizedPermutation(m, perm, tuple(complex(s) for s in rng.choice([-1.0, 1.0], dim)))
+    for shape in ((dim,), (dim, 1), (dim, 5)):
+        state = rng.normal(size=shape)
+        got, want = signs.apply(state), signs.apply(state + 0j)
+        assert got.dtype == float and want.dtype == complex
+        assert np.array_equal(got, want.real) and not want.imag.any()
+        assert np.array_equal(got, reference_apply(signs, state).real)
+        # One phase off the real line makes the output complex, as does a
+        # complex or single-precision state.
+        phases = list(signs.phases)
+        phases[int(rng.integers(dim))] = 1j
+        tilted = GeneralizedPermutation(m, perm, tuple(phases))
+        assert np.array_equal(tilted.apply(state), reference_apply(tilted, state))
+        assert tilted.apply(state).dtype == complex
+        assert signs.apply(state.astype(np.float32)).dtype == complex
 
 
 @pytest.mark.parametrize("block", [1, 1 << 20])
@@ -221,8 +260,14 @@ def test_hadamard_layer_rejects_a_state_of_the_wrong_size():
 
 
 def test_hadamard_layer_rejects_a_state_it_cannot_transform_in_place():
+    # float64 and complex128 are transformed in place; any other dtype, a
+    # strided view or a list would need a copy, so they are refused.
+    for state in (np.ones(8), np.ones(8, dtype=complex)):
+        assert hadamard_layer(state, 3) is state
+        assert state[0] == 8 ** 0.5 and np.count_nonzero(state) == 1
     wide = np.ones(16, dtype=complex)
-    for state in (np.ones(8), np.ones(8, dtype=np.complex64), wide[::2], [1j] * 8):
+    for state in (np.ones(8, dtype=np.float32), np.ones(8, dtype=np.complex64), wide[::2],
+                  [1j] * 8):
         with pytest.raises(ValueError, match="statevector"):
             hadamard_layer(state, 3)
     assert np.array_equal(wide, np.ones(16))
@@ -237,9 +282,11 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_bv_at_n16_peaks_below_four_mib():
+def test_bv_at_n16_peaks_below_two_mib():
+    # The oracle's 1 MiB of complex phases and the run's one float64 state
+    # of 512 KiB; the complex state it replaced made the peak 2 MiB.
     inst = random_bv(16, np.random.default_rng(16))
-    assert _peak_bytes(lambda: querylab.run_bv_quantum(inst)) < 4 << 20
+    assert _peak_bytes(lambda: querylab.run_bv_quantum(inst)) < 2 << 20
 
 
 def test_hadamard_layer_in_place_at_m16_peaks_below_256_kib():
@@ -254,6 +301,7 @@ def test_bv_queries_the_oracle_once_on_the_uniform_state(monkeypatch, n):
     inst = random_bv(n, np.random.default_rng(7000 + n))
     assert querylab.run_bv_quantum(inst) == (inst.k, 1)
     assert len(oracles) == 1 and len(oracles[0].inputs) == 1
+    assert oracles[0].inputs[0].dtype == float
     assert np.abs(oracles[0].inputs[0] - reference_uniform(n)).max() <= 1e-15
 
 
