@@ -20,10 +20,6 @@ from .oracleforge import (
     BVInstance,
     OracleAction,
     bv_function,
-    classical_OA,
-    classical_OB,
-    classical_OBtilde,
-    classical_OS,
     phase_oracle,
     standard_oracle,
 )
@@ -59,7 +55,6 @@ from .querylab import (
     decision_tree,
     deterministic_query_complexity,
     family_extracted,
-    hypothesis_function,
     iter_boolean_functions,
     iter_bv_instances,
     named_family,

@@ -154,9 +154,10 @@ def apply_single_qubit(state: np.ndarray, u2: np.ndarray, qubit: int, m: int) ->
 # Qubits per pass of hadamard_layer, and multiply-adds per matrix product in
 # it: OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
 # thread.  The layer's blocks are sized from these two alone.  A block holds
-# at most _PRODUCT >> _HADAMARD_PASS floats (128 KiB), at 2^g multiply-adds
-# each in a pass of g qubits; the last pass, at w multiply-adds per float on
-# rows of w floats, takes fewer rows where w exceeds 2^_HADAMARD_PASS.
+# at most _PRODUCT >> _HADAMARD_PASS amplitudes (128 KiB), at 2^g
+# multiply-adds each in a pass of g qubits; the last pass, at w multiply-adds
+# per amplitude on rows of w, takes fewer rows where w exceeds
+# 2^_HADAMARD_PASS.
 _HADAMARD_PASS = 4
 _PRODUCT = 1 << 18
 
@@ -172,44 +173,39 @@ def _sylvester(g: int) -> np.ndarray:
 
 
 @functools.cache
-def _last_pass(m: int, c: int) -> np.ndarray:
-    """kron(S, I_c) for the last g = (m - 1) % _HADAMARD_PASS + 1 qubits of
-    an m-qubit layer, scaled by 2^(-m/2), as read-only floats: it acts by
-    right multiplication on rows of 2^g entries of c floats each, a real
-    amplitude (c = 1) or a (re, im) pair (c = 2)."""
-    k = np.kron(_sylvester((m - 1) % _HADAMARD_PASS + 1), np.eye(c)) * 2.0 ** (-m / 2)
+def _last_pass(m: int) -> np.ndarray:
+    """S for the last g = (m - 1) % _HADAMARD_PASS + 1 qubits of an m-qubit
+    layer, scaled by 2^(-m/2), as read-only floats: it acts by right
+    multiplication on rows of 2^g amplitudes."""
+    k = _sylvester((m - 1) % _HADAMARD_PASS + 1) * 2.0 ** (-m / 2)
     k.flags.writeable = False
     return k
 
 
 def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
     """H on every qubit of an m-qubit statevector, in place: ``state`` must be
-    a C-ordered float64 or complex128 array of 2^m entries.  It is returned.
+    a C-ordered float64 array of 2^m real amplitudes.  It is returned.
 
-    The layer works on the float view of the entries, c = 1 (real) or 2
-    (complex) floats per amplitude.  Each pass but the last takes the next
-    g = _HADAMARD_PASS qubits from the most significant, on the (A, 2^g, B)
-    float view: one real product with the ±1 Sylvester matrix per block of
-    that view, through one small scratch block, so no transpose and no
-    second buffer the size of the state.  The last pass takes the
-    g <= _HADAMARD_PASS qubits left, where B is one amplitude of c floats:
-    it multiplies rows of c 2^g floats by kron(S, I_c) instead, and also
+    Each pass but the last takes the next g = _HADAMARD_PASS qubits from the
+    most significant, on the (A, 2^g, B) view: one real product with the ±1
+    Sylvester matrix per block of that view, through one small scratch
+    block, so no transpose and no second buffer the size of the state.  The
+    last pass takes the g <= _HADAMARD_PASS qubits left, where B is one
+    amplitude: it multiplies rows of 2^g amplitudes by S instead, and also
     applies the one scale by 2^(-m/2).  Every product stays within _PRODUCT
     multiply-adds, so BLAS runs on the calling thread.
     """
     if not (isinstance(state, np.ndarray) and m >= 1 and state.shape == (1 << m,)
-            and state.dtype in (float, complex) and state.flags.c_contiguous):
-        raise ValueError(f"expected a C-ordered float64 or complex128 statevector of 2**{m} "
+            and state.dtype == float and state.flags.c_contiguous):
+        raise ValueError(f"expected a C-ordered float64 statevector of 2**{m} "
                          f"entries, got {type(state).__name__} of shape {np.shape(state)}")
-    f = state.view(float)
-    c = f.size >> m
-    g, s, k = _HADAMARD_PASS, _sylvester(_HADAMARD_PASS), _last_pass(m, c)
+    g, s, k = _HADAMARD_PASS, _sylvester(_HADAMARD_PASS), _last_pass(m)
     block = _PRODUCT >> g
     step = min(block, _PRODUCT // len(k)) // len(k)
-    scratch = np.empty(min(f.size, block))
+    scratch = np.empty(min(state.size, block))
     for done in range(0, m - g, g):
-        grid = f.reshape(-1, 1 << g, c << (m - done - g))
-        # A block is `per` slices along A, each `cols` floats of B wide.
+        grid = state.reshape(-1, 1 << g, 1 << (m - done - g))
+        # A block is `per` slices along A, each `cols` amplitudes of B wide.
         cols = min(grid.shape[2], block >> g)
         per = (block >> g) // cols
         for a in range(0, grid.shape[0], per):
@@ -218,7 +214,7 @@ def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
                 tmp = scratch[:blk.size].reshape(blk.shape)
                 np.matmul(s, blk, out=tmp)
                 blk[...] = tmp
-    rows = f.reshape(-1, len(k))
+    rows = state.reshape(-1, len(k))
     for r in range(0, len(rows), step):
         blk = rows[r:r + step]
         tmp = scratch[:blk.size].reshape(blk.shape)
@@ -338,10 +334,6 @@ class GeneralizedPermutation:
         out = state[self._inv]
         # Phase first: the operand order fixes the rounding of the product.
         return np.multiply(phases.reshape((-1,) + (1,) * (out.ndim - 1)), out, out=out)
-
-    def bit_map(self, x: int) -> int:
-        """Phase-free classical action on an input string."""
-        return self.perm[x]
 
     def is_involution(self) -> bool:
         return np.array_equal(self._perm, self._inv)

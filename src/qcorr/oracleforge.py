@@ -9,12 +9,26 @@ the query/target bit last (least significant).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matrixcore import (DEFAULT_TOL, GeneralizedPermutation, _checked_perms, _json_int, _unchecked,
                          num_bits)
+
+
+def _bits(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints, each 0 or 1: an int, a bool or a
+    numpy integer is taken by its index, and a float or string is refused,
+    so every bit prints and reads back as a JSON integer."""
+    try:
+        bits = tuple(map(operator.index, values))
+        if {0, 1}.issuperset(bits):
+            return bits
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be bits")
 
 
 @dataclass(frozen=True)
@@ -29,8 +43,7 @@ class BooleanFunction:
             raise ValueError("need n >= 1 input bits")
         if len(self.truth) != 1 << self.n:
             raise ValueError(f"truth table length must be 2**n = {1 << self.n}")
-        if any(b not in (0, 1) for b in self.truth):
-            raise ValueError("truth table entries must be bits")
+        object.__setattr__(self, "truth", _bits(self.truth, "truth table entries"))
 
     def __call__(self, x: int) -> int:
         return self.truth[x]
@@ -62,8 +75,9 @@ class BVInstance:
     def __post_init__(self):
         if self.n < 1 or len(self.k) != self.n:
             raise ValueError("k must have length n >= 1")
-        if self.k0 not in (0, 1) or any(b not in (0, 1) for b in self.k):
-            raise ValueError("k0 and k entries must be bits")
+        bits = _bits((self.k0, *self.k), "k0 and k entries")
+        object.__setattr__(self, "k0", bits[0])
+        object.__setattr__(self, "k", bits[1:])
 
     @property
     def k_int(self) -> int:
@@ -160,7 +174,8 @@ class OracleAction:
 
 def standard_oracle(f: BooleanFunction) -> OracleAction:
     """(x, y) |-> (x, y XOR f(x)) on n+1 qubits, all phases 1."""
-    return OracleAction.from_permutation(classical_OS(f))
+    return OracleAction.from_permutation(
+        GeneralizedPermutation(f.n + 1, perms_OS(f.truth), np.ones(2 << f.n)))
 
 
 @functools.cache
@@ -227,23 +242,3 @@ def perms_OBtilde(n: int, k_int) -> np.ndarray:
     """x |-> x XOR k on n bits, per packed k."""
     return np.arange(1 << n) ^ np.asarray(k_int)[..., None]
 
-
-def classical_OS(f: BooleanFunction) -> GeneralizedPermutation:
-    """Standard classical oracle: (x, y) |-> (x, y XOR f(x))."""
-    return GeneralizedPermutation(f.n + 1, perms_OS(f.truth), np.ones(2 << f.n))
-
-
-def classical_OA(f: BooleanFunction) -> GeneralizedPermutation:
-    """Flip oracle: (x, y) |-> (x XOR c, y) where the first bit of x flips by
-    c = f(0, rest) XOR f(1, rest), independent of y."""
-    return GeneralizedPermutation(f.n + 1, perms_OA(f.truth), np.ones(2 << f.n))
-
-
-def classical_OB(inst: BVInstance) -> GeneralizedPermutation:
-    """Shift oracle: (x, y) |-> (x XOR k, y) on n+1 bits."""
-    return GeneralizedPermutation(inst.n + 1, perms_OB(inst.n, inst.k_int), np.ones(2 << inst.n))
-
-
-def classical_OBtilde(inst: BVInstance) -> GeneralizedPermutation:
-    """Query-bit-free shift oracle: x |-> x XOR k on n bits."""
-    return GeneralizedPermutation(inst.n, perms_OBtilde(inst.n, inst.k_int), np.ones(1 << inst.n))

@@ -20,7 +20,6 @@ from .matrixcore import (HADAMARD, GeneralizedPermutation, SizeLimitError, _chec
 from .oracleforge import (
     BooleanFunction,
     BVInstance,
-    bv_function,
     bv_truths,
     perms_OA,
     perms_OB,
@@ -79,9 +78,9 @@ def iter_boolean_functions(n: int):
 
 def iter_bv_instances(n: int):
     """All 2**(n+1) promise instances (k0, k), k enumerated numerically."""
+    ks = [tuple((k_int >> (n - 1 - j)) & 1 for j in range(n)) for k_int in range(1 << n)]
     for k0 in (0, 1):
-        for k_int in range(1 << n):
-            k = tuple((k_int >> (n - 1 - j)) & 1 for j in range(n))
+        for k in ks:
             yield BVInstance(n, k0, k)
 
 
@@ -106,12 +105,6 @@ def parity_problem(n: int) -> ProblemSpec:
 def bv_problem(n: int) -> ProblemSpec:
     """Identify the hidden string k of a promised affine function."""
     return _problem("bv", n, BV_SEARCH_LIMIT, iter_bv_instances, lambda inst: inst.k)
-
-
-def hypothesis_function(h: Hypothesis) -> BooleanFunction:
-    if isinstance(h.instance, BVInstance):
-        return bv_function(h.instance)
-    return h.instance
 
 
 # Compared by identity: numpy arrays have no dataclass equality.
@@ -402,12 +395,10 @@ def _assert_normalized(sq_norms, tol: float = DEFAULT_TOL):
 
 
 def _squared_norm(state: np.ndarray) -> float:
-    """The squared norm of a C-ordered float64 or complex128 statevector, as
-    dot products over rows of at most 2^13 floats of its float view, summed:
-    OpenBLAS runs a dot product of up to 10000 entries on the calling
-    thread."""
-    f = state.view(float)
-    rows = f.reshape(-1, min(f.size, 1 << 13))
+    """The squared norm of a C-ordered float64 statevector, as dot products
+    over rows of at most 2^13 amplitudes, summed: OpenBLAS runs a dot
+    product of up to 10000 entries on the calling thread."""
+    rows = state.reshape(-1, min(state.size, 1 << 13))
     return np.vecdot(rows, rows).sum()
 
 

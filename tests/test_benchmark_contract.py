@@ -88,8 +88,8 @@ def test_the_calls_the_benchmark_makes():
     # the audit workload calls speedup_report with the problem alone, and
     # the grid workload reads each counterpart's perm.
     problem = querylab.bv_problem(2)
-    functions = [querylab.hypothesis_function(h) for h in problem.hypotheses]
-    maps = tuple(oracleforge.classical_OS(f) for f in functions)
+    functions = [oracleforge.bv_function(h.instance) for h in problem.hypotheses]
+    maps = tuple(oracleforge.standard_oracle(f).permutation for f in functions)
     family = querylab.ClassicalOracleFamily("O_S", 3, maps)
     assert family.perms.tolist() == [list(gp.perm) for gp in maps]
     assert querylab.deterministic_query_complexity(problem, family) == 3

@@ -46,7 +46,7 @@ from qcorr.correspondence import (
     general_basis,
     search_counterparts,
 )
-from qcorr.querylab import bv_problem, family_extracted, hypothesis_function, parity_problem
+from qcorr.querylab import bv_problem, family_extracted, parity_problem
 
 PHASE_TOL = 1e-12
 
@@ -158,6 +158,11 @@ def assert_same_search(found, want):
 
 def random_truth(rng, n):
     return tuple(int(b) for b in rng.integers(0, 2, 1 << n))
+
+
+def as_function(inst):
+    """A hypothesis's function: a parity instance is one, a promise gives k0 XOR k.x."""
+    return bv_function(inst) if isinstance(inst, BVInstance) else inst
 
 
 def dense(action):
@@ -316,7 +321,7 @@ def test_haar_actions_under_single_words(m, strategy):
 )
 def test_family_extracted_stacks(problem, strategy):
     m = problem.n + 1
-    built = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
+    built = [standard_oracle(as_function(h.instance)) for h in problem.hypotheses]
     oracles = [strategy(oracle) for oracle in built]
     # one search per oracle, through the engine the strategy picks
     searches = [{name: gp for name, _, gp in search_counterparts(oracle, PauliGrid())}
@@ -439,7 +444,7 @@ def test_table_engine_matches_dense_engine(m, kind):
     ids=["bv1", "bv2", "bv3", "parity1", "parity2"],
 )
 def test_table_engine_matches_dense_engine_on_hypothesis_stacks(problem):
-    oracles = [standard_oracle(hypothesis_function(h)) for h in problem.hypotheses]
+    oracles = [standard_oracle(as_function(h.instance)) for h in problem.hypotheses]
     assert assert_table_matches_dense(oracles, PauliGrid()) > 1
     for _, bases in reference_grid(problem.n + 1):
         assert_table_matches_dense(oracles, bases)

@@ -519,7 +519,7 @@ def test_generalized_permutation_apply_matches_matrix():
     assert np.allclose(gp.apply(state), gp.as_matrix() @ state, atol=1e-12)
     states = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     assert np.allclose(gp.apply(states), gp.as_matrix() @ states, atol=1e-12)
-    assert gp.bit_map(0) == 2
+    assert gp.perm[0] == 2
     assert gp.dim == 4
 
 

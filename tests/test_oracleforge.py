@@ -1,30 +1,38 @@
 """Unit tests for oracle construction: truth tables, promise instances, the
 standard and phase oracles, and the named classical oracles."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from qcorr.matrixcore import SIGMA_Z, detect_generalized_permutation
+from qcorr.matrixcore import SIGMA_Z, GeneralizedPermutation, detect_generalized_permutation
 from qcorr.oracleforge import (
     BooleanFunction,
     BVInstance,
     OracleAction,
     bv_function,
-    classical_OA,
-    classical_OB,
-    classical_OBtilde,
-    classical_OS,
+    perms_OA,
+    perms_OB,
+    perms_OBtilde,
+    perms_OS,
     phase_oracle,
     standard_oracle,
 )
+from qcorr.querylab import bv_problem, named_family, parity_problem
 
 
 def all_functions(n):
     size = 1 << n
     for code in range(1 << size):
         yield BooleanFunction(n, tuple((code >> (size - 1 - i)) & 1 for i in range(size)))
+
+
+def is_involution(perms):
+    # every row of a (k, 2^m) table, applied twice, is the identity
+    return np.array_equal(np.take_along_axis(perms, perms, -1),
+                          np.broadcast_to(np.arange(perms.shape[-1]), perms.shape))
 
 
 def affine_eval(k0, k, x, n):
@@ -68,6 +76,31 @@ def test_bv_instance_basics():
         BVInstance(1, 2, (0,))
     with pytest.raises(ValueError):
         BVInstance.from_json({"n": 1, "k0": 0})
+
+
+@pytest.mark.parametrize("bit", [int, bool, np.int64, np.uint8], ids=lambda t: t.__name__)
+def test_instances_store_bits_as_ints_and_round_trip_json(bit):
+    f = BooleanFunction(2, tuple(bit(b) for b in (1, 0, 0, 1)))
+    inst = BVInstance(2, bit(1), (bit(1), bit(0)))
+    for obj, cls, bits in ((f, BooleanFunction, f.truth), (inst, BVInstance, (inst.k0, *inst.k))):
+        assert all(type(b) is int for b in bits)
+        back = cls.from_json(json.loads(json.dumps(obj.to_json())))
+        assert back == obj and hash(back) == hash(obj)
+    assert f.parity() == 0 and inst.k_int == 0b10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BooleanFunction(1, (0.0, 1.0)),
+    lambda: BooleanFunction(1, (0, np.float64(1))),
+    lambda: BooleanFunction(1, (0, "1")),
+    lambda: BooleanFunction(1, (np.False_, np.True_)),
+    lambda: BVInstance(2, 1.0, (True, 0)),
+    lambda: BVInstance(2, 1, (1, 0.0)),
+], ids=["float-truth", "numpy-float-truth", "string-truth", "numpy-bool-truth", "float-k0",
+     "float-k"])
+def test_instances_refuse_a_bit_that_is_not_an_integer(make):
+    with pytest.raises(ValueError, match="must be bits"):
+        make()
 
 
 def test_bv_function_frozen_examples():
@@ -127,48 +160,61 @@ def test_standard_oracle_involution(n):
 
 
 def test_classical_os_frozen_example():
-    gp = classical_OS(BooleanFunction(1, (0, 1)))
-    assert gp.perm == (0, 1, 3, 2)
+    gp = standard_oracle(BooleanFunction(1, (0, 1))).permutation
+    assert gp.perm == (0, 1, 3, 2) == tuple(perms_OS((0, 1)).tolist())
     assert all(p == 1 for p in gp.phases)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_classical_os_equals_detected_standard_oracle(n):
+    # O_S by its definition, (x, y) -> (x, y XOR f(x)), against the map
+    # read back from the standard oracle's matrix
     for f in all_functions(n):
         detected = detect_generalized_permutation(standard_oracle(f).as_matrix())
-        assert detected.perm == classical_OS(f).perm
+        assert detected.perm == tuple((x << 1) | (y ^ f(x)) for x in range(1 << n) for y in (0, 1))
 
 
 def test_classical_oa_flip_example():
     # c = f(0,x2) XOR f(1,x2) = 1 for both x2 values, so x1 always flips
     f = bv_function(BVInstance(2, 0, (1, 0)))
-    gp = classical_OA(f)
+    perm = perms_OA(f.truth).tolist()
     for x in range(4):
         for y in (0, 1):
-            assert gp.perm[(x << 1) | y] == ((x ^ 0b10) << 1) | y
+            assert perm[(x << 1) | y] == ((x ^ 0b10) << 1) | y
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_classical_oa_involution_and_y_independence(n):
-    for f in all_functions(n):
-        gp = classical_OA(f)
-        assert gp.is_involution()
+def test_classical_oa_involution_and_y_independence(n, monkeypatch):
+    # every truth table on n bits is one parity hypothesis; n = 3 lies past
+    # the search limit, which only gates the problem builder
+    monkeypatch.setattr("qcorr.querylab.PARITY_SEARCH_LIMIT", 3)
+    perms = named_family(parity_problem(n), "OA").perms
+    assert perms.tolist() == perms_OA([f.truth for f in all_functions(n)]).tolist()
+    assert is_involution(perms)
+    for perm in perms.tolist():
         for x in range(1 << n):
-            out0 = gp.perm[x << 1]
-            out1 = gp.perm[(x << 1) | 1]
+            out0 = perm[x << 1]
+            out1 = perm[(x << 1) | 1]
             assert out0 >> 1 == out1 >> 1
             assert out0 & 1 == 0 and out1 & 1 == 1
 
 
 def test_classical_ob_and_obtilde():
     inst = BVInstance(3, 0, (1, 0, 1))
-    ob = classical_OB(inst)
-    obt = classical_OBtilde(inst)
-    assert ob.is_involution() and obt.is_involution()
-    assert obt.perm == tuple(x ^ 0b101 for x in range(8))
+    ob, obt = perms_OB(3, inst.k_int), perms_OBtilde(3, inst.k_int)
+    assert is_involution(ob) and is_involution(obt)
+    assert obt.tolist() == [x ^ 0b101 for x in range(8)]
     for x in range(8):
         for y in (0, 1):
-            assert ob.perm[(x << 1) | y] == ((x ^ 0b101) << 1) | y
+            assert ob[(x << 1) | y] == ((x ^ 0b101) << 1) | y
+    # the families hold one such row per hidden string, k0 aside
+    problem = bv_problem(3)
+    rows = {h.instance: i for i, h in enumerate(problem.hypotheses)}
+    for oracle, perm in (("OB", ob), ("OBT", obt)):
+        family = named_family(problem, oracle)
+        assert is_involution(family.perms)
+        assert family.perms[rows[inst]].tolist() == perm.tolist()
+        assert family.perms[rows[BVInstance(3, 1, (1, 0, 1))]].tolist() == perm.tolist()
 
 
 def test_phase_oracle_values():
@@ -207,7 +253,7 @@ def test_oracle_action_matrix_checks():
         OracleAction.from_matrix(np.eye(3))
     with pytest.raises(ValueError):
         OracleAction(1)
-    gp = classical_OS(BooleanFunction(1, (0, 1)))
+    gp = standard_oracle(BooleanFunction(1, (0, 1))).permutation
     with pytest.raises(ValueError):
         OracleAction(3, permutation=gp)
 
@@ -243,7 +289,7 @@ def test_oracle_action_linearity():
 
 
 def test_oracle_action_as_matrix_consistency():
-    gp = classical_OB(BVInstance(1, 0, (1,)))
+    gp = GeneralizedPermutation(2, perms_OB(1, 1), np.ones(4))
     action = OracleAction.from_permutation(gp)
     assert np.array_equal(action.as_matrix(), gp.as_matrix())
     assert action.dim == 4

@@ -14,10 +14,6 @@ from qcorr.oracleforge import (
     BooleanFunction,
     BVInstance,
     bv_function,
-    classical_OA,
-    classical_OB,
-    classical_OBtilde,
-    classical_OS,
     standard_oracle,
 )
 from qcorr.correspondence import PauliGrid, general_basis, parse_basis_word, search_counterparts
@@ -30,7 +26,6 @@ from qcorr.querylab import (
     decision_tree,
     deterministic_query_complexity,
     family_extracted,
-    hypothesis_function,
     iter_boolean_functions,
     iter_bv_instances,
     named_family,
@@ -94,14 +89,6 @@ def test_problem_limits_are_read_at_call_time(monkeypatch):
     assert bv.labels() == [inst.k for inst in iter_bv_instances(7)]
 
 
-def test_hypothesis_function():
-    parity = parity_problem(1)
-    assert hypothesis_function(parity.hypotheses[1]) is parity.hypotheses[1].instance
-    bv = bv_problem(1)
-    h = bv.hypotheses[1]
-    assert hypothesis_function(h).truth == bv_function(h.instance).truth
-
-
 def test_family_constructors():
     problem = bv_problem(1)
     assert named_family(problem, "OS").m == 2
@@ -117,14 +104,15 @@ def test_family_constructors():
             "bad",
             2,
             (
-                classical_OS(BooleanFunction(1, (0, 1))),
-                classical_OS(BooleanFunction(2, (0, 1, 1, 0))),
+                standard_oracle(BooleanFunction(1, (0, 1))).permutation,
+                standard_oracle(BooleanFunction(2, (0, 1, 1, 0))).permutation,
             ),
         )
 
 
 def test_family_table_and_maps_give_the_same_perms():
-    maps = [classical_OS(BooleanFunction(2, t)) for t in ((0, 1, 1, 0), (1, 1, 1, 1))]
+    maps = [standard_oracle(BooleanFunction(2, t)).permutation
+            for t in ((0, 1, 1, 0), (1, 1, 1, 1))]
     table = np.array([gp.perm for gp in maps], dtype=np.int32)
     by_table = ClassicalOracleFamily("t", 3, table)
     by_maps = ClassicalOracleFamily("t", 3, tuple(maps))
@@ -156,13 +144,53 @@ def test_family_refuses_bad_perms(perms):
         ClassicalOracleFamily("bad", 2, perms)
 
 
-# The one-map constructors are the reference for the table-built families.
-ONE_AT_A_TIME = {
-    "OS": lambda h: classical_OS(hypothesis_function(h)),
-    "OA": lambda h: classical_OA(hypothesis_function(h)),
-    "OB": lambda h: classical_OB(h.instance),
-    "OBT": lambda h: classical_OBtilde(h.instance),
-}
+# The named oracles written from their definitions, one plain loop per
+# hypothesis's instance, as the reference for the table-built families.
+def reference_truth(inst):
+    # f(x) for every x: a parity instance's table, or k0 XOR k.x
+    if isinstance(inst, BooleanFunction):
+        return list(inst.truth)
+    n = inst.n
+    return [inst.k0 ^ (sum(b & (x >> (n - 1 - j)) for j, b in enumerate(inst.k)) & 1)
+            for x in range(1 << n)]
+
+
+def reference_k(inst):
+    # the hidden string, first bit most significant
+    return sum(b << (inst.n - 1 - j) for j, b in enumerate(inst.k))
+
+
+def reference_OS(inst):
+    # (x, y) -> (x, y XOR f(x))
+    f = reference_truth(inst)
+    return [(x << 1) | (y ^ f[x]) for x in range(len(f)) for y in (0, 1)]
+
+
+def reference_OA(inst):
+    # (x, y) -> (x XOR c, y), c the first bit's flip f(0, rest) XOR f(1, rest)
+    f, top = reference_truth(inst), 1 << (inst.n - 1)
+    perm = []
+    for x in range(len(f)):
+        rest = x % top
+        flip = f[rest] ^ f[top + rest]
+        perm += [((x ^ (flip * top)) << 1) | y for y in (0, 1)]
+    return perm
+
+
+def reference_OB(inst):
+    # (x, y) -> (x XOR k, y)
+    k = reference_k(inst)
+    return [((x ^ k) << 1) | y for x in range(1 << inst.n) for y in (0, 1)]
+
+
+def reference_OBtilde(inst):
+    # x -> x XOR k
+    k = reference_k(inst)
+    return [x ^ k for x in range(1 << inst.n)]
+
+
+FROM_DEFINITION = {"OS": reference_OS, "OA": reference_OA, "OB": reference_OB,
+                   "OBT": reference_OBtilde}
 DIFFERENTIAL = [("bv", n) for n in range(1, 8)] + [("parity", n) for n in (1, 2, 3)]
 
 
@@ -172,7 +200,7 @@ def test_named_family_matches_one_map_per_hypothesis(name, n, monkeypatch):
     # problem builders
     monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
     monkeypatch.setattr(querylab, "PARITY_SEARCH_LIMIT", 3)
-    assert set(ONE_AT_A_TIME) == set(querylab.ORACLES)
+    assert set(FROM_DEFINITION) == set(querylab.ORACLES)
     problem = querylab.PROBLEMS[name][0](n)
     order = np.random.default_rng([n, 13]).permutation(len(problem.hypotheses))
     shuffled = ProblemSpec(name, n, tuple(problem.hypotheses[int(i)] for i in order))
@@ -181,10 +209,13 @@ def test_named_family_matches_one_map_per_hypothesis(name, n, monkeypatch):
             continue
         for spec in (problem, shuffled):
             family = named_family(spec, oracle)
-            want = tuple(ONE_AT_A_TIME[oracle](h) for h in spec.hypotheses)
-            assert (family.name, family.m) == (family_name, want[0].m)
-            assert family.perms.tolist() == [list(gp.perm) for gp in want], (
-                oracle, spec is shuffled)
+            want = [FROM_DEFINITION[oracle](h.instance) for h in spec.hypotheses]
+            assert (family.name, family.m) == (family_name, len(want[0]).bit_length() - 1)
+            assert family.perms.tolist() == want, (oracle, spec is shuffled)
+    # each hypothesis's standard oracle, built alone, is its O_S
+    for h in problem.hypotheses:
+        f = bv_function(h.instance) if name == "bv" else h.instance
+        assert list(standard_oracle(f).permutation.perm) == reference_OS(h.instance)
 
 
 def test_named_family_checks_its_table_in_one_pass(monkeypatch):
@@ -272,7 +303,7 @@ def test_extracted_families_check_each_table_once(name, n, monkeypatch):
 @pytest.mark.parametrize("rows", [
     [[0, 1, 2, 3], [1, 0, 3, 2]],
     ((0, 1, 2, 3), (1, 0, 3, 2)),
-    [classical_OS(BooleanFunction(1, (0, 0))), (1, 0, 3, 2)],
+    [standard_oracle(BooleanFunction(1, (0, 0))).permutation, (1, 0, 3, 2)],
 ], ids=["list-of-lists", "tuple-of-tuples", "map-and-tuple"])
 def test_family_takes_rows_of_integers(rows):
     family = ClassicalOracleFamily("x", 2, rows)
@@ -298,13 +329,13 @@ def test_extracted_map_pickles_its_own_row():
     # the table engine builds many words' counterparts in one table, and
     # search_counterparts hands out its rows as maps
     problem = bv_problem(3)
-    oracle = standard_oracle(hypothesis_function(problem.hypotheses[5]))
+    oracle = standard_oracle(bv_function(problem.hypotheses[5].instance))
     word, _, member = search_counterparts(oracle, PauliGrid())[0]
     assert word == "CCCC" and member._perm.base is not None
     data = pickle.dumps(member)
     assert pickle.loads(data) == member
     # a member built alone holds one row, so the same bytes mean one row
-    alone = classical_OS(hypothesis_function(problem.hypotheses[5]))
+    alone = oracle.permutation
     assert len(data) == len(pickle.dumps(alone))
 
 
@@ -421,7 +452,7 @@ def test_minimax_hypothesis_limit():
     # Every row is equal and the labels alternate, so the identical-row
     # quotient would call this family infinite: it runs after the limits.
     f = BooleanFunction(1, (0, 1))
-    gp = classical_OS(f)
+    gp = standard_oracle(f).permutation
     count = 65537
     hyps = tuple(Hypothesis(i, f, i % 2) for i in range(count))
     problem = ProblemSpec("parity", 1, hyps)

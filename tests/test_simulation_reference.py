@@ -63,6 +63,15 @@ def reference_hadamard_layer(state, m):
     return state
 
 
+def integer_walsh_hadamard(ints, m):
+    # the unscaled transform in exact integers, one butterfly pass per qubit
+    v = np.array(ints, dtype=np.int64)
+    for j in range(m):
+        w = v.reshape(-1, 2, 1 << (m - 1 - j))
+        w[:] = np.stack([w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]], axis=1)
+    return v
+
+
 def reference_uniform(n):
     zero = np.zeros(1 << n, dtype=complex)
     zero[0] = 1.0
@@ -189,32 +198,34 @@ def test_bv_matches_reference(n):
 def test_hadamard_layer_matches_per_qubit_passes(m):
     rng = np.random.default_rng(6000 + m)
     dim = 1 << m
-    states = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2)]
-    states.append(rng.normal(size=dim))
-    for state in states:
+    for _ in range(3):
+        state = rng.normal(size=dim)
         state /= np.linalg.norm(state)
         want = reference_hadamard_layer(state, m)
         # In place: the result is written over the input and returned, and
-        # a real state stays real.
+        # stays real.
         got = state.copy()
-        assert hadamard_layer(got, m) is got and got.dtype == state.dtype
+        assert hadamard_layer(got, m) is got and got.dtype == float
         assert np.abs(got - want).max() <= 1e-12
         assert np.abs(hadamard_layer(got, m) - state).max() <= 1e-12
 
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_hadamard_layer_on_a_real_state_matches_the_complex_layer(m):
-    # Small integers scaled by a power of two are dyadic, and so is every
-    # sum and scaled sum the layer forms at even m: there the two layers
-    # must agree exactly, and the complex one must leave its imaginary
-    # parts at zero.
+    # The layer takes real states only; a complex state is its real and
+    # imaginary parts, each a real state.  Small integers scaled by a power
+    # of two are dyadic, and so is every sum and scaled sum the layer forms
+    # at even m: there it must give the integer transform exactly.
     rng = np.random.default_rng(6200 + m)
-    x = rng.integers(-8, 9, size=1 << m) * 2.0 ** -m
-    real, cplx = hadamard_layer(x.copy(), m), hadamard_layer(x + 0j, m)
+    ints = rng.integers(-8, 9, size=(2, 1 << m))
+    re, im = ints * 2.0 ** -m
+    want = reference_hadamard_layer(re + 1j * im, m)
+    re, im = hadamard_layer(re.copy(), m), hadamard_layer(im.copy(), m)
+    assert np.abs(re + 1j * im - want).max() <= 1e-15
     if m % 2 == 0:
-        assert np.array_equal(real, cplx.real) and not cplx.imag.any()
-    else:
-        assert np.abs(real - cplx.real).max() <= 1e-15 and not cplx.imag.any()
+        scale = 2.0 ** (-m - m // 2)
+        assert np.array_equal(re, integer_walsh_hadamard(ints[0], m) * scale)
+        assert np.array_equal(im, integer_walsh_hadamard(ints[1], m) * scale)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -244,7 +255,7 @@ def test_hadamard_layer_does_not_size_its_blocks_from_the_kernel_block(monkeypat
     rng = np.random.default_rng(block)
     cases = []
     for m in (1, 4, 5, 13, 14, 16):
-        state = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        state = rng.normal(size=1 << m)
         state /= np.linalg.norm(state)
         cases.append((m, state, reference_hadamard_layer(state, m)))
     monkeypatch.setattr(matrixcore, "_BLOCK", block)
@@ -253,21 +264,20 @@ def test_hadamard_layer_does_not_size_its_blocks_from_the_kernel_block(monkeypat
 
 
 def test_hadamard_layer_rejects_a_state_of_the_wrong_size():
-    for state, m in ((np.ones(8, dtype=complex), 2), (np.ones((4, 2), dtype=complex), 2),
-                     (np.ones(1, dtype=complex), 0)):
+    for state, m in ((np.ones(8), 2), (np.ones((4, 2)), 2), (np.ones(1), 0)):
         with pytest.raises(ValueError, match="statevector"):
             hadamard_layer(state, m)
 
 
 def test_hadamard_layer_rejects_a_state_it_cannot_transform_in_place():
-    # float64 and complex128 are transformed in place; any other dtype, a
-    # strided view or a list would need a copy, so they are refused.
-    for state in (np.ones(8), np.ones(8, dtype=complex)):
-        assert hadamard_layer(state, 3) is state
-        assert state[0] == 8 ** 0.5 and np.count_nonzero(state) == 1
-    wide = np.ones(16, dtype=complex)
-    for state in (np.ones(8, dtype=np.float32), np.ones(8, dtype=np.complex64), wide[::2],
-                  [1j] * 8):
+    # float64 is transformed in place; any other dtype, complex128 among
+    # them, a strided view or a list would need a copy, so they are refused.
+    state = np.ones(8)
+    assert hadamard_layer(state, 3) is state
+    assert state[0] == 8 ** 0.5 and np.count_nonzero(state) == 1
+    wide = np.ones(16)
+    for state in (np.ones(8, dtype=complex), np.ones(8, dtype=np.float32),
+                  np.ones(8, dtype=np.complex64), wide[::2], [1.0] * 8):
         with pytest.raises(ValueError, match="statevector"):
             hadamard_layer(state, 3)
     assert np.array_equal(wide, np.ones(16))
@@ -290,7 +300,7 @@ def test_bv_at_n16_peaks_below_two_mib():
 
 
 def test_hadamard_layer_in_place_at_m16_peaks_below_256_kib():
-    state = np.full(1 << 16, 2.0 ** -8, dtype=complex)
+    state = np.full(1 << 16, 2.0 ** -8)
     assert _peak_bytes(lambda: hadamard_layer(state, 16)) < 256 << 10
     assert state[0] == 1 and np.count_nonzero(state) == 1
 
