@@ -31,6 +31,18 @@ def _bits(values, what: str) -> tuple[int, ...]:
     raise ValueError(f"{what} must be bits")
 
 
+def _width(n) -> int:
+    """``n`` as a Python int at least 1, taken by its index as a bit is, so
+    that it prints and reads back as a JSON integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ValueError("need n >= 1 input bits")
+    return n
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """Truth table of f: {0,1}^n -> {0,1}, indexed with the first bit as MSB."""
@@ -39,8 +51,7 @@ class BooleanFunction:
     truth: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1 input bits")
+        object.__setattr__(self, "n", _width(self.n))
         if len(self.truth) != 1 << self.n:
             raise ValueError(f"truth table length must be 2**n = {1 << self.n}")
         object.__setattr__(self, "truth", _bits(self.truth, "truth table entries"))
@@ -73,7 +84,8 @@ class BVInstance:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1 or len(self.k) != self.n:
+        object.__setattr__(self, "n", _width(self.n))
+        if len(self.k) != self.n:
             raise ValueError("k must have length n >= 1")
         bits = _bits((self.k0, *self.k), "k0 and k entries")
         object.__setattr__(self, "k0", bits[0])

@@ -217,8 +217,10 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     i.  ``count`` is the exact cost of the full set, ``depth(mask)`` that of
     any set, and ``memo`` maps each set the search solved to its cost (a
     label-pure set costs 0 and is not held).  ``queries`` holds ``(query
-    string, {output: mask})`` per distinct partition.  A search too deep to
-    recurse raises SizeLimitError.
+    string, {output: mask})`` per distinct partition, for the first query
+    string with it: of the query columns that differ by one constant XOR
+    over the kept rows, which relabels outputs one to one, only the first
+    is partitioned.  A search too deep to recurse raises SizeLimitError.
     """
     hyps = problem.hypotheses
     if len(family.perms) != len(hyps):
@@ -231,9 +233,9 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     # The quotient: each row as one bytes object, and a set of them to see
     # at C speed whether any two rows are equal.  Every entry is below
     # 2^MAX_QUERY_BITS, so two bytes an entry keep rows apart exactly.
-    key = np.ascontiguousarray(family.perms, dtype=np.uint16)
-    rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel().tolist()
-    perms, hyp_labels = family.perms, problem.labels()
+    table = np.ascontiguousarray(family.perms, dtype=np.uint16)
+    rows = table.view(np.dtype((np.void, table.shape[1] * table.itemsize))).ravel().tolist()
+    hyp_labels = problem.labels()
     if len(set(rows)) < len(rows):
         first: dict = {}
         keep = []
@@ -243,7 +245,7 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
                 keep.append(i)
             elif hyp_labels[j] != label:
                 return math.inf, None, {}, [], []
-        perms = perms[keep]
+        table = table[keep]
         hyp_labels = [hyp_labels[i] for i in keep]
 
     by_label: dict = {}
@@ -267,11 +269,23 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
     ones ^= tops
 
     # Column q of the output table is query string q's answer per
-    # hypothesis; outputs keep their order of first appearance in the
-    # hypothesis order, which the tree's branches follow.
+    # hypothesis.  Two columns whose XOR with the first row's entries is the
+    # same differ by one constant XOR, which relabels their outputs one to
+    # one, so they have the same partition: only the first column of each
+    # such key is partitioned.  The first column with a given partition is
+    # XOR-equal to no earlier one, so ``queries`` keeps exactly the first
+    # column of each partition either way.
+    shifted = np.ascontiguousarray((table ^ table[0]).T)
+    col_keys = shifted.view(np.dtype((np.void, shifted.shape[1] * shifted.itemsize)))
+    first_col: dict = {}
+    for q, col_key in enumerate(col_keys.ravel().tolist()):
+        first_col.setdefault(col_key, q)
+    cols = list(first_col.values())
+    # Outputs keep their order of first appearance in the hypothesis order,
+    # which the tree's branches follow.
     queries = []
     seen = set()
-    for q, column in enumerate(perms.T.tolist()):
+    for q, column in zip(cols, table[:, cols].T.tolist()):
         parts: dict[int, int] = {}
         for bit, out in zip(bits, column):
             parts[out] = parts.get(out, 0) | bit
@@ -279,9 +293,10 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
         if len(parts) > 1 and key not in seen:
             seen.add(key)
             queries.append((q, parts))
+    partitions = [tuple(parts.values()) for _, parts in queries]
     # A depth-d tree whose queries have at most b outputs has at most b^d
     # leaves, and a set with L labels needs L label-pure leaves.
-    branching = max((len(parts) for _, parts in queries), default=2)
+    branching = max(map(len, partitions), default=2)
     memo: dict[int, float] = {}
 
     def label_count(s: int) -> int:
@@ -302,8 +317,12 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
         floor = leaves // branching
         best = math.inf
         tried = set()
-        for q, parts in queries:
-            kids = [kid for kid in (s & mask for mask in parts.values()) if kid]
+        for masks in partitions:
+            # A set inside the first part is not split: skipped before any
+            # part is formed.
+            if s & masks[0] == s:
+                continue
+            kids = [kid for mask in masks if (kid := s & mask)]
             if len(kids) < 2:
                 continue
             if best == bound + 1 and any(label_count(kid) > floor for kid in kids):
@@ -314,10 +333,14 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
             tried.add(key)
             kids.sort(key=int.bit_count, reverse=True)
             worst = 0
+            # best is at least 2 here (a best of 1 meets every bound and
+            # ends the loop), so only a deeper kid can reach it.
             for kid in kids:
-                worst = max(worst, depth(kid))
-                if worst + 1 >= best:
-                    break
+                d = depth(kid)
+                if d > worst:
+                    worst = d
+                    if worst + 1 >= best:
+                        break
             else:
                 best = worst + 1
                 if best <= bound:
@@ -346,10 +369,13 @@ def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracle
     int bitmasks, with the bits laid
     out so that each label is one run of adjacent bits: a set costs 0 when
     it lies in one run, else 1 plus the best worst-case cost over the
-    nonempty parts ``S & mask`` of some query's output partition.  Each
-    query column of the family's output table is turned into its partition
-    once; queries that do not split the full set are dropped and queries
-    with the same partition are merged (for ``O_S``, y=0 and y=1 pair up).
+    nonempty parts ``S & mask`` of some query's output partition.  Query
+    columns of the family's output table whose entries differ by one
+    constant XOR in every kept row have the same partition, so only the
+    first of each such group is turned into its partition, once (for
+    ``O_S``, y=0 and y=1 pair up; ``O_B`` and ``O_Btilde`` keep one
+    column).  Queries that do not split the full set are dropped and
+    queries with the same partition are merged.
     A set's L labels are counted in four big-int operations on its mask,
     and give the counting bound ceil(log_b L), with b the most outputs of
     any query: a shallower tree has fewer than L leaves.  At a set, a query

@@ -6,6 +6,12 @@ The reference below is the earlier implementation, kept here and nowhere
 else: hypothesis sets are sorted id tuples, every query string is tried at
 every set, and the memo is keyed by the tuple.  Every case must give the
 same count, math.inf included.
+
+``reference_minimax`` keeps a later form of the engine: the bitmask search
+with every query column partitioned and each part read from its
+``{output: mask}`` dict.  The engine merges XOR-equal columns before it
+builds any partition and searches tuples of masks, and must still give the
+same queries, labels and memo, set by set in the same order.
 """
 
 import math
@@ -286,6 +292,203 @@ def test_quotient_matches_the_reference():
             seen["same-label repeats"] += 1
             seen["finite > 1 with repeats"] += want > 1
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def reference_minimax(problem, family):
+    """``_minimax``'s ``(count, memo, queries, labels)`` by the search as it
+    was before query columns were merged by XOR: every query column is
+    partitioned, a set's parts are read from each ``{output: mask}`` dict,
+    and a set's labels are counted one bit at a time."""
+    labels = problem.labels()
+    rows = family.perms.tolist()
+    first, keep = {}, []
+    for i, row in enumerate(map(tuple, rows)):
+        j = first.setdefault(row, i)
+        if j == i:
+            keep.append(i)
+        elif labels[j] != labels[i]:
+            return math.inf, {}, [], []
+    by_label = {}
+    for i in keep:
+        by_label.setdefault(labels[i], []).append(i)
+    order = [i for members in by_label.values() for i in members]
+    bit_of = {i: 1 << pos for pos, i in enumerate(order)}
+    bit_labels = [labels[i] for i in order]
+    queries, seen = [], set()
+    for q in range(1 << family.m):
+        parts = {}
+        for i in keep:
+            parts[rows[i][q]] = parts.get(rows[i][q], 0) | bit_of[i]
+        key = frozenset(parts.values())
+        if len(parts) > 1 and key not in seen:
+            seen.add(key)
+            queries.append((q, parts))
+    branching = max((len(parts) for _, parts in queries), default=2)
+    memo = {}
+
+    def label_count(s):
+        return len({bit_labels[pos] for pos in range(s.bit_length()) if s >> pos & 1})
+
+    def depth(s):
+        count = label_count(s)
+        if count == 1:
+            return 0
+        if s in memo:
+            return memo[s]
+        bound, leaves = 0, 1
+        while leaves < count:
+            bound, leaves = bound + 1, leaves * branching
+        floor = leaves // branching
+        best = math.inf
+        tried = set()
+        for _, parts in queries:
+            kids = [kid for kid in (s & mask for mask in parts.values()) if kid]
+            if len(kids) < 2:
+                continue
+            if best == bound + 1 and any(label_count(kid) > floor for kid in kids):
+                continue
+            if frozenset(kids) in tried:
+                continue
+            tried.add(frozenset(kids))
+            kids.sort(key=int.bit_count, reverse=True)
+            worst = 0
+            for kid in kids:
+                worst = max(worst, depth(kid))
+                if worst + 1 >= best:
+                    break
+            else:
+                best = worst + 1
+                if best <= bound:
+                    break
+        memo[s] = best
+        return best
+
+    return depth((1 << len(order)) - 1), memo, queries, bit_labels
+
+
+def assert_same_search(problem, family, what=""):
+    """``_minimax`` gives ``reference_minimax``'s count, labels and queries
+    (query strings, outputs and masks, in order) and solves the same sets
+    in the same order."""
+    count, _, memo, queries, labels = _minimax(problem, family)
+    want_count, want_memo, want_queries, want_labels = reference_minimax(problem, family)
+    assert count == want_count, what
+    assert labels == want_labels, what
+    listed = [(q, list(parts.items())) for q, parts in queries]
+    assert listed == [(q, list(parts.items())) for q, parts in want_queries], what
+    assert list(memo.items()) == list(want_memo.items()), what
+
+
+def column_merges(family):
+    """(splitting columns, XOR-distinct ones, distinct partitions) of the
+    family's query columns; two columns are XOR-equal when their entries
+    differ by one constant in every row."""
+    columns = [tuple(col) for col in family.perms.T.tolist()]
+    splitting = [col for col in columns if len(set(col)) > 1]
+    xor_keys = {tuple(out ^ col[0] for out in col) for col in splitting}
+
+    def partition(col):
+        groups = {}
+        for i, out in enumerate(col):
+            groups.setdefault(out, []).append(i)
+        return frozenset(map(tuple, groups.values()))
+
+    return len(splitting), len(xor_keys), len({partition(col) for col in splitting})
+
+
+SEARCHED = [("bv", n, o) for n in (1, 2, 3, 4, 5) for o in ("OS", "OA", "OB", "OBT")]
+SEARCHED += [("parity", n, o) for n in (1, 2) for o in ("OS", "OA")]
+
+
+@pytest.mark.parametrize("name,n,oracle", SEARCHED, ids=named_ids(SEARCHED))
+def test_named_family_searches_match_every_column_search(name, n, oracle):
+    problem = PROBLEMS[name](n)
+    family = named_family(problem, oracle)
+    assert_same_search(problem, family)
+    assert_same_search(*reordered(problem, family, np.random.default_rng([n, 13])))
+
+
+MERGED = [("bv", n) for n in (2, 3, 4)] + [("parity", 2)]
+
+
+@pytest.mark.parametrize("name,n", MERGED, ids=[f"{p}{n}" for p, n in MERGED])
+def test_extracted_family_searches_match_every_column_search(name, n):
+    problem, families = extracted(name, n)
+    merged = 0
+    for word, family in families:
+        assert_same_search(problem, family, word)
+        splitting, xor_distinct, _ = column_merges(family)
+        merged += xor_distinct < splitting
+    # affine families pair their columns up, as O_S does
+    assert merged > 0
+
+
+def equivariant(rng, m, shift, flip):
+    """A random permutation r of m bits with r(x ^ shift) = r(x) ^ flip for
+    every x, so that columns q and q ^ shift of a family of such rows differ
+    by the constant flip in every row."""
+    sources = sorted({min(x, x ^ shift) for x in range(1 << m)})
+    targets = [int(y) for y in rng.permutation(sorted({min(y, y ^ flip) for y in range(1 << m)}))]
+    perm = [0] * (1 << m)
+    for x, y in zip(sources, targets):
+        y ^= flip * int(rng.integers(0, 2))
+        perm[x], perm[x ^ shift] = y, y ^ flip
+    return perm
+
+
+def merge_case(rng):
+    """m in 2..4 bits and 2 to 12 hypotheses with up to 4 labels.  Half the
+    cases draw every row equivariant under one (shift, flip), so that their
+    query columns pair up by XOR; the others draw near-copies of one perm,
+    whose splitting columns often share a partition (all singletons, say)
+    without being XOR-equal.  Rows repeat now and then, the first row
+    included, and mostly under their first copy's label, so the quotient
+    drops some rows and decides the other cases infinite."""
+    m = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 13))
+    if rng.random() < 0.5:
+        shift, flip = (int(v) for v in rng.integers(1, 1 << m, 2))
+        pool = [equivariant(rng, m, shift, flip) for _ in range(k)]
+    else:
+        base = rng.permutation(1 << m)
+        pool = [near(rng, base) for _ in range(k)]
+    picks = [i if rng.random() < 0.8 else int(rng.integers(0, i + 1)) for i in range(k)]
+    labels = rng.integers(0, int(rng.integers(1, 5)), k)
+    if rng.random() < 0.8:
+        labels = labels[picks]  # a repeated row keeps its first copy's label
+    hyps = tuple(Hypothesis(i, None, int(label)) for i, label in enumerate(labels))
+    perms = np.array([pool[i] for i in picks])
+    return ProblemSpec("merge", m, hyps), ClassicalOracleFamily("merge", m, perms)
+
+
+def test_random_family_searches_match_every_column_search():
+    rng = np.random.default_rng(20050429)
+    seen = {"xor-merged": 0, "partition-merged only": 0, "rows dropped": 0, "finite > 1": 0,
+            "inf": 0}
+    for _ in range(300):
+        problem, family = merge_case(rng)
+        assert_same_search(problem, family)
+        splitting, xor_distinct, partitions = column_merges(family)
+        seen["xor-merged"] += xor_distinct < splitting
+        seen["partition-merged only"] += partitions < xor_distinct
+        count, _, _, _, labels = _minimax(problem, family)
+        seen["inf"] += math.isinf(count)
+        seen["rows dropped"] += 0 < len(labels) < len(problem.hypotheses)
+        seen["finite > 1"] += 1 < count < math.inf
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_a_repeated_first_row_is_dropped_before_columns_are_merged():
+    # The quotient keeps each row's first copy: here the copies of rows 0
+    # and 1 go, the column keys are taken over the three rows left, and
+    # columns 1, 2 and 3 are each XOR-equal to an earlier column there.
+    perms = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2]])
+    hyps = tuple(Hypothesis(i, None, label) for i, label in enumerate("abaeb"))
+    problem, family = ProblemSpec("repeat", 2, hyps), ClassicalOracleFamily("repeat", 2, perms)
+    assert_same_search(problem, family)
+    count, _, _, queries, labels = _minimax(problem, family)
+    assert (count, labels) == (1, ["a", "b", "e"])
+    assert [(q, parts) for q, parts in queries] == [(0, {0: 0b001, 1: 0b010, 2: 0b100})]
 
 
 GRIDS = [("bv", n) for n in (1, 2, 3, 4, 5)] + [("parity", n) for n in (1, 2)]

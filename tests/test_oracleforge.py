@@ -89,6 +89,28 @@ def test_instances_store_bits_as_ints_and_round_trip_json(bit):
     assert f.parity() == 0 and inst.k_int == 0b10
 
 
+@pytest.mark.parametrize("width", [int, bool, np.int64, np.uint8], ids=lambda t: t.__name__)
+def test_instances_store_n_as_an_int_and_round_trip_json(width):
+    for obj, cls in ((BooleanFunction(width(1), (0, 1)), BooleanFunction),
+                     (BVInstance(width(1), 1, (1,)), BVInstance)):
+        assert type(obj.n) is int and obj.n == 1
+        back = cls.from_json(json.loads(json.dumps(obj.to_json())))
+        assert back == obj and hash(back) == hash(obj)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BooleanFunction(1.0, (0, 1)),
+    lambda: BooleanFunction(np.float64(1), (0, 1)),
+    lambda: BooleanFunction("1", (0, 1)),
+    lambda: BVInstance(2.0, 1, (1, 0)),
+    lambda: BVInstance("2", 1, (1, 0)),
+    lambda: BVInstance(None, 1, (1, 0)),
+], ids=["float-n", "numpy-float-n", "string-n", "float-bv-n", "string-bv-n", "none-bv-n"])
+def test_instances_refuse_an_n_that_is_not_an_integer(make):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        make()
+
+
 @pytest.mark.parametrize("make", [
     lambda: BooleanFunction(1, (0.0, 1.0)),
     lambda: BooleanFunction(1, (0, np.float64(1))),
