@@ -83,10 +83,14 @@ def _load_json_file(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _parse_bits(text: str, flag: str) -> tuple[int, ...]:
-    if not text or any(ch not in "01" for ch in text):
+def _check_bits(text: str, flag: str) -> None:
+    if not text or not set(text) <= {"0", "1"}:
         raise ValueError(f"{flag} must be a nonempty string of 0s and 1s, got {text!r}")
-    return tuple(int(ch) for ch in text)
+
+
+def _parse_bits(text: str, flag: str) -> tuple[int, ...]:
+    _check_bits(text, flag)
+    return tuple(map(int, text))
 
 
 def _cc_class_names(cc) -> list[str]:
@@ -201,19 +205,24 @@ def cmd_simulate(args) -> dict:
         raise ValueError("parity simulation takes --function or --truth, not --k or --k0")
     if args.function is not None and args.truth is not None:
         raise ValueError("parity simulation takes --function or --truth, not both")
+    f = None
     if args.function:
         f = BooleanFunction.from_json(_load_json_file(args.function))
+        n = f.n
     elif args.truth:
-        truth = _parse_bits(args.truth, "--truth")
+        _check_bits(args.truth, "--truth")
         try:
-            n = num_bits(len(truth))
+            n = num_bits(len(args.truth))
         except ValueError as exc:
             raise ValueError(f"--truth length: {exc}") from None
-        f = BooleanFunction(n, truth)
     else:
         raise ValueError("parity simulation needs --function or --truth")
-    if args.n is not None and args.n != f.n:
-        raise ValueError(f"--n {args.n} does not match the truth table's n={f.n}")
+    if args.n is not None and args.n != n:
+        raise ValueError(f"--n {args.n} does not match the truth table's n={n}")
+    # An over-limit --truth is refused before its tuple and function are built.
+    querylab.check_simulation_size("parity", n, querylab.PARITY_SIMULATION_LIMIT)
+    if f is None:
+        f = BooleanFunction(n, tuple(map(int, args.truth)))
     parity, queries = _checked_run(querylab.run_parity_quantum, f, tol)
     return {"parity": parity, "queries": queries}
 

@@ -252,6 +252,14 @@ def _columns(action: OracleAction, bases: np.ndarray, c: int, start: int) -> np.
     return cols
 
 
+@functools.cache
+def _flips(m: int) -> np.ndarray:
+    """The (m, 2^m) read-only index table whose row b is x ^ 2^b for every x."""
+    flips = np.arange(1 << m) ^ (1 << np.arange(m))[:, None]
+    flips.flags.writeable = False
+    return flips
+
+
 def _by_bit(a: np.ndarray, b: int) -> np.ndarray:
     """A (n, ..., 2^m) array as a (n, -1, 2, 2^b) view: axis 2 is bit b of
     the last index, so reversing it pairs every x with x ^ 2^b."""
@@ -260,10 +268,17 @@ def _by_bit(a: np.ndarray, b: int) -> np.ndarray:
 
 class _FlipTables:
     """Bit-flip tables of k generalized permutations G = diag(phases) P on
-    the same m bits, built from their (k, 2^m) perm and phase tables at once;
-    building them peaks at one (m, k, 2^m) intp table and two bool ones.
-    ``phases=None`` stands for plain permutations, every phase 1: then T is
-    all False, every bit is signed, and the tables peak at the intp one.
+    the same m bits, built from their (k, 2^m) perm and phase tables at once,
+    in whole-table passes.  D of every bit is one gather through the (m, 2^m)
+    flip index, built once per m and kept.  The phase ratios take chunks of
+    max(1, _BLOCK // (k 2^m)) bits, each one gather, one divide and two
+    compares: at k = 1 one chunk up to m = 7 and two bits a chunk at m = 13,
+    one bit a chunk at k = 256 on m = 8.  Only the clash loop takes one bit
+    at a time, on views; in one pass it would hold m^2 k 2^m entries.
+    Building the tables peaks at one (m, k, 2^m) intp table and one bool
+    one, next to one chunk's temporaries.  ``phases=None`` stands for plain
+    permutations, every phase 1: then T is all False, every bit is signed,
+    and the tables peak at the intp one.
 
     Bit b of an index is qubit m - 1 - b, so the eta qubits of a chi/eta word
     form the mask s whose grid code is the word.  With psi(x) the phase G
@@ -286,23 +301,24 @@ class _FlipTables:
         # Every entry of a counterpart is ±psi(x): each must pass as a phase,
         # a 1 included, so no tol of 1 or more admits a word.
         self.unit = bool(_unit_modulus(np.ones(1) if phases is None else phases, tol).all())
-        key = np.empty((m, k, dim), dtype=self.p.dtype)
-        for b in range(m):
-            pb = _by_bit(self.p, b)
-            np.bitwise_xor(pb, pb[:, :, ::-1], out=_by_bit(key[b], b))
+        flips = _flips(m)
+        # D for every bit at once: key[b] = P(x ^ e_b), then ^ P(x)
+        key = self.p[rows, flips[:, None]]
+        key ^= self.p
         self.reach = np.bitwise_or.reduce(key.reshape(m, -1), axis=1)
         self.psi = None
         self.signed = np.ones(m, dtype=bool)
         if phases is not None:
             self.psi = phases[rows, self.p]
-            minus, plus = np.empty((2, m, k, dim), dtype=bool)
-            for b in range(m):
-                sb = _by_bit(self.psi, b)
-                ratio = sb[:, :, ::-1] / sb
-                np.less_equal(np.abs(ratio + 1.0), tol, out=_by_bit(minus[b], b))
-                np.less_equal(np.abs(ratio - 1.0), tol, out=_by_bit(plus[b], b))
-            self.signed = np.logical_or(plus, minus, out=plus).reshape(m, -1).all(axis=1)
-            del plus
+            minus = np.empty((m, k, dim), dtype=bool)
+            per = max(1, _BLOCK // (k * dim))
+            for b in range(0, m, per):
+                ratio = self.psi[rows, flips[b:b + per, None]]
+                ratio /= self.psi
+                np.less_equal(np.abs(ratio + 1.0), tol, out=minus[b:b + per])
+                signed = np.abs(ratio - 1.0) <= tol
+                signed |= minus[b:b + per]
+                self.signed[b:b + per] = signed.reshape(len(signed), -1).all(axis=1)
             key <<= 1  # key = D << 1 | T: one compare of x with x ^ e_j tests both
             key |= minus
             del minus
@@ -348,6 +364,7 @@ class _FlipTables:
                 odd = (np.bitwise_count(self.p[self.rows, x0] & s & w) & 1).astype(bool)
                 phases = self.psi[self.rows, x0]
                 np.negative(phases, out=phases, where=odd)
+                phases.flags.writeable = False
             qinv, perm = (a.reshape(s.shape[0], k, dim)
                           for a in _checked_perms(self.m, qinv.reshape(-1, dim), 2))
             yield from ((*names[c], q, qi, ph)

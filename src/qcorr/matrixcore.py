@@ -104,10 +104,11 @@ def num_bits(dim: int) -> int:
 
 # Pairs per block of the 2x2 kernel, entries of column 0 per block of
 # assignments in the dense engine's loop (_BLOCK >> m assignments), and
-# entries per block of words that _FlipTables.counterparts builds, so that a
-# block stays in cache; the decoder widens its blocks to at least
-# _BLOCK >> 8 columns.  Buffers are allocated once per call; allocating
-# them per block would map and fault fresh pages each time.
+# entries per chunk of bits of _FlipTables's phase-ratio pass and per block
+# of words that _FlipTables.counterparts builds, so that a block stays in
+# cache; the decoder widens its blocks to at least _BLOCK >> 8 columns.
+# Buffers are allocated once per call; allocating them per block would map
+# and fault fresh pages each time.
 _BLOCK = 1 << 14
 
 
@@ -285,7 +286,7 @@ class GeneralizedPermutation:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return _unchecked, (self.m, self._perm, self._inv, self._phases)
+        return _rebuilt, (self.m, self._perm, self._inv, self._phases)
 
     # A cached property writes the instance dict directly, past __setattr__.
     @functools.cached_property
@@ -341,13 +342,20 @@ class GeneralizedPermutation:
 
 def _unchecked(m: int, perm: np.ndarray, inv: np.ndarray,
                phases: np.ndarray) -> GeneralizedPermutation:
-    """A map from a perm, its inverse and phases already checked, as the
-    detector, the extraction engines, ``phase_oracle`` and unpickling have;
-    its twin for families is in ``querylab``."""
+    """A map from a perm, its inverse and phases already checked and made
+    read-only, as the detector, the extraction engines, ``phase_oracle`` and
+    unpickling have; its twin for families is in ``querylab``."""
     gp = object.__new__(GeneralizedPermutation)
-    perm.flags.writeable = inv.flags.writeable = phases.flags.writeable = False
     gp.__dict__.update(m=m, _perm=perm, _inv=inv, _phases=phases)
     return gp
+
+
+def _rebuilt(m: int, perm: np.ndarray, inv: np.ndarray,
+             phases: np.ndarray) -> GeneralizedPermutation:
+    """A map as ``pickle`` and ``copy.deepcopy`` rebuild it, from fresh
+    copies of its checked arrays, which are made read-only here."""
+    perm.flags.writeable = inv.flags.writeable = phases.flags.writeable = False
+    return _unchecked(m, perm, inv, phases)
 
 
 def _column_rule(cols: np.ndarray, tol: float):
@@ -381,6 +389,7 @@ def _decode_columns(columns, m: int, tol: float):
         perm, inv = _checked_perms(m, perm, 1)
     except ValueError:
         return None
+    phases.flags.writeable = False
     return _unchecked(m, perm, inv, phases)
 
 

@@ -216,6 +216,7 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
             np.negative(half, out=signs[1 << j:2 << j])
         else:
             signs[1 << j:2 << j] = half
+    phases.flags.writeable = False
     # The identity is its own inverse.
     perm = _identity(inst.n)
     return OracleAction.from_permutation(_unchecked(inst.n, perm, perm, phases))

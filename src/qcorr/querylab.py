@@ -34,6 +34,9 @@ MAX_HYPOTHESES = 65536
 MAX_QUERY_BITS = 12
 PARITY_SEARCH_LIMIT = 2
 BV_SEARCH_LIMIT = 6
+# The largest n each quantum run simulates.
+PARITY_SIMULATION_LIMIT = 12
+BV_SIMULATION_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -428,6 +431,14 @@ def _squared_norm(state: np.ndarray) -> float:
     return np.vecdot(rows, rows).sum()
 
 
+def check_simulation_size(algorithm: str, n: int, limit: int) -> None:
+    """Refuse a quantum run of ``algorithm`` on n > ``limit`` bits, the one
+    message for both runs and for the command line, which checks a parity
+    ``--truth`` before it builds the function."""
+    if n > limit:
+        raise SizeLimitError(f"{algorithm} simulation limited to n <= {limit} (got n={n})")
+
+
 def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     """One-query identification of k: H on all qubits, the phase oracle,
     H again; the final state is exactly the basis state for k: one amplitude
@@ -438,8 +449,7 @@ def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     its output is a float64 state, the one state buffer of the run (512 KiB
     at n = 16): the Hadamard layer runs on it in place.  At even n every
     amplitude is a dyadic rational, so the run is exact."""
-    if inst.n > 16:
-        raise SizeLimitError(f"bv simulation limited to n <= 16 (got n={inst.n})")
+    check_simulation_size("bv", inst.n, BV_SIMULATION_LIMIT)
     n = inst.n
     uniform = np.broadcast_to(2.0 ** (-n / 2), 1 << n)
     state = phase_oracle(inst).apply(uniform)
@@ -463,8 +473,7 @@ def run_parity_quantum(f: BooleanFunction, tol: float = DEFAULT_TOL):
     themselves, so all queries share one state of 2^m amplitudes, one oracle
     call and one Hadamard on qubit 0.  Query r is slice [:, r, :] of the
     (2, 2^(n-1), 2) view; its norm and readout are checked on their own."""
-    if f.n > 12:
-        raise SizeLimitError(f"parity simulation limited to n <= 12 (got n={f.n})")
+    check_simulation_size("parity", f.n, PARITY_SIMULATION_LIMIT)
     n = f.n
     oracle = standard_oracle(f)
     gp = oracle.permutation

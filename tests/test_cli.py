@@ -389,6 +389,25 @@ def test_conflicting_inputs_exit_2(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_simulate_truth_limit_comes_before_the_function(capsys, monkeypatch):
+    # 2^13 valid bits name a 13-bit function: refused on its length, before
+    # any function is built.  A bad character in the same table is malformed
+    # input first.
+    def refuse(*args):
+        raise AssertionError("the function must not be built past the simulation limit")
+
+    monkeypatch.setattr(cli, "BooleanFunction", refuse)
+    truth = "01" * (1 << 12)
+    assert main(["simulate", "--algorithm", "parity", "--truth", truth]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: parity simulation limited to n <= 12 (got n=13)\n"
+    assert main(["simulate", "--algorithm", "parity", "--truth", truth[:-1] + "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --truth must be a nonempty string of 0s and 1s")
+
+
 @pytest.mark.parametrize("truth", ["0", "011", "011010"])
 def test_simulate_truth_length_must_be_a_power_of_two(capsys, truth):
     assert main(["simulate", "--algorithm", "parity", "--truth", truth]) == 2

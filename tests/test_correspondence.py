@@ -2,17 +2,20 @@
 unitaries, the counterpart classification, and the coset structure."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from qcorr.matrixcore import (
+    DEFAULT_TOL,
     HADAMARD,
     GeneralizedPermutation,
     NonUnitaryError,
     SIGMA_X,
     SIGMA_Z,
     SizeLimitError,
+    detect_generalized_permutation,
     random_unitary,
     sigma_x_phased,
 )
@@ -26,7 +29,7 @@ from qcorr.oracleforge import (
     phase_oracle,
     standard_oracle,
 )
-from qcorr import correspondence
+from qcorr import correspondence, querylab
 from qcorr.correspondence import (
     CC_CNOT_FAMILY,
     CC_EMPTY,
@@ -227,6 +230,26 @@ def test_search_identity_every_assignment():
     found = search_counterparts(action, PauliGrid())
     assert [name for name, _, _ in found] == ["CC", "CH", "HC", "HH"]
     assert all(gp.perm == (0, 1, 2, 3) for _, _, gp in found)
+
+
+def test_every_map_holds_read_only_arrays():
+    # A map's perm, inverse and phases are frozen where they are built: the
+    # table engine's once per block of words, and the detector's, the
+    # phase oracle's and an unpickled map's on their own fresh arrays.
+    phase = phase_oracle(BVInstance(3, 0, (1, 0, 1)))
+    standard = standard_oracle(bv_function(BVInstance(2, 1, (1, 1))))
+    dense = OracleAction.from_matrix(np.eye(4, dtype=complex))
+    maps = [gp for action in (phase, standard, dense)
+            for _, _, gp in search_counterparts(action, PauliGrid())]
+    maps += [extract_counterpart(standard, parse_basis_word("HHH")), phase.permutation,
+             detect_generalized_permutation(standard.permutation.as_matrix())]
+    maps += [pickle.loads(pickle.dumps(gp)) for gp in maps]
+    assert len(maps) > 2 * 8
+    for gp in maps:
+        assert not any(a.flags.writeable for a in (gp._perm, gp._inv, gp._phases))
+    os_family = querylab.named_family(querylab.bv_problem(2), "OS")
+    families = [fam for _, fam in querylab._extracted_families(os_family, PauliGrid(), DEFAULT_TOL)]
+    assert families and not any(fam.perms.flags.writeable for fam in families)
 
 
 def test_random_sample_space_deterministic():

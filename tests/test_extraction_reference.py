@@ -567,6 +567,16 @@ def test_flip_tables_match_the_reference(m):
     assert admitted >= 3 * 5
 
 
+@pytest.mark.parametrize("block", ["1", "15*2^m"])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_flip_tables_match_the_reference_in_chunks(monkeypatch, m, block):
+    """The same, with the phase-ratio pass cut into several chunks of bits:
+    one bit each at a _BLOCK of 1, and 15 // k bits each at 15 * 2^m, which
+    leaves a short last chunk at m = 8 for every k from 2 to 5."""
+    monkeypatch.setattr(correspondence, "_BLOCK", 1 if block == "1" else 15 << m)
+    test_flip_tables_match_the_reference(m)
+
+
 FREE_TOLS = [0.0, 1e-9, 0.5, 1 - 1e-6, 1.0, 2.5]
 
 
@@ -609,9 +619,10 @@ def test_phase_free_tables_match_unit_phases(tol):
 
 def test_flip_tables_peak_near_one_table(monkeypatch):
     # bv n = 7's O_S family: k = 256 maps on m = 8 bits.  At its peak the
-    # engine holds one (m, k, 2^m) intp table and two bool ones, next to the
-    # (k, 2^m) inputs and one bit's temporaries: about 2.5 such intp tables.
-    # The reference's gather of the stacked tables at P⁻¹ took 4.3.
+    # engine holds one (m, k, 2^m) intp table and one bool one, next to the
+    # (k, 2^m) inputs and one chunk's temporaries, here of one bit: about 2.2
+    # such intp tables.  The reference's gather of the stacked tables at P⁻¹
+    # took 4.3.
     monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
     perms = querylab.named_family(bv_problem(7), "OS").perms
     phases = np.ones(perms.shape, dtype=complex)
@@ -625,10 +636,31 @@ def test_flip_tables_peak_near_one_table(monkeypatch):
     assert peak <= 3 * table
 
 
+def test_flip_tables_peak_near_one_table_at_13_qubits():
+    # One standard oracle on m = 13 bits: the phase-ratio pass takes two of
+    # its 13 bits per chunk, and peaks near 2.2 (m, 1, 2^m) intp tables.  In
+    # one pass over every bit its complex ratios and their temporaries alone
+    # would take more than three.  The first call on 13 bits also builds the
+    # engine's flip index, one more such table that it keeps: it is built
+    # before the trace.
+    f = BooleanFunction(12, tuple(np.random.default_rng(13).integers(0, 2, 1 << 12).tolist()))
+    gp = standard_oracle(f).permutation
+    tables = gp._perm[None], gp._phases[None]
+    table = 13 * tables[0].nbytes
+    correspondence._FlipTables(*tables, DEFAULT_TOL)
+    tracemalloc.start()
+    try:
+        correspondence._FlipTables(*tables, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table
+
+
 def test_phase_free_tables_peak_near_one_table(monkeypatch):
     # The same family given no phases: the bit loop builds D alone, so the
     # peak is the one (m, k, 2^m) intp table next to the inputs and the back
-    # table's temporaries, about 1.4 such tables (2.25 given unit phases).
+    # table's temporaries, about 1.4 such tables (2.2 given unit phases).
     monkeypatch.setattr(querylab, "BV_SEARCH_LIMIT", 7)
     perms = querylab.named_family(bv_problem(7), "OS").perms
     table = 8 * perms.nbytes
