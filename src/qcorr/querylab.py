@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import (HADAMARD, GeneralizedPermutation, SizeLimitError, _checked_perms,
-                         apply_single_qubit, hadamard_layer)
+from .matrixcore import (_SQRT2_INV, GeneralizedPermutation, SizeLimitError, _checked_perms,
+                         hadamard_layer)
 from .oracleforge import (
     BooleanFunction,
     BVInstance,
@@ -319,7 +319,6 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
         # so a query leaving one costs at least bound + 1.
         floor = leaves // branching
         best = math.inf
-        tried = set()
         for masks in partitions:
             # A set inside the first part is not split: skipped before any
             # part is formed.
@@ -330,10 +329,6 @@ def _minimax(problem: ProblemSpec, family: ClassicalOracleFamily):
                 continue
             if best == bound + 1 and any(label_count(kid) > floor for kid in kids):
                 continue
-            key = frozenset(kids)
-            if key in tried:
-                continue
-            tried.add(key)
             kids.sort(key=int.bit_count, reverse=True)
             worst = 0
             # best is at least 2 here (a best of 1 meets every bound and
@@ -381,12 +376,11 @@ def deterministic_query_complexity(problem: ProblemSpec, family: ClassicalOracle
     queries with the same partition are merged.
     A set's L labels are counted in four big-int operations on its mask,
     and give the counting bound ceil(log_b L), with b the most outputs of
-    any query: a shallower tree has fewer than L leaves.  At a set, a query
-    whose parts repeat an earlier query's is skipped, the largest part is
-    searched first, and the loop stops once the best depth meets the
-    bound.  Once the best depth is the bound plus one, a query is skipped
-    unsearched when one of its parts still has the set's bound, since it
-    cannot do better.  Every memoized depth stays exact.
+    any query: a shallower tree has fewer than L leaves.  At a set, the
+    largest part is searched first, and the loop stops once the best depth
+    meets the bound.  Once the best depth is the bound plus one, a query is
+    skipped unsearched when one of its parts still has the set's bound,
+    since it cannot do better.  Every memoized depth stays exact.
     Returns math.inf when no query sequence can separate the labels.
     """
     return _minimax(problem, family)[0]
@@ -472,7 +466,10 @@ def run_parity_quantum(f: BooleanFunction, tol: float = DEFAULT_TOL):
     strings (a, r, y), which an oracle that writes only y maps onto
     themselves, so all queries share one state of 2^m amplitudes, one oracle
     call and one Hadamard on qubit 0.  Query r is slice [:, r, :] of the
-    (2, 2^(n-1), 2) view; its norm and readout are checked on their own."""
+    (2, 2^(n-1), 2) view; its norm and readout are checked on their own.
+    The state is float64: every amplitude is ±1/2 and every phase 1.  H on
+    qubit 0 is the sum and the difference of the scaled halves a = 0 and
+    a = 1, so the a = 1 half is 0 where f(0, r) = f(1, r), else ±1/√2."""
     check_simulation_size("parity", f.n, PARITY_SIMULATION_LIMIT)
     n = f.n
     oracle = standard_oracle(f)
@@ -481,17 +478,19 @@ def run_parity_quantum(f: BooleanFunction, tol: float = DEFAULT_TOL):
     if gp is None or ((gp._perm ^ np.arange(2 << n)) > 1).any():
         raise RuntimeError("oracle does not keep the input bits of every string")
     # |+>|r>|-> for every r: amplitude 1/2 at y = 0 and -1/2 at y = 1.
-    state = np.empty((1 << n, 2), dtype=complex)
+    state = np.empty((1 << n, 2))
     state[:] = 0.5, -0.5
     out = oracle.apply(state.reshape(-1)).reshape(2, -1, 2)
     queries = out.shape[1]
     if queries != 1 << (n - 1):
         raise RuntimeError(f"made {queries} kickback queries, expected {1 << (n - 1)}")
     # p[a, r] is the probability of first bit a in query r.
-    p = np.vecdot(out, out).real
+    p = np.vecdot(out, out)
     _assert_normalized(p[0] + p[1], tol)
-    apply_single_qubit(out, HADAMARD, 0, n + 1)
-    p = np.vecdot(out, out).real
+    out *= _SQRT2_INV
+    a, b = out
+    out = np.stack((a + b, a - b))
+    p = np.vecdot(out, out)
     _assert_normalized(p[0] + p[1], tol)
     if not (np.minimum(p[1], 1.0 - p[1]) <= tol).all():
         raise RuntimeError("kickback readout is not deterministic")

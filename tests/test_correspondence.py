@@ -451,6 +451,8 @@ def test_classify_triple_rows():
     assert classify_triple(MakhlinTriple(-0.3, 0.0, -1.6)) == CC_SWAP_ONLY
     assert classify_triple(MakhlinTriple(0.0, 0.5, 1.0)) == CC_EMPTY
     assert classify_triple(MakhlinTriple(0.5, 0.0, 0.0)) == CC_EMPTY
+    # alpha = 0 with gamma neither 1 nor -1: in no class
+    assert classify_triple(MakhlinTriple(0.0, 0.0, 0.0)) == CC_EMPTY
 
 
 def test_classify_boundary_tiebreak():

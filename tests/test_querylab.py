@@ -3,6 +3,8 @@ and the speed-up report."""
 
 import math
 import pickle
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -462,21 +464,25 @@ def test_minimax_hypothesis_limit():
 
 
 def test_minimax_too_deep_is_a_size_limit():
-    # hypothesis i swaps strings 2i and 2i+1, so each query peels one
-    # hypothesis off the rest and the search nests 1000 sets deep
-    m, count = 11, 1000
-    ones = (1 + 0j,) * (1 << m)
-    maps = []
-    for i in range(count):
-        perm = list(range(1 << m))
-        perm[2 * i], perm[2 * i + 1] = perm[2 * i + 1], perm[2 * i]
-        maps.append(GeneralizedPermutation(m, tuple(perm), ones))
+    # An identification family whose hypothesis i swaps strings 2i and
+    # 2i+1: each query peels one hypothesis off the rest, so the search nests
+    # 1100 sets deep, past Python's default limit of 1000.  The search is
+    # exponential on this family, so it must not fit under the limit.
+    m, count = 12, 1100
+    limit = sys.getrecursionlimit()
+    assert limit < count
+    perms = np.tile(np.arange(1 << m), (count, 1))
+    rows = np.arange(count)
+    perms[rows, 2 * rows], perms[rows, 2 * rows + 1] = 2 * rows + 1, 2 * rows
     hyps = tuple(Hypothesis(i, None, i) for i in range(count))
     problem = ProblemSpec("peel", m, hyps)
-    family = ClassicalOracleFamily("peel", m, tuple(maps))
+    family = ClassicalOracleFamily("peel", m, perms)
+    message = (f"minimax search over {count} hypotheses nests deeper "
+               f"than Python's recursion limit ({limit})")
     for solve in (deterministic_query_complexity, decision_tree):
-        with pytest.raises(SizeLimitError, match="recursion limit"):
+        with pytest.raises(SizeLimitError, match=re.escape(message)):
             solve(problem, family)
+        assert sys.getrecursionlimit() == limit
 
 
 def test_bv_quantum_examples():
@@ -558,6 +564,19 @@ def test_speedup_report_parity(n):
     assert report.quantum_queries == 1 << (n - 1)
     assert report.naive_speedup == pytest.approx(2.0)
     assert report.genuine_speedup == pytest.approx(1.0)
+
+
+def test_speedup_report_parity_n3(monkeypatch):
+    # One past the search limit, raised in process only: the command line
+    # still refuses n = 3.  The three words with two H match O_A's 4
+    # queries, the quantum count, so the genuine speed-up is 1.
+    monkeypatch.setattr(querylab, "PARITY_SEARCH_LIMIT", 3)
+    report = speedup_report(parity_problem(3))
+    assert report.entries == (("O_S", 8), ("O_A", 4), ("CCCC", 8), ("CCCH", math.inf),
+                              ("CCHH", 4), ("CHCH", 4), ("HCCH", 4))
+    assert report.quantum_queries == 4
+    assert report.naive_speedup == 2.0
+    assert report.genuine_speedup == 1.0
 
 
 REPORTED = [("parity", n) for n in (1, 2)] + [("bv", n) for n in (1, 2, 3, 4, 5)]

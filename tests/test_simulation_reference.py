@@ -140,23 +140,19 @@ def test_parity_matches_reference(n):
         assert [type(v) for v in got] == [int, int]
 
 
-@pytest.mark.parametrize("block", [1, 7, 16, 48, 64, 1000])
-def test_parity_matches_reference_in_several_blocks(monkeypatch, block):
-    # Shrinking matrixcore's block splits the one readout Hadamard into
-    # blocks of 1, 7, 16, ... pairs, the last one short unless the block
-    # size divides the 2^n pairs (at 1000 pairs, n <= 7 fits in one block).
-    monkeypatch.setattr(matrixcore, "_BLOCK", block)
+def test_parity_matches_reference_on_one_real_state(monkeypatch):
     oracles = record_oracles(monkeypatch)
-    rng = np.random.default_rng(block)
+    rng = np.random.default_rng(7)
     for n in range(1, 8):
         settings = 1 << (n - 1)
         for _ in range(4):
             f = random_function(n, rng)
             assert querylab.run_parity_quantum(f) == reference_run_parity(f)
-            # One oracle call on one state of 2^m amplitudes, whose block r
-            # is the reference's query-r input on its span, where all of that
-            # input lies.
-            (state,) = oracles[-1].inputs
+            # One oracle call on one float64 state of 2^m amplitudes, whose
+            # block r is the reference's query-r input on its span, where
+            # all of that input lies; the oracle keeps it float64.
+            (state,), (out,) = oracles[-1].inputs, oracles[-1].outputs
+            assert state.dtype == out.dtype == float
             assert state.shape == (2 << n,)
             for r in range(settings):
                 want = reference_parity_input(n, r).reshape(2, settings, 2)
@@ -299,6 +295,13 @@ def test_bv_at_n16_peaks_below_two_mib():
     assert _peak_bytes(lambda: querylab.run_bv_quantum(inst)) < 2 << 20
 
 
+def test_parity_at_n12_peaks_below_680_kib():
+    # Building the standard oracle sets the peak, 585 KiB; the run's float64
+    # state of 64 KiB stays under it.  A complex state made it 771 KiB.
+    f = random_function(12, np.random.default_rng(12))
+    assert _peak_bytes(lambda: querylab.run_parity_quantum(f)) < 680 << 10
+
+
 def test_hadamard_layer_in_place_at_m16_peaks_below_256_kib():
     state = np.full(1 << 16, 2.0 ** -8)
     assert _peak_bytes(lambda: hadamard_layer(state, 16)) < 256 << 10
@@ -334,13 +337,13 @@ class FaultyOracle:
     on one state of 2^m amplitudes, and query r's block is the slice
     [:, r, :] of its (2, 2^(n-1), 2) view: the four strings (a, r, y).  A bv
     run's one query is its whole state (``query`` None).  Records the input
-    of each call, and passes the action's permutation through, as the
-    parity run reads it."""
+    of each call, as a copy, and its output, and passes the action's
+    permutation through, as the parity run reads it."""
 
     def __init__(self, action, query=None, fault=lambda amps: amps):
         self.action, self.query, self.fault = action, query, fault
         self.permutation = action.permutation
-        self.inputs = []
+        self.inputs, self.outputs = [], []
 
     def apply(self, state):
         state = np.asarray(state)
@@ -348,6 +351,7 @@ class FaultyOracle:
         out = self.action.apply(state)
         hit = out if self.query is None else out.reshape(2, -1, 2)[:, self.query]
         hit[...] = self.fault(hit)
+        self.outputs.append(out)
         return out
 
 
