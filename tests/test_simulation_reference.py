@@ -140,9 +140,15 @@ def test_parity_matches_reference(n):
         assert [type(v) for v in got] == [int, int]
 
 
-def test_parity_matches_reference_on_one_real_state(monkeypatch):
+@pytest.mark.parametrize("block", [1, 7, 16, 48, 64, 1000])
+def test_parity_matches_reference_in_several_blocks(monkeypatch, block):
+    # The parity run takes its readout Hadamard as a sum and a difference on
+    # one float64 state, not through matrixcore's blocked kernel: whatever
+    # the block size, from 1 pair to more than the 2^n pairs, its results
+    # and its oracle input stay the reference's.
+    monkeypatch.setattr(matrixcore, "_BLOCK", block)
     oracles = record_oracles(monkeypatch)
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(block)
     for n in range(1, 8):
         settings = 1 << (n - 1)
         for _ in range(4):
