@@ -277,10 +277,11 @@ class _FlipTables:
     at a time, on views; in one pass it would hold m^2 k 2^m entries.
     Building the tables peaks at one (m, k, 2^m) intp table and one bool
     one, next to one chunk's temporaries.  The phase table is taken as the
-    maps hold it, float64 or complex128, and the counterparts' phases keep
-    its dtype.  ``phases=None`` stands for plain permutations, every phase
-    1: then T is all False, every bit is signed, and the tables peak at the
-    intp one.
+    maps hold it, and each block of counterpart phases is frozen once;
+    ``_unchecked`` applies the storage rule to a counterpart's phases when
+    it makes a map of them.  ``phases=None`` stands for plain permutations,
+    every phase 1: then T is all False, every bit is signed, and the tables
+    peak at the intp one.
 
     Bit b of an index is qubit m - 1 - b, so the eta qubits of a chi/eta word
     form the mask s whose grid code is the word.  With psi(x) the phase G

@@ -256,17 +256,6 @@ def _unit_modulus(z: np.ndarray, tol: float) -> np.ndarray:
     return (mags > tol) & (np.abs(mags - 1.0) <= tol)
 
 
-def _held(phases: np.ndarray) -> np.ndarray:
-    """Checked complex phases as a map holds them, read-only: one contiguous
-    float64 array when every imaginary part is exactly 0, else the complex128
-    array itself.  The storage rule of every constructor that checks its
-    phases."""
-    if not np.count_nonzero(phases.imag):
-        phases = phases.real.copy()
-    phases.flags.writeable = False
-    return phases
-
-
 class GeneralizedPermutation:
     """Permutation of m-bit strings with a unit-modulus phase per output string.
 
@@ -274,27 +263,27 @@ class GeneralizedPermutation:
     basis state ``j`` maps to ``phases[perm[j]] * |perm[j]>``.
 
     A map is stored as three read-only arrays of 2^m entries: the perm, its
-    inverse and the phases, copied from the input and checked once.  Phases
-    whose imaginary parts are all exactly 0 are held as one contiguous
-    float64 array, any others as complex128; ``__init__``,
-    ``detect_generalized_permutation`` and ``phase_oracle`` follow this
-    rule, ``standard_oracle`` shares one float64 table of ones per m, and the
-    table engine keeps the dtype of the phases it is given.  ``perm`` and
-    ``phases`` are tuples of Python ints and complexes, built from them on
-    first access, whichever the dtype; equality, hashing, repr and pickling
-    mean what they would on those tuples.  Instances are immutable.  At
-    n = 16 the phase oracle's table is 512 KiB (1 MiB as complex128), and a
-    bv run peaks at 1 MiB under ``tracemalloc`` (1.5 MiB).
+    inverse and the phases.  ``GeneralizedPermutation(m, perm, phases, tol)``
+    checks copies of its input; it and every constructor that builds from
+    arrays valid by construction make the map through ``_unchecked``, which
+    alone applies the storage rule: phases whose imaginary parts are all
+    exactly 0 are held as one contiguous float64 array, any others as
+    complex128.  ``perm`` and ``phases`` are tuples of Python ints and
+    complexes, built from them on first access, whichever the dtype;
+    equality, hashing, repr and pickling mean what they would on those
+    tuples.  Instances are immutable.  At n = 16 the phase oracle's table
+    is 512 KiB (1 MiB as complex128), and a bv run peaks at 1 MiB under
+    ``tracemalloc``.
     """
 
-    def __init__(self, m: int, perm, phases, tol: float = DEFAULT_TOL):
+    def __new__(cls, m: int, perm, phases, tol: float = DEFAULT_TOL):
         perm, inv = _checked_perms(m, np.array(perm), 1)
         phases = np.array(phases, dtype=complex)
         if phases.shape != perm.shape:
             raise ValueError(f"phases length must be 2**m = {perm.size}")
         if not _unit_modulus(phases, tol).all():
             raise ValueError("phases must all have unit modulus within tol, and modulus above tol")
-        self.__dict__.update(m=m, _perm=perm, _inv=inv, _phases=_held(phases))
+        return _unchecked(m, perm, inv, phases)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -339,19 +328,18 @@ class GeneralizedPermutation:
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Action on a statevector, or on each column of a (2^m, n) array of
         them, without materializing the matrix.  Output string i gathers
-        input string inv[i], which is faster than scattering inputs.
+        input string inv[i], which is faster than scattering inputs.  A state
+        whose first axis is not 2^m long is refused with ValueError.
 
-        A float64 state gives float64 output when every phase is real (its
-        imaginary part exactly 0); any other state, or any phase off the real
-        line, gives complex128 output.  Float64-held phases are real by the
-        storage rule and multiply a float64 state as they are, with no test;
-        complex-held ones, which the table engine can hand out with every
-        imaginary part 0, are tested on each call.  On the uniform float64
-        state at n = 16 the phase oracle's apply takes about 77 us, against
-        about 167 us with the test and strided reads of complex phases."""
+        A float64 state gives float64 output exactly when the map holds its
+        phases as float64, which by the storage rule is when every phase is
+        real (its imaginary part exactly 0); the table multiplies the state
+        as it is, with no test.  Any other state, or any phase off the real
+        line, gives complex128 output."""
         state, phases = np.asarray(state), self._phases
-        if state.dtype == float and phases.dtype == complex and not phases.imag.any():
-            phases = phases.real
+        if state.shape[:1] != phases.shape:
+            raise ValueError(f"expected a state of 2**m = {phases.size} entries along its "
+                             f"first axis, got shape {state.shape}")
         if state.dtype != float or phases.dtype != float:
             state = state.astype(complex, copy=False)
         out = state[self._inv]
@@ -364,10 +352,19 @@ class GeneralizedPermutation:
 
 def _unchecked(m: int, perm: np.ndarray, inv: np.ndarray,
                phases: np.ndarray) -> GeneralizedPermutation:
-    """A map from a perm, its inverse and phases already checked and made
-    read-only, and held by the storage rule, as the detector, the extraction
-    engines, ``phase_oracle``, ``standard_oracle`` and unpickling have; its
-    twin for families is in ``querylab``."""
+    """A map from a perm and its inverse already checked and made read-only,
+    and phases already checked, as the constructor, the detector, the
+    extraction engines, ``phase_oracle``, ``standard_oracle`` and unpickling
+    have; its twin for families is in ``querylab``.
+
+    The one place of the storage rule: complex128 phases whose imaginary
+    parts are all exactly 0 are held as a contiguous read-only float64 copy,
+    others are frozen as they are, and float64 ones, read-only already, are
+    held as they are."""
+    if phases.dtype != float:
+        if not np.count_nonzero(phases.imag):
+            phases = phases.real.copy()
+        phases.flags.writeable = False
     gp = object.__new__(GeneralizedPermutation)
     gp.__dict__.update(m=m, _perm=perm, _inv=inv, _phases=phases)
     return gp
@@ -412,7 +409,7 @@ def _decode_columns(columns, m: int, tol: float):
         perm, inv = _checked_perms(m, perm, 1)
     except ValueError:
         return None
-    return _unchecked(m, perm, inv, _held(phases))
+    return _unchecked(m, perm, inv, phases)
 
 
 def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):

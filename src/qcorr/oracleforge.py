@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import (DEFAULT_TOL, GeneralizedPermutation, _checked_perms, _json_int, _unchecked,
-                         num_bits)
+from .matrixcore import DEFAULT_TOL, GeneralizedPermutation, _json_int, _unchecked, num_bits
 
 
 def _bits(values, what: str) -> tuple[int, ...]:
@@ -189,42 +188,42 @@ def standard_oracle(f: BooleanFunction) -> OracleAction:
 
     The map is valid by construction, so it is built unchecked: the perm
     flips y by a bit of f, an involution and so its own inverse, and the
-    phases are the shared read-only float64 ones of ``_ones``.  At n = 12
-    the build holds the 64 KiB perm, peaks at about 128 KiB under
-    ``tracemalloc`` and takes about 115 us, most of it reading the truth
-    tuple; through ``__init__``, which checked copies of both, it peaked at
-    585 KiB and took about 175 us."""
+    phases are the shared read-only float64 ones of ``_ones``.  Every entry
+    of ``f.truth`` is the int 0 or 1, so the table is read as bytes.  At
+    n = 12 the build holds the 64 KiB perm and peaks at about 132 KiB under
+    ``tracemalloc``."""
     m = f.n + 1
-    perm = perms_OS(f.truth)
+    perm = perms_OS(np.frombuffer(bytes(f.truth), np.uint8))
     perm.flags.writeable = False
     return OracleAction.from_permutation(_unchecked(m, perm, perm, _ones(m)))
 
 
-@functools.cache
-def _small_identity(n: int) -> np.ndarray:
-    return _checked_perms(n, np.arange(1 << n), 1)[0]
+def _kept(build):
+    """``build(n)``, a read-only table on n bits shared by every caller:
+    kept per n up to the 16-qubit simulation limit, at most 1 MiB over
+    every n, and built per call above."""
+    small = functools.cache(build)
+
+    @functools.wraps(build)
+    def table(n: int) -> np.ndarray:
+        return small(n) if n <= 16 else build(n)
+    return table
 
 
+@_kept
 def _identity(n: int) -> np.ndarray:
-    """The identity perm on n bits, to be shared read-only.  Up to the
-    16-qubit simulation limit it is checked once and kept, at most 1 MiB
-    over every n; a larger one is built and checked per call."""
-    return _small_identity(n) if n <= 16 else _checked_perms(n, np.arange(1 << n), 1)[0]
+    """The identity perm on n bits, valid by construction."""
+    perm = np.arange(1 << n, dtype=np.intp)
+    perm.flags.writeable = False
+    return perm
 
 
-def _read_only_ones(m: int) -> np.ndarray:
+@_kept
+def _ones(m: int) -> np.ndarray:
+    """2^m float64 phases of 1."""
     ones = np.ones(1 << m)
     ones.flags.writeable = False
     return ones
-
-
-_small_ones = functools.cache(_read_only_ones)
-
-
-def _ones(m: int) -> np.ndarray:
-    """2^m float64 phases of 1, to be shared read-only as ``_identity`` is:
-    kept up to m = 16, at most 1 MiB over every m."""
-    return _small_ones(m) if m <= 16 else _read_only_ones(m)
 
 
 def phase_oracle(inst: BVInstance) -> OracleAction:
@@ -233,8 +232,7 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
 
     The ±1 signs are real, so they are written straight into a float64
     table, as the storage rule holds them: 512 KiB at n = 16, in about
-    25 us, where a complex table took 1 MiB of zeros first and about
-    60 us.  The last table built on each n up to 16 is kept, with its
+    25 us.  The last table built on each n up to 16 is kept, with its
     hidden string (see ``_signs``)."""
     # The identity is its own inverse.
     perm = _identity(inst.n)

@@ -2,6 +2,7 @@
 standard and phase oracles, and the named classical oracles."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -184,8 +185,8 @@ def test_standard_oracle_involution(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_standard_oracle_is_the_checked_map(n):
     # The oracle's map is built unchecked from perms_OS and shared ones; the
-    # map that __init__ checks from the same perm and phases must equal it in
-    # every respect.
+    # map that the constructor checks from the same perm and phases must
+    # equal it in every respect.
     rng = np.random.default_rng(8000 + n)
     for _ in range(3 if n <= 8 else 1):
         f = BooleanFunction(n, tuple(int(b) for b in rng.integers(0, 2, 1 << n)))
@@ -340,6 +341,19 @@ def test_oracle_action_refuses_extreme_entries_silently(mat):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="norm"):
             OracleAction.from_matrix(mat)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2,), (8, 3), (2, 3)])
+def test_oracle_action_refuses_a_state_of_the_wrong_length(shape):
+    # A longer state must not be cut to its first 2^m entries: both backends
+    # refuse a longer or a shorter one, and the map names the shape it got.
+    gp = GeneralizedPermutation(2, (1, 0, 3, 2), (1,) * 4)
+    state = np.arange(float(np.prod(shape))).reshape(shape)
+    for action in (OracleAction.from_permutation(gp), OracleAction.from_matrix(gp.as_matrix())):
+        with pytest.raises(ValueError):
+            action.apply(state)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        gp.apply(state)
 
 
 def test_oracle_action_linearity():

@@ -258,11 +258,11 @@ def test_apply_keeps_a_real_state_real_under_real_phases(m):
 
 def built_by_every_constructor(m, rng):
     """(what, map, dtype the map must hold its phases in) for maps on m
-    qubits from every constructor: ``__init__`` with real and with complex
-    phases, the phase and standard oracles, the detector and the table
-    engine, each also through pickle and ``copy.deepcopy``.  The table
-    engine keeps the dtype of the oracle's phases, even where a
-    counterpart's phases are all real."""
+    qubits from every constructor: the checked one with real and with
+    complex phases, the phase and standard oracles, the detector and the
+    table engine, each also through pickle and ``copy.deepcopy``.  A table
+    engine counterpart is held as float64 exactly when its phases, read
+    back as complexes, are all real, whatever the oracle's dtype."""
     dim = 1 << m
     perm = rng.permutation(dim)
     signs = rng.choice([-1.0, 1.0], dim)
@@ -285,7 +285,8 @@ def built_by_every_constructor(m, rng):
     for name, gp in [("real", real), ("complex", turned),
                      ("tilted", GeneralizedPermutation(m, np.arange(dim), tilted))]:
         for word, _, hit in search_counterparts(OracleAction.from_permutation(gp), PauliGrid()):
-            built.append((f"table engine {name} {word}", hit, gp._phases.dtype))
+            dtype = complex if np.array(hit.phases).imag.any() else float
+            built.append((f"table engine {name} {word}", hit, dtype))
     for what, gp, dtype in list(built):
         built.append((f"{what} pickled", pickle.loads(pickle.dumps(gp)), dtype))
         built.append((f"{what} deep-copied", copy.deepcopy(gp), dtype))
@@ -295,9 +296,9 @@ def built_by_every_constructor(m, rng):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_every_constructor_holds_real_phases_as_float64(m):
     # Phases whose imaginary parts are all exactly 0 are one contiguous,
-    # read-only float64 array, any others complex128; the table engine keeps
-    # its input's.  Whichever they are, apply is the reference, and a float64
-    # state gives float64 output exactly when every phase is real.
+    # read-only float64 array, any others complex128, from every
+    # constructor.  Whichever they are, apply is the reference, and a
+    # float64 state gives float64 output exactly when every phase is real.
     rng = np.random.default_rng(4200 + m)
     kinds = set()
     for what, gp, dtype in built_by_every_constructor(m, rng):
@@ -315,9 +316,9 @@ def test_every_constructor_holds_real_phases_as_float64(m):
                 got, want = gp.apply(given), reference_apply(gp, given)
                 assert got.dtype == (float if given.dtype == float and real else complex), what
                 assert np.array_equal(got, want.real if got.dtype == float else want), what
-    # real and complex phases held as float64 and complex128, and real ones
-    # held as complex128, which apply tests on each call
-    assert kinds == {("f", True), ("c", False), ("c", True)}
+    # real phases held as float64 and complex ones as complex128, never
+    # real ones as complex128
+    assert kinds == {("f", True), ("c", False)}
 
 
 @pytest.mark.parametrize("block", [1, 1 << 20])
@@ -383,8 +384,9 @@ def test_parity_at_n12_peaks_below_400_kib():
 
 
 def test_standard_oracle_at_n12_peaks_below_160_kib():
-    # The 64 KiB perm, its own inverse, and perms_OS's temporaries: 128 KiB,
-    # once the shared ones of m = 13 are built (585 KiB through __init__).
+    # The 64 KiB perm, its own inverse, perms_OS's temporaries and the 4 KiB
+    # of the truth table's bytes: 132 KiB, once the shared ones of m = 13
+    # are built (585 KiB through the checked constructor).
     f = random_function(12, np.random.default_rng(12))
     standard_oracle(f)  # builds the shared ones
     assert _peak_bytes(lambda: standard_oracle(f)) < 160 << 10
