@@ -429,21 +429,26 @@ def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):
 
 
 def cycle_notation(perm) -> str:
-    """Disjoint-cycle string for a permutation, 'id' for the identity."""
-    seen = set()
-    parts = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
+    """Disjoint-cycle string for a permutation of 0 .. len - 1, each cycle
+    from its least element, 'id' for the identity.
+
+    One pass marks each element as the walk reaches it, so a sequence that
+    is not such a permutation, with an entry out of range or reached twice,
+    raises ValueError instead of walking on."""
+    seen = bytearray(len(perm))
+    out = []
+    for start, nxt in enumerate(perm):
+        if seen[start] or nxt == start:
             continue
-        cyc = [start]
-        seen.add(start)
-        nxt = perm[start]
+        out.append(f"({start}")
         while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
+            if not 0 <= nxt < len(seen) or seen[nxt]:
+                raise ValueError(f"not a permutation: {nxt} is out of range or reached twice")
+            seen[nxt] = 1
+            out.append(f" {nxt}")
             nxt = perm[nxt]
-        parts.append("(" + " ".join(str(v) for v in cyc) + ")")
-    return "".join(parts) if parts else "id"
+        out.append(")")
+    return "".join(out) or "id"
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -477,11 +482,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ValueError("entries must be a list")
     if dim < 1 or len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries for dim={dim}, got {len(entries)}")
     flat = np.empty(dim * dim, dtype=complex)
     for idx, pair in enumerate(entries):
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"entry {idx} is not a [re, im] pair")
         if not all(type(v) in (int, float) for v in pair):
             raise ValueError(f"entry {idx} must be a pair of JSON numbers, got {pair!r}")

@@ -56,6 +56,8 @@ class BooleanFunction:
         object.__setattr__(self, "truth", _bits(self.truth, "truth table entries"))
 
     def __call__(self, x: int) -> int:
+        if not 0 <= x < len(self.truth):
+            raise IndexError(f"input {x} outside 0 .. {len(self.truth) - 1}")
         return self.truth[x]
 
     def parity(self) -> int:

@@ -597,6 +597,48 @@ def test_cycle_notation():
     assert cycle_notation((0, 1, 3, 2)) == "(2 3)"
     assert cycle_notation((1, 2, 3, 0)) == "(0 1 2 3)"
     assert cycle_notation((1, 0, 3, 2)) == "(0 1)(2 3)"
+    assert cycle_notation([]) == "id"
+    # an entry reached twice must not loop for ever, nor one out of range
+    # raise IndexError or wrap round to the end
+    for bad in ([1, 1], [1, 2], [-1, 0], [0, 0], [1, 0, 0]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            cycle_notation(bad)
+
+
+def _cycle_notation_by_sets(perm) -> str:
+    """The set-based walk that the one-pass walk replaced, kept as its
+    reference."""
+    seen = set()
+    parts = []
+    for start in range(len(perm)):
+        if start in seen or perm[start] == start:
+            continue
+        cyc = [start]
+        seen.add(start)
+        nxt = perm[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen.add(nxt)
+            nxt = perm[nxt]
+        parts.append("(" + " ".join(str(v) for v in cyc) + ")")
+    return "".join(parts) if parts else "id"
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 1000, 4096])
+def test_cycle_notation_matches_the_set_walk(size):
+    rng = np.random.default_rng(size)
+    idx = np.arange(size)
+    perms = {
+        "identity": idx,
+        "involution": np.minimum(idx ^ 1, size - 1),
+        "one cycle": np.roll(idx, 1),
+        "random": rng.permutation(size),
+    }
+    for kind, perm in perms.items():
+        perm = perm.astype(np.intp)
+        want = _cycle_notation_by_sets(perm.tolist())
+        for given in (perm.tolist(), tuple(perm.tolist()), perm):
+            assert cycle_notation(given) == want, (kind, type(given))
 
 
 def test_random_unitary_seeded():
@@ -626,6 +668,12 @@ def test_matrix_json_malformed():
     # float() would read strings and booleans: the identity, before
     with pytest.raises(ValueError, match="JSON numbers"):
         matrix_from_json({"dim": 2, "entries": [["1", "0"], [False, 0], [0, 0], [True, "0"]]})
+    # TypeError from len() would reach classify as its exit-2 message
+    with pytest.raises(ValueError, match="entries must be a list"):
+        matrix_from_json({"dim": 4, "entries": 5})
+    for entry in (5, None):
+        with pytest.raises(ValueError, match=r"entry 0 is not a \[re, im\] pair"):
+            matrix_from_json({"dim": 1, "entries": [entry]})
 
 
 def test_cnot_matches_magic_q_shape():

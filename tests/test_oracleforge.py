@@ -49,6 +49,10 @@ def test_boolean_function_basics():
     assert [f(x) for x in range(4)] == [0, 1, 1, 0]
     assert f.parity() == 0
     assert BooleanFunction(1, (0, 1)).parity() == 1
+    # a negative input must not read the table from its end, as f(1)
+    for x in (-1, -2, 2, 3):
+        with pytest.raises(IndexError):
+            BooleanFunction(1, (0, 1))(x)
 
 
 def test_boolean_function_validation():
