@@ -185,42 +185,65 @@ def _last_pass(m: int) -> np.ndarray:
 
 def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
     """H on every qubit of an m-qubit statevector, in place: ``state`` must be
-    a C-ordered float64 array of 2^m real amplitudes.  It is returned.
+    a writable C-ordered float64 array of 2^m real amplitudes.  It is
+    returned.
 
-    Each pass but the last takes the next g = _HADAMARD_PASS qubits from the
-    most significant, on the (A, 2^g, B) view: one real product with the ±1
-    Sylvester matrix per block of that view, through one small scratch
-    block, so no transpose and no second buffer the size of the state.  The
-    last pass takes the g <= _HADAMARD_PASS qubits left, where B is one
-    amplitude: it multiplies rows of 2^g amplitudes by S instead, and also
-    applies the one scale by 2^(-m/2).  Every product stays within _PRODUCT
-    multiply-adds, so BLAS runs on the calling thread.
+    The passes go from the most significant qubit: the ±1 Sylvester matrix S
+    on each next g = _HADAMARD_PASS qubits, then K on the g <= _HADAMARD_PASS
+    qubits left, which also applies the one scale by 2^(-m/2).  They are
+    taken two at a time on the (A, 2^g, 2^g2, B) view, per block of every
+    value of the pair's qubits times a range of A and of B, through one
+    small scratch block: the first pass writes its product into the
+    scratch, and the second writes its product from there straight back
+    into the state.  The products are batched over transposed views, so
+    there is no copy back, no transposed copy and no second buffer the size
+    of the state.  A pass left without a partner, K alone, multiplies rows
+    of amplitudes into the scratch and copies them back.  Every product
+    stays within _PRODUCT multiply-adds, so BLAS runs on the calling thread.
     """
     if not (isinstance(state, np.ndarray) and m >= 1 and state.shape == (1 << m,)
-            and state.dtype == float and state.flags.c_contiguous):
+            and state.dtype == float and state.flags.c_contiguous and state.flags.writeable):
         raise ValueError(f"expected a C-ordered float64 statevector of 2**{m} "
                          f"entries, got {type(state).__name__} of shape {np.shape(state)}")
     g, s, k = _HADAMARD_PASS, _sylvester(_HADAMARD_PASS), _last_pass(m)
     block = _PRODUCT >> g
-    step = min(block, _PRODUCT // len(k)) // len(k)
     scratch = np.empty(min(state.size, block))
-    for done in range(0, m - g, g):
-        grid = state.reshape(-1, 1 << g, 1 << (m - done - g))
+    # Passes 0 .. last - 1 are S and pass `last` is K.  They pair from the
+    # first, so K ends the last pair when `last` is odd and goes alone when
+    # it is even.
+    last = (m - 1) // g
+    for i in range(0, last, 2):
+        s2 = s if i + 1 < last else k
+        grid = state.reshape(1 << (i * g), len(s), len(s2), -1)
         # A block is `per` slices along A, each `cols` amplitudes of B wide.
-        cols = min(grid.shape[2], block >> g)
-        per = (block >> g) // cols
+        cols = min(grid.shape[3], block // (len(s) * len(s2)))
+        per = block // (len(s) * len(s2) * cols)
+        whole = cols == grid.shape[3]
         for a in range(0, grid.shape[0], per):
-            for b in range(0, grid.shape[2], cols):
-                blk = grid[a:a + per, :, b:b + cols]
+            for b in range(0, grid.shape[3], cols):
+                blk = grid[a:a + per, :, :, b:b + cols]
                 tmp = scratch[:blk.size].reshape(blk.shape)
-                np.matmul(s, blk, out=tmp)
-                blk[...] = tmp
-    rows = state.reshape(-1, len(k))
-    for r in range(0, len(rows), step):
-        blk = rows[r:r + step]
-        tmp = scratch[:blk.size].reshape(blk.shape)
-        np.matmul(blk, k, out=tmp)
-        blk[...] = tmp
+                # Over whole rows of B a slice along A is one matrix of
+                # 2^g rows; over part of them the first product is batched
+                # over the second pass's qubits too.
+                if whole:
+                    np.matmul(s, blk.reshape(len(blk), len(s), -1),
+                              out=tmp.reshape(len(blk), len(s), -1))
+                else:
+                    np.matmul(s, blk.transpose(0, 2, 1, 3), out=tmp.transpose(0, 2, 1, 3))
+                # With B one amplitude s2 is K, on rows of the whole block.
+                if grid.shape[3] == 1:
+                    np.matmul(tmp.reshape(-1, len(s2)), s2, out=blk.reshape(-1, len(s2)))
+                else:
+                    np.matmul(s2, tmp, out=blk)
+    if last % 2 == 0:
+        rows = state.reshape(-1, len(k))
+        step = min(block, _PRODUCT // len(k)) // len(k)
+        for r in range(0, len(rows), step):
+            blk = rows[r:r + step]
+            tmp = scratch[:blk.size].reshape(blk.shape)
+            np.matmul(blk, k, out=tmp)
+            blk[...] = tmp
     return state
 
 
@@ -335,19 +358,55 @@ class GeneralizedPermutation:
         phases as float64, which by the storage rule is when every phase is
         real (its imaginary part exactly 0); the table multiplies the state
         as it is, with no test.  Any other state, or any phase off the real
-        line, gives complex128 output."""
+        line, gives complex128 output.
+
+        A map whose inverse is the kept identity perm of ``_identity``, as
+        the phase oracle's is, is diagonal: it multiplies the state by its
+        phases into a fresh C-ordered array, with no gather.  The operands
+        are those the gather multiplies, so the output has the same bits."""
         state, phases = np.asarray(state), self._phases
         if state.shape[:1] != phases.shape:
             raise ValueError(f"expected a state of 2**m = {phases.size} entries along its "
                              f"first axis, got shape {state.shape}")
         if state.dtype != float or phases.dtype != float:
             state = state.astype(complex, copy=False)
-        out = state[self._inv]
         # Phase first: the operand order fixes the rounding of the product.
-        return np.multiply(phases.reshape((-1,) + (1,) * (out.ndim - 1)), out, out=out)
+        phases = phases.reshape((-1,) + (1,) * (state.ndim - 1))
+        if self._inv is _identity.held.get(self.m):
+            return np.multiply(phases, state, order="C")
+        out = state[self._inv]
+        return np.multiply(phases, out, out=out)
 
     def is_involution(self) -> bool:
         return np.array_equal(self._perm, self._inv)
+
+
+def _kept(build):
+    """``build(n)``, a read-only table on n bits shared by every caller:
+    kept per n up to the 16-qubit simulation limit, at most 1 MiB over
+    every n, and built per call above.  ``held`` maps each n to its kept
+    table, so a caller can tell a kept table by identity in O(1)."""
+    held: dict[int, np.ndarray] = {}
+
+    @functools.wraps(build)
+    def table(n: int) -> np.ndarray:
+        kept = held.get(n)
+        if kept is None:
+            kept = build(n)
+            if n <= 16:
+                held[n] = kept
+        return kept
+    table.held = held
+    return table
+
+
+@_kept
+def _identity(n: int) -> np.ndarray:
+    """The identity perm on n bits, valid by construction: its own inverse,
+    which is how ``apply`` knows a diagonal map."""
+    perm = np.arange(1 << n, dtype=np.intp)
+    perm.flags.writeable = False
+    return perm
 
 
 def _unchecked(m: int, perm: np.ndarray, inv: np.ndarray,
@@ -428,26 +487,40 @@ def detect_generalized_permutation(mat: np.ndarray, tol: float = DEFAULT_TOL):
                            num_bits(mat.shape[0]), tol)
 
 
+@functools.lru_cache(maxsize=1)
+def _tokens(n: int) -> tuple:
+    """The token " i" of each i < n, then n Nones, for cycle_notation, kept
+    for the last n asked: every word of one CLI call has the same n."""
+    return tuple([f" {i}" for i in range(n)] + [None] * n)
+
+
 def cycle_notation(perm) -> str:
     """Disjoint-cycle string for a permutation of 0 .. len - 1, each cycle
     from its least element, 'id' for the identity.
 
-    One pass marks each element as the walk reaches it, so a sequence that
-    is not such a permutation, with an entry out of range or reached twice,
-    raises ValueError instead of walking on."""
+    Each entry is read through the token of the integer it indexes, so
+    ``[True, False]`` prints as ``(0 1)``.  One pass marks each element as
+    the walk reaches it, so a sequence that is not such a permutation, with
+    an entry out of range (a negative one finds None), reached twice or with
+    no integer index, raises ValueError instead of walking on."""
+    tokens = _tokens(len(perm))
     seen = bytearray(len(perm))
     out = []
-    for start, nxt in enumerate(perm):
-        if seen[start] or nxt == start:
-            continue
-        out.append(f"({start}")
-        while nxt != start:
-            if not 0 <= nxt < len(seen) or seen[nxt]:
-                raise ValueError(f"not a permutation: {nxt} is out of range or reached twice")
-            seen[nxt] = 1
-            out.append(f" {nxt}")
-            nxt = perm[nxt]
-        out.append(")")
+    try:
+        for start, nxt in enumerate(perm):
+            if seen[start] or tokens[nxt] is tokens[start]:
+                continue
+            out.append(f"({start}")
+            while (token := tokens[nxt]) is not tokens[start]:
+                if token is None or seen[nxt]:
+                    raise IndexError
+                seen[nxt] = 1
+                out.append(token)
+                nxt = perm[nxt]
+            out.append(")")
+    except (IndexError, TypeError):
+        raise ValueError(f"not a permutation: {nxt!r} is out of range, reached twice "
+                         "or not an integer") from None
     return "".join(out) or "id"
 
 

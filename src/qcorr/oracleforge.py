@@ -8,13 +8,13 @@ the query/target bit last (least significant).
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import DEFAULT_TOL, GeneralizedPermutation, _json_int, _unchecked, num_bits
+from .matrixcore import (DEFAULT_TOL, GeneralizedPermutation, _identity, _json_int, _kept,
+                         _unchecked, num_bits)
 
 
 def _bits(values, what: str) -> tuple[int, ...]:
@@ -200,26 +200,6 @@ def standard_oracle(f: BooleanFunction) -> OracleAction:
     return OracleAction.from_permutation(_unchecked(m, perm, perm, _ones(m)))
 
 
-def _kept(build):
-    """``build(n)``, a read-only table on n bits shared by every caller:
-    kept per n up to the 16-qubit simulation limit, at most 1 MiB over
-    every n, and built per call above."""
-    small = functools.cache(build)
-
-    @functools.wraps(build)
-    def table(n: int) -> np.ndarray:
-        return small(n) if n <= 16 else build(n)
-    return table
-
-
-@_kept
-def _identity(n: int) -> np.ndarray:
-    """The identity perm on n bits, valid by construction."""
-    perm = np.arange(1 << n, dtype=np.intp)
-    perm.flags.writeable = False
-    return perm
-
-
 @_kept
 def _ones(m: int) -> np.ndarray:
     """2^m float64 phases of 1."""
@@ -235,7 +215,9 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
     The ±1 signs are real, so they are written straight into a float64
     table, as the storage rule holds them: 512 KiB at n = 16, in about
     25 us.  The last table built on each n up to 16 is kept, with its
-    hidden string (see ``_signs``)."""
+    hidden string (see ``_signs``).  The perm and its inverse are the one
+    kept identity perm of n, so ``apply`` knows the map as diagonal and
+    multiplies a state by the signs, with no gather."""
     # The identity is its own inverse.
     perm = _identity(inst.n)
     return OracleAction.from_permutation(_unchecked(inst.n, perm, perm, _signs(inst.k)))

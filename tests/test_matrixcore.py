@@ -600,7 +600,16 @@ def test_cycle_notation():
     assert cycle_notation([]) == "id"
     # an entry reached twice must not loop for ever, nor one out of range
     # raise IndexError or wrap round to the end
-    for bad in ([1, 1], [1, 2], [-1, 0], [0, 0], [1, 0, 0]):
+    for bad in ([1, 1], [1, 2], [-1, 0], [0, 0], [1, 0, 0], [0, -1], [2, 0]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            cycle_notation(bad)
+    # Each entry prints as the integer it indexes, so bools print as 0 and
+    # 1; an entry with no integer index is refused, even one equal to an
+    # integer in its place.
+    assert cycle_notation([True, False]) == cycle_notation([1, 0]) == "(0 1)"
+    assert cycle_notation(np.array([2, 0, 1], dtype=np.uint8)) == "(0 2 1)"
+    for bad in (np.array([True, False]), [1.0, 0.0], [0.0, 1.0], [1, 0.0], ["1", "0"],
+                [None, 0], np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="not a permutation"):
             cycle_notation(bad)
 

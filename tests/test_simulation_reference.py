@@ -342,16 +342,38 @@ def test_hadamard_layer_rejects_a_state_of_the_wrong_size():
 
 def test_hadamard_layer_rejects_a_state_it_cannot_transform_in_place():
     # float64 is transformed in place; any other dtype, complex128 among
-    # them, a strided view or a list would need a copy, so they are refused.
+    # them, a strided view or a list would need a copy, and a read-only
+    # array cannot be written, so they are refused up front.
     state = np.ones(8)
     assert hadamard_layer(state, 3) is state
     assert state[0] == 8 ** 0.5 and np.count_nonzero(state) == 1
     wide = np.ones(16)
+    frozen = np.ones(8)
+    frozen.flags.writeable = False
     for state in (np.ones(8, dtype=complex), np.ones(8, dtype=np.float32),
-                  np.ones(8, dtype=np.complex64), wide[::2], [1.0] * 8):
-        with pytest.raises(ValueError, match="statevector"):
+                  np.ones(8, dtype=np.complex64), wide[::2], [1.0] * 8, frozen,
+                  np.broadcast_to(1.0, 8)):
+        with pytest.raises(ValueError, match="expected a C-ordered float64 statevector"):
             hadamard_layer(state, 3)
-    assert np.array_equal(wide, np.ones(16))
+    assert np.array_equal(wide, np.ones(16)) and np.array_equal(frozen, np.ones(8))
+
+
+def test_hadamard_layer_products_stay_on_the_calling_thread(monkeypatch):
+    # Every product the layer hands BLAS, one matrix of a batch, is at most
+    # _PRODUCT multiply-adds: under OpenBLAS's threading threshold.
+    products, matmul = [], np.matmul
+
+    def recorded(a, b, out):
+        products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(matrixcore.np, "matmul", recorded)
+    for m in range(1, 17):
+        products.clear()
+        state = np.random.default_rng(m).normal(size=1 << m)
+        want = reference_hadamard_layer(state, m)
+        assert np.abs(hadamard_layer(state, m) - want).max() <= 1e-12
+        assert products and max(products) <= matrixcore._PRODUCT, m
 
 
 def _peak_bytes(fn):
@@ -406,6 +428,39 @@ def test_bv_queries_the_oracle_once_on_the_uniform_state(monkeypatch, n):
     assert len(oracles) == 1 and len(oracles[0].inputs) == 1
     assert oracles[0].inputs[0].dtype == float
     assert np.abs(oracles[0].inputs[0] - reference_uniform(n)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_diagonal_apply_multiplies_into_a_fresh_c_ordered_array(n):
+    # The phase oracle's inverse is the kept identity perm, so apply
+    # multiplies and does not gather; a checked map with the identity perm
+    # holds its own inverse and gathers.  Either way the output has the bits
+    # of phases * state[inv] under the dtype rule, and is a fresh, writable,
+    # C-ordered array: the bv run writes the Hadamard layer into it, and the
+    # dense engine's 2x2 kernel needs it C-ordered.
+    rng = np.random.default_rng(8000 + n)
+    dim = 1 << n
+    oracle = phase_oracle(random_bv(n, rng)).permutation
+    assert oracle._inv is matrixcore._identity.held[n]
+    turned = GeneralizedPermutation(n, np.arange(dim), np.exp(1j * rng.uniform(0, 7, dim)))
+    assert turned._inv is not matrixcore._identity.held[n]
+    for gp in (oracle, turned):
+        for shape in ((dim,), (dim, 3)):
+            real = rng.normal(size=shape)
+            states = [real, real + 1j * rng.normal(size=shape),
+                      rng.normal(size=shape[::-1]).T, np.broadcast_to(2.0 ** (-n / 2), shape)]
+            for state in states:
+                got = gp.apply(state)
+                held = state if state.dtype == float == gp._phases.dtype else state.astype(complex)
+                # Not `phases * held[inv]`: numpy may reuse a temporary of
+                # 256 KiB or more in place with the operands swapped, which
+                # rounds a complex product's fused multiply-add otherwise.
+                want = np.multiply(gp._phases.reshape((-1,) + (1,) * (state.ndim - 1)),
+                                   held[gp._inv])
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert not np.shares_memory(got, state)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
