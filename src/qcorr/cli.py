@@ -142,7 +142,13 @@ def _parse_space(text: str, m: int):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"random space must look like random:COUNT:SEED, got {text!r}")
-        count, seed = int(parts[1]), int(parts[2])
+        numbers = []
+        for field, part in zip(("COUNT", "SEED"), parts[1:]):
+            try:
+                numbers.append(int(part))
+            except ValueError:
+                raise ValueError(f"random space {field} must be an integer, got {part!r}") from None
+        count, seed = numbers
         if count < 1:
             raise ValueError(f"random space needs a COUNT of at least 1, got {text!r}")
         return RandomSample(count, seed)
@@ -287,6 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _floats(obj):
+    """Every float in a result, in lists and dict values at any depth."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, (dict, list, tuple)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from _floats(value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -301,7 +316,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(result, indent=2 if args.pretty else None, allow_nan=False))
+    # Written as it is encoded, never whole: a NaN or infinity is refused first.
+    if not all(map(math.isfinite, _floats(result))):
+        raise ValueError("Out of range float values are not JSON compliant")
+    json.dump(result, sys.stdout, indent=2 if args.pretty else None, allow_nan=False)
+    print()
     return 0
 
 

@@ -58,6 +58,7 @@ from .matrixcore import (
     _checked_perms,
     _column_rule,
     _decode_columns,
+    _kept,
     _unchecked,
     _unit_modulus,
     apply_single_qubit,
@@ -179,8 +180,9 @@ def _check_space(space, m: int):
     if isinstance(space, PauliGrid):
         return np.arange(1 << m)
     if isinstance(space, RandomSample):
-        if space.count < 0:
-            raise ValueError(f"random sample count must be >= 0, got {space.count}")
+        for field, value in (("count", space.count), ("seed", space.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"random sample {field} must be an integer >= 0, got {value!r}")
         if space.count > 1 << GRID_QUBIT_LIMIT:
             raise SizeLimitError(
                 f"random sample of {space.count} exceeds {1 << GRID_QUBIT_LIMIT} assignments"
@@ -252,12 +254,10 @@ def _columns(action: OracleAction, bases: np.ndarray, c: int, start: int) -> np.
     return cols
 
 
-@functools.cache
+@_kept
 def _flips(m: int) -> np.ndarray:
-    """The (m, 2^m) read-only index table whose row b is x ^ 2^b for every x."""
-    flips = np.arange(1 << m) ^ (1 << np.arange(m))[:, None]
-    flips.flags.writeable = False
-    return flips
+    """The (m, 2^m) index table whose row b is x ^ 2^b for every x."""
+    return np.arange(1 << m) ^ (1 << np.arange(m))[:, None]
 
 
 def _by_bit(a: np.ndarray, b: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for small multi-qubit unitaries.
 
 Conventions:
-  - All matrices are complex128 ndarrays, row-major, dimension a power of two.
+  - Matrices are complex128 ndarrays, row-major, dimension a power of two;
+    the Hadamard layer's states and real phase tables are float64.
   - Bit/qubit ordering is big-endian: qubit 0 is the *most significant* bit of
     a basis index, so ``np.kron(a, b)`` puts ``a`` on the high-order bits.
   - A generalized permutation is a unitary with exactly one nonzero,
@@ -163,24 +164,46 @@ _HADAMARD_PASS = 4
 _PRODUCT = 1 << 18
 
 
-@functools.cache
+def _kept(build):
+    """``build(n, *key)``, a table on n bits made read-only and shared by
+    every caller: the last one built on each n up to the 16-qubit
+    simulation limit is kept with its key, and above it one is built per
+    call.  ``held`` maps n to its kept table, so a caller can tell a kept
+    table by identity in O(1).  Keeping also holds the C library's heap in
+    place: were a bv n = 16 run's 512 KiB signs and state both freed at its
+    end, glibc's malloc, whose trim threshold is then twice the 516 KiB of
+    the largest block it has unmapped, would hand the heap back to the
+    kernel after every run and fault it in again on the next (225 faults)."""
+    held: dict[int, np.ndarray] = {}
+    keys: dict[int, tuple] = {}
+
+    @functools.wraps(build)
+    def table(n: int, *key) -> np.ndarray:
+        kept = held.get(n)
+        if kept is None or keys[n] != key:
+            kept = build(n, *key)
+            kept.flags.writeable = False
+            if n <= 16:
+                held[n], keys[n] = kept, key
+        return kept
+    table.held = held
+    return table
+
+
+@_kept
 def _sylvester(g: int) -> np.ndarray:
     """The unscaled 2^g x 2^g Walsh-Hadamard matrix, entry (-1)^popcount(i & j),
-    as read-only floats."""
+    as floats."""
     idx = np.arange(1 << g)
-    s = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1)
-    s.flags.writeable = False
-    return s
+    return 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1)
 
 
-@functools.cache
+@_kept
 def _last_pass(m: int) -> np.ndarray:
     """S for the last g = (m - 1) % _HADAMARD_PASS + 1 qubits of an m-qubit
-    layer, scaled by 2^(-m/2), as read-only floats: it acts by right
-    multiplication on rows of 2^g amplitudes."""
-    k = _sylvester((m - 1) % _HADAMARD_PASS + 1) * 2.0 ** (-m / 2)
-    k.flags.writeable = False
-    return k
+    layer, scaled by 2^(-m/2), as floats: it acts by right multiplication on
+    rows of 2^g amplitudes."""
+    return _sylvester((m - 1) % _HADAMARD_PASS + 1) * 2.0 ** (-m / 2)
 
 
 def hadamard_layer(state: np.ndarray, m: int) -> np.ndarray:
@@ -381,32 +404,11 @@ class GeneralizedPermutation:
         return np.array_equal(self._perm, self._inv)
 
 
-def _kept(build):
-    """``build(n)``, a read-only table on n bits shared by every caller:
-    kept per n up to the 16-qubit simulation limit, at most 1 MiB over
-    every n, and built per call above.  ``held`` maps each n to its kept
-    table, so a caller can tell a kept table by identity in O(1)."""
-    held: dict[int, np.ndarray] = {}
-
-    @functools.wraps(build)
-    def table(n: int) -> np.ndarray:
-        kept = held.get(n)
-        if kept is None:
-            kept = build(n)
-            if n <= 16:
-                held[n] = kept
-        return kept
-    table.held = held
-    return table
-
-
 @_kept
 def _identity(n: int) -> np.ndarray:
     """The identity perm on n bits, valid by construction: its own inverse,
     which is how ``apply`` knows a diagonal map."""
-    perm = np.arange(1 << n, dtype=np.intp)
-    perm.flags.writeable = False
-    return perm
+    return np.arange(1 << n, dtype=np.intp)
 
 
 def _unchecked(m: int, perm: np.ndarray, inv: np.ndarray,

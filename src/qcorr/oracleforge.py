@@ -203,9 +203,7 @@ def standard_oracle(f: BooleanFunction) -> OracleAction:
 @_kept
 def _ones(m: int) -> np.ndarray:
     """2^m float64 phases of 1."""
-    ones = np.ones(1 << m)
-    ones.flags.writeable = False
-    return ones
+    return np.ones(1 << m)
 
 
 def phase_oracle(inst: BVInstance) -> OracleAction:
@@ -214,34 +212,17 @@ def phase_oracle(inst: BVInstance) -> OracleAction:
 
     The ±1 signs are real, so they are written straight into a float64
     table, as the storage rule holds them: 512 KiB at n = 16, in about
-    25 us.  The last table built on each n up to 16 is kept, with its
-    hidden string (see ``_signs``).  The perm and its inverse are the one
-    kept identity perm of n, so ``apply`` knows the map as diagonal and
-    multiplies a state by the signs, with no gather."""
+    25 us, kept with the hidden string (see ``_kept``).  The perm and its
+    inverse are the one kept identity perm of n, so ``apply`` knows the map
+    as diagonal and multiplies a state by the signs, with no gather."""
     # The identity is its own inverse.
     perm = _identity(inst.n)
-    return OracleAction.from_permutation(_unchecked(inst.n, perm, perm, _signs(inst.k)))
+    return OracleAction.from_permutation(_unchecked(inst.n, perm, perm, _signs(inst.n, inst.k)))
 
 
-# The last sign table built on each n up to the 16-qubit simulation limit,
-# with its hidden string: at most 1 MiB over every n, as for the identity
-# perms.  A bv run holds the table and a state of the same size.  Were both
-# freed at its end, glibc's malloc, whose trim threshold is then twice the
-# 516 KiB of the largest block it has unmapped, would hand the heap back to
-# the kernel after every run and fault it in again on the next: 225 faults
-# a run at n = 16, in a loop on one hidden string and, after a few hundred
-# runs, in some mixes of other work.  A kept table outlives the run, so its
-# blocks do not all return to the top of the heap at once.
-_last_signs: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-
-
-def _signs(k: tuple[int, ...]) -> np.ndarray:
-    """The read-only float64 table of (-1)^(x.k) over every x, the last one
-    of its n shared."""
-    n = len(k)
-    kept = _last_signs.get(n)
-    if kept is not None and kept[0] == k:
-        return kept[1]
+@_kept
+def _signs(n: int, k: tuple[int, ...]) -> np.ndarray:
+    """The float64 table of (-1)^(x.k) over every x of n bits."""
     # The sign of x on its last j + 1 bits is that on its last j, flipped
     # where bit j of x and k is set.
     signs = np.empty(1 << n)
@@ -252,9 +233,6 @@ def _signs(k: tuple[int, ...]) -> np.ndarray:
             np.negative(half, out=signs[1 << j:2 << j])
         else:
             signs[1 << j:2 << j] = half
-    signs.flags.writeable = False
-    if n <= 16:
-        _last_signs[n] = (k, signs)
     return signs
 
 

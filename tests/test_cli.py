@@ -222,6 +222,25 @@ def test_counterparts_qubit_limit_covers_every_space(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bases, message", [
+    ("random:x:1", "random space COUNT must be an integer, got 'x'"),
+    ("random:1.5:1", "random space COUNT must be an integer, got '1.5'"),
+    ("random:1:x", "random space SEED must be an integer, got 'x'"),
+    ("random:1:-5", "random sample seed must be an integer >= 0, got -5"),
+])
+def test_counterparts_random_fields_are_named_before_the_oracle(tmp_path, capsys, monkeypatch,
+                                                                bases, message):
+    def refuse(*args):
+        raise AssertionError("the oracle must not be built for a malformed sample")
+
+    monkeypatch.setattr(cli, "standard_oracle", refuse)
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({"n": 1, "k0": 0, "k": [1]}))
+    assert main(["counterparts", "--oracle", "standard", "--bv", str(bv), "--bases", bases]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("oracle, m", [("standard", 41), ("phase", 40)])
 def test_counterparts_limit_comes_before_the_oracle(tmp_path, capsys, monkeypatch, oracle, m):
     # a promise file of about a hundred bytes names a 2^m-entry oracle

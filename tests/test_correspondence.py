@@ -282,6 +282,26 @@ def test_every_space_is_bounded_before_it_allocates():
     with pytest.raises(ValueError):
         search_counterparts(small, RandomSample(count=-3, seed=1))
     assert search_counterparts(small, RandomSample(count=0, seed=1)) == []
+    # numpy integers are integers
+    identity = standard_oracle(BooleanFunction(1, (0, 0)))
+    assert len(search_counterparts(identity, RandomSample(np.int64(2), np.uint8(3)))) == 2
+
+
+@pytest.mark.parametrize("space, field", [
+    (RandomSample(1.5, 1), "count"), (RandomSample("2", 1), "count"),
+    (RandomSample(True, 1), "count"), (RandomSample(1, -5), "seed"),
+    (RandomSample(1, 2.0), "seed"), (RandomSample(1, None), "seed"),
+])
+def test_random_sample_fields_are_checked_before_any_allocation(space, field, monkeypatch):
+    # each is refused by the space check, with its field named, before a
+    # basis is drawn
+    def refuse(*args):
+        raise AssertionError("no basis may be drawn for a malformed sample")
+
+    monkeypatch.setattr(correspondence, "_sample_bases", refuse)
+    small = standard_oracle(BooleanFunction(1, (0, 1)))
+    with pytest.raises(ValueError, match=f"random sample {field} must be an integer >= 0"):
+        search_counterparts(small, space)
 
 
 def test_makhlin_fixed_points():

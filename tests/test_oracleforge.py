@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qcorr import correspondence, matrixcore, oracleforge
 from qcorr.matrixcore import SIGMA_Z, GeneralizedPermutation, detect_generalized_permutation
 from qcorr.oracleforge import (
     BooleanFunction,
@@ -316,6 +317,24 @@ def test_phase_oracle_keeps_its_last_sign_table_per_n_up_to_16_qubits():
         assert c._phases is not a._phases and c.phases != a.phases
         assert phase_oracle(BVInstance(n, 0, k)).permutation == a
         assert a._phases.dtype == float and not a._phases.flags.writeable
+
+
+@pytest.mark.parametrize("table, args", [
+    (correspondence._flips, (5,)),
+    (matrixcore._sylvester, (4,)),  # 4^g entries: never above g = 4
+    (matrixcore._last_pass, (7,)),
+    (matrixcore._identity, (5,)),
+    (oracleforge._ones, (5,)),
+    (oracleforge._signs, (5, (1, 0, 1, 1, 0))),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_shared_tables_follow_one_keep_rule(table, args):
+    # A second call with the same arguments hands back the kept table
+    # itself, which no caller can write.
+    first = table(*args)
+    assert table(*args) is first and table.held[args[0]] is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[...] = 0
 
 
 def test_oracle_action_matrix_checks():
